@@ -36,10 +36,10 @@ type fnvTile struct {
 
 func newTileDigest() *tileDigest { return &tileDigest{sums: map[[2]int]*fnvTile{}} }
 
-func (d *tileDigest) onFrame(session, displayIdx, tile int, buf *mpeg2.PixelBuf) {
+func (d *tileDigest) onFrame(session, picIdx, tile int, buf *mpeg2.PixelBuf) {
 	h := fnv.New64a()
 	var idx [4]byte
-	idx[0], idx[1], idx[2], idx[3] = byte(displayIdx>>24), byte(displayIdx>>16), byte(displayIdx>>8), byte(displayIdx)
+	idx[0], idx[1], idx[2], idx[3] = byte(picIdx>>24), byte(picIdx>>16), byte(picIdx>>8), byte(picIdx)
 	h.Write(idx[:])
 	h.Write(buf.Y)
 	h.Write(buf.Cb)

@@ -265,6 +265,32 @@ func BenchmarkReaderRead8(b *testing.B) {
 	}
 }
 
+// BenchmarkReaderPeekSkip is the VLC access pattern: peek a 17-bit window,
+// then consume a short code of varying length, as the DCT coefficient
+// decoder does per symbol.
+func BenchmarkReaderPeekSkip(b *testing.B) {
+	data := make([]byte, 1<<16)
+	rng := rand.New(rand.NewSource(3))
+	rng.Read(data)
+	var lens [256]int
+	for i := range lens {
+		lens[i] = 2 + rng.Intn(8)
+	}
+	r := NewReader(data)
+	var sum uint32
+	for i := 0; i < b.N; i++ {
+		if r.Remaining() < 64 {
+			r.Reset(data)
+		}
+		sum += r.Peek(17)
+		r.Skip(lens[i&255])
+	}
+	peekSink = sum
+}
+
+// peekSink keeps the benchmarked peeks observable to the compiler.
+var peekSink uint32
+
 func BenchmarkNextStartCode(b *testing.B) {
 	data := make([]byte, 1<<20)
 	rand.New(rand.NewSource(2)).Read(data)

@@ -12,8 +12,8 @@ import (
 // interpreted against the remaining bytes as reader data. Invariants: the
 // reader never panics, the position never moves backwards except via SeekBit,
 // the position never passes the end while err is nil, Peek never moves the
-// position, and a hostile read width sets ErrReadSize instead of corrupting
-// state.
+// position, a hostile read width sets ErrReadSize instead of corrupting
+// state, and every value, position and error matches the reference reader.
 func FuzzReader(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08})
@@ -29,6 +29,7 @@ func FuzzReader(f *testing.F) {
 		}
 		ops := in[1 : 1+nops]
 		data := in[1+nops:]
+		runReaderOps(t, data, ops)
 		r := bits.NewReader(data)
 		for _, op := range ops {
 			before := r.BitPos()

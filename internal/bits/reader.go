@@ -11,6 +11,7 @@
 package bits
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -33,27 +34,57 @@ var ErrReadSize = errors.New("bits: read size out of range")
 // concurrent use.
 type Reader struct {
 	data []byte
-	pos  int // absolute bit position from the start of data
 	err  error
+
+	// win caches the bits from the read position on, MSB first, with zeros
+	// past the end of data. spare counts how many of them beyond the first
+	// 32 lie inside data, so a Read or Skip of up to spare bits only shifts
+	// the window. lim is the position after those spare bits: the read
+	// position is lim - spare.
+	win   uint64
+	spare int
+	lim   int
 }
 
 // NewReader returns a Reader over data. The Reader does not copy data.
 func NewReader(data []byte) *Reader {
-	return &Reader{data: data}
+	r := &Reader{data: data}
+	r.seek(0)
+	return r
+}
+
+// seek moves to pos (0 <= pos <= Len) and reloads the window there.
+func (r *Reader) seek(pos int) {
+	byteIdx := pos >> 3
+	var w uint64
+	if byteIdx+8 <= len(r.data) {
+		w = binary.BigEndian.Uint64(r.data[byteIdx:])
+	} else {
+		for i := 0; i < 8; i++ {
+			w <<= 8
+			if byteIdx+i < len(r.data) {
+				w |= uint64(r.data[byteIdx+i])
+			}
+		}
+	}
+	off := pos & 7
+	r.win = w << uint(off)
+	r.spare = max(0, min(64-off, len(r.data)*8-pos)-32)
+	r.lim = pos + r.spare
 }
 
 // Reset re-points the reader at data and clears position and error state.
 func (r *Reader) Reset(data []byte) {
 	r.data = data
-	r.pos = 0
 	r.err = nil
+	r.seek(0)
 }
 
 // Err reports the first underflow encountered, if any.
 func (r *Reader) Err() error { return r.err }
 
 // BitPos returns the absolute bit position from the start of the buffer.
-func (r *Reader) BitPos() int { return r.pos }
+func (r *Reader) BitPos() int { return r.lim - r.spare }
 
 // SeekBit moves the read position to the absolute bit offset pos.
 func (r *Reader) SeekBit(pos int) {
@@ -61,49 +92,37 @@ func (r *Reader) SeekBit(pos int) {
 		r.err = ErrUnderflow
 		return
 	}
-	r.pos = pos
+	r.seek(pos)
 }
 
 // Len returns the total length of the underlying buffer in bits.
 func (r *Reader) Len() int { return len(r.data) * 8 }
 
 // Remaining returns the number of unread bits.
-func (r *Reader) Remaining() int { return len(r.data)*8 - r.pos }
+func (r *Reader) Remaining() int { return len(r.data)*8 - r.BitPos() }
 
 // Byte-aligned reports whether the read position is on a byte boundary.
-func (r *Reader) ByteAligned() bool { return r.pos&7 == 0 }
+func (r *Reader) ByteAligned() bool { return r.BitPos()&7 == 0 }
 
 // Peek returns the next n bits (0 <= n <= 32) without advancing. Bits past
 // the end of the buffer read as zero; Err is not set by Peek so that VLC
 // lookahead near the end of a buffer does not poison the reader.
 func (r *Reader) Peek(n int) uint32 {
-	if n <= 0 || n > 32 {
-		return 0
+	if uint(n-1) < 32 {
+		return uint32(r.win >> (64 - uint(n)))
 	}
-	byteIdx := r.pos >> 3
-	bitOff := uint(r.pos & 7)
-	// Fast path: the 8 bytes starting at byteIdx are in bounds, so a single
-	// 64-bit load covers any (bitOff, n<=32) combination.
-	if byteIdx+8 <= len(r.data) {
-		b := r.data[byteIdx:]
-		w := uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-			uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
-		return uint32(w << bitOff >> (64 - uint(n)))
-	}
-	// Slow path near the end of the buffer: missing bytes read as zero.
-	var w uint64
-	for i := 0; i < 8; i++ {
-		w <<= 8
-		if byteIdx+i < len(r.data) {
-			w |= uint64(r.data[byteIdx+i])
-		}
-	}
-	return uint32(w << bitOff >> (64 - uint(n)))
+	return 0
 }
 
 // Read returns the next n bits (0 <= n <= 32) and advances. On underflow it
 // sets Err and returns zeros for the missing bits.
 func (r *Reader) Read(n int) uint32 {
+	if uint(n-1) < uint(r.spare) {
+		v := uint32(r.win >> (64 - uint(n)))
+		r.win <<= uint(n)
+		r.spare -= n
+		return v
+	}
 	if n < 0 || n > 32 {
 		if r.err == nil {
 			r.err = ErrReadSize
@@ -111,13 +130,7 @@ func (r *Reader) Read(n int) uint32 {
 		return 0
 	}
 	v := r.Peek(n)
-	r.pos += n
-	if r.pos > len(r.data)*8 {
-		r.pos = len(r.data) * 8
-		if r.err == nil {
-			r.err = ErrUnderflow
-		}
-	}
+	r.skipSlow(n)
 	return v
 }
 
@@ -127,29 +140,43 @@ func (r *Reader) ReadBit() uint32 { return r.Read(1) }
 // Skip advances the position by n bits. Negative n is rejected with
 // ErrReadSize; the position never moves backwards except through SeekBit.
 func (r *Reader) Skip(n int) {
+	if uint(n) <= uint(r.spare) {
+		r.win <<= uint(n)
+		r.spare -= n
+		return
+	}
+	r.skipSlow(n)
+}
+
+// skipSlow advances past the window's spare bits, clamping at the end of
+// the buffer. It stays out of line so that Skip's fast path is inlined.
+//
+//go:noinline
+func (r *Reader) skipSlow(n int) {
 	if n < 0 {
 		if r.err == nil {
 			r.err = ErrReadSize
 		}
 		return
 	}
-	r.pos += n
-	if r.pos > len(r.data)*8 {
-		r.pos = len(r.data) * 8
+	pos := r.BitPos() + n
+	if pos > len(r.data)*8 {
+		pos = len(r.data) * 8
 		if r.err == nil {
 			r.err = ErrUnderflow
 		}
 	}
+	r.seek(pos)
 }
 
 // AlignByte advances to the next byte boundary (no-op when already aligned).
 func (r *Reader) AlignByte() {
-	if rem := r.pos & 7; rem != 0 {
+	if rem := r.BitPos() & 7; rem != 0 {
 		r.Skip(8 - rem)
 	}
 }
 
 // String describes the reader state for debugging.
 func (r *Reader) String() string {
-	return fmt.Sprintf("bits.Reader{pos=%d/%d err=%v}", r.pos, len(r.data)*8, r.err)
+	return fmt.Sprintf("bits.Reader{pos=%d/%d err=%v}", r.BitPos(), len(r.data)*8, r.err)
 }

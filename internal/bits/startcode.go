@@ -69,11 +69,11 @@ func ScanStartCodes(data []byte) (offs []int, codes []byte) {
 // reads 32 bits to consume it). It returns false when no start code remains.
 func NextStartCodeReader(r *Reader) bool {
 	r.AlignByte()
-	off := NextStartCode(r.data, r.pos>>3)
+	off := NextStartCode(r.data, r.BitPos()>>3)
 	if off < 0 {
-		r.pos = len(r.data) * 8
+		r.seek(len(r.data) * 8)
 		return false
 	}
-	r.pos = off * 8
+	r.seek(off * 8)
 	return true
 }

@@ -69,9 +69,9 @@ type tileTap struct {
 
 func newTileTap(nt int) *tileTap { return &tileTap{emit: make([][]tileFrame, nt)} }
 
-func (tt *tileTap) hook(_, displayIdx, tile int, buf *mpeg2.PixelBuf) {
+func (tt *tileTap) hook(_, picIdx, tile int, buf *mpeg2.PixelBuf) {
 	tt.mu.Lock()
-	tt.emit[tile] = append(tt.emit[tile], tileFrame{pic: displayIdx, buf: buf})
+	tt.emit[tile] = append(tt.emit[tile], tileFrame{pic: picIdx, buf: buf})
 	tt.mu.Unlock()
 }
 

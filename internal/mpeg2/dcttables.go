@@ -27,51 +27,72 @@ type dctSpec struct {
 	code       string
 }
 
+// dctEntry is one table slot: a coefficient (run >= 0) with its unsigned
+// level and code length in bits, sign excluded, or one of the special
+// symbols eobRun, dctInvalid, dctEsc and dctLong.
 type dctEntry struct {
-	run   int8 // eobRun for EOB; -2 for invalid; -3 for escape
-	level int8
+	run   int8
+	level uint8 // for dctLong: index of the second-level block
 	len   uint8
 }
 
 const (
 	dctInvalid = -2
 	dctEsc     = -3
+	dctLong    = -4 // first level only: the code continues past 8 bits
+
+	dctMaxLen = 16 // longest table code (B-14 "0000 0000 0001 xxxx")
 )
 
+// dctTable decodes one DCT coefficient table in at most two lookups. The
+// first level, indexed by the next 8 bits, resolves every code of up to 8
+// bits — EOB, escape and the short run/level codes that make up nearly all
+// coefficients — in one lookup. Each 8-bit prefix of a longer code points
+// to a 256-entry second-level block indexed by the following 8 bits. A table
+// is under 4 KB, so all three stay cache-resident on the hot path.
 type dctTable struct {
-	maxLen int
-	lut    []dctEntry
-	enc    map[uint16]vlcCode // run<<8|level -> code (without sign bit)
-	eob    vlcCode            // end-of-block code (zero for tables without one)
+	l1  [256]dctEntry
+	l2  []dctEntry         // 256-entry blocks, one per long-code prefix
+	enc map[uint16]vlcCode // run<<8|level -> code (without sign bit)
+	eob vlcCode            // end-of-block code (zero for tables without one)
 }
 
 func buildDCT(name string, specs []dctSpec) *dctTable {
-	maxLen := dctEscapeLen
-	for _, s := range specs {
-		if _, n := parseCode(s.code); n > maxLen {
-			maxLen = n
-		}
-	}
-	t := &dctTable{
-		maxLen: maxLen,
-		lut:    make([]dctEntry, 1<<uint(maxLen)),
-		enc:    make(map[uint16]vlcCode, len(specs)),
-	}
-	for i := range t.lut {
-		t.lut[i].run = dctInvalid
+	t := &dctTable{enc: make(map[uint16]vlcCode, len(specs))}
+	for i := range t.l1 {
+		t.l1[i].run = dctInvalid
 	}
 	insert := func(code string, run, level int) {
 		c, n := parseCode(code)
-		base := c << uint(maxLen-n)
-		span := 1 << uint(maxLen-n)
-		for i := 0; i < span; i++ {
-			slot := &t.lut[base+uint32(i)]
+		if n > dctMaxLen {
+			panic(fmt.Sprintf("mpeg2: DCT table %s code %q longer than %d bits", name, code, dctMaxLen))
+		}
+		lut, rest := t.l1[:], n
+		if n > 8 {
+			// Route through (allocating on first use) the block of the
+			// code's 8-bit prefix.
+			p := &t.l1[c>>uint(n-8)]
+			switch p.run {
+			case dctInvalid:
+				*p = dctEntry{run: dctLong, level: uint8(len(t.l2) >> 8)}
+				for i := 0; i < 256; i++ {
+					t.l2 = append(t.l2, dctEntry{run: dctInvalid})
+				}
+			case dctLong:
+			default:
+				panic(fmt.Sprintf("mpeg2: DCT table %s not prefix-free at %q", name, code))
+			}
+			lut = t.l2[int(p.level)<<8:][:256]
+			c &= 1<<uint(n-8) - 1
+			rest = n - 8
+		}
+		base := c << uint(8-rest)
+		for i := uint32(0); i < 1<<uint(8-rest); i++ {
+			slot := &lut[base+i]
 			if slot.run != dctInvalid {
 				panic(fmt.Sprintf("mpeg2: DCT table %s not prefix-free at %q", name, code))
 			}
-			slot.run = int8(run)
-			slot.level = int8(level)
-			slot.len = uint8(n)
+			*slot = dctEntry{run: int8(run), level: uint8(level), len: uint8(n)}
 		}
 	}
 	for _, s := range specs {
@@ -106,38 +127,75 @@ func (t *dctTable) code(run, level int) (vlcCode, bool) {
 	return c, ok
 }
 
+// lookup returns the entry for the symbol at the head of the 16-bit window w.
+func (t *dctTable) lookup(w uint32) dctEntry {
+	e := t.l1[w>>8&0xff]
+	if e.run == dctLong {
+		e = t.l2[int(e.level)<<8|int(w&0xff)]
+	}
+	return e
+}
+
 // decode reads one DCT symbol. It returns:
 //
 //	eob=true                  — end of block
 //	run, level (signed)       — a coefficient
 //	ok=false                  — invalid code
 func (t *dctTable) decode(r *bits.Reader) (run, level int, eob, ok bool) {
-	e := t.lut[r.Peek(t.maxLen)]
-	switch e.run {
-	case dctInvalid:
+	// One peek covers the longest code and the sign bit after it.
+	w := r.Peek(dctMaxLen + 1)
+	e := t.lookup(w >> 1)
+	if e.run < 0 {
+		switch e.run {
+		case eobRun:
+			r.Skip(int(e.len))
+			return 0, 0, true, true
+		case dctEsc:
+			run, level, ok = readEscape(r)
+			return run, level, false, ok
+		}
 		return 0, 0, false, false
-	case int8(eobRun):
+	}
+	r.Skip(int(e.len) + 1)
+	// Branch-free sign: s is 0 or -1, and (x^s)-s negates x when s is -1.
+	s := -int(w >> (dctMaxLen - e.len) & 1)
+	return int(e.run), (int(e.level) ^ s) - s, false, true
+}
+
+// skip advances past one DCT symbol without materialising its level: the
+// splitter's skim. It returns the run (eobRun at end of block) and rejects
+// exactly the inputs decode rejects, leaving the reader at the same bit.
+func (t *dctTable) skip(r *bits.Reader) (run int, ok bool) {
+	e := t.lookup(r.Peek(dctMaxLen))
+	if e.run >= 0 {
+		r.Skip(int(e.len) + 1)
+		return int(e.run), true
+	}
+	switch e.run {
+	case eobRun:
 		r.Skip(int(e.len))
-		return 0, 0, true, true
+		return eobRun, true
 	case dctEsc:
-		r.Skip(dctEscapeLen)
-		run = int(r.Read(6))
-		lv := int32(r.Read(12))
-		if lv&0x800 != 0 {
-			lv -= 0x1000
-		}
-		if lv == 0 || lv == -2048 {
-			// Forbidden escape levels in MPEG-2.
-			return 0, 0, false, false
-		}
-		return run, int(lv), false, true
+		run, _, ok = readEscape(r)
+		return run, ok
 	}
-	r.Skip(int(e.len))
-	run, level = int(e.run), int(e.level)
-	if r.ReadBit() != 0 {
-		level = -level
+	return 0, false
+}
+
+// readEscape reads an escape-coded coefficient: the 6-bit escape code, a
+// 6-bit run and a 12-bit two's-complement level.
+func readEscape(r *bits.Reader) (run, level int, ok bool) {
+	r.Skip(dctEscapeLen)
+	run = int(r.Read(6))
+	lv := int32(r.Read(12))
+	if lv&0x800 != 0 {
+		lv -= 0x1000
 	}
-	return run, level, false, true
+	if lv == 0 || lv == -2048 {
+		// Forbidden escape levels in MPEG-2.
+		return 0, 0, false
+	}
+	return run, int(lv), true
 }
 
 // b14Specs is Table B-14 ("DCT coefficients table zero"). The first-

@@ -264,10 +264,20 @@ type DecodedPicture struct {
 // stream order and emits pictures in display order, managing the two
 // reference frames and the I/P reordering delay.
 //
-// Output buffers come from the pixel-buffer pool: a caller that is done with
-// an emitted DecodedPicture may call Buf.Release() to let the decoder (or
-// anything else of the same geometry) reuse it. Callers that keep frames
-// simply never release them — the pool then behaves like plain allocation.
+// Output buffers come from the pixel-buffer pool, and a caller that is done
+// with an emitted DecodedPicture may call Buf.Release() to let the decoder
+// (or anything else of the same geometry) reuse it — but an emitted I or P
+// picture is still the forward reference of the B pictures that follow it
+// in display order. The rule is:
+//
+//   - a B picture may be released as soon as it is emitted;
+//   - an I or P picture may be released once the next I or P picture has
+//     been emitted (or Next has returned io.EOF).
+//
+// Releasing an anchor earlier lets the pool hand its buffer out as a later
+// picture's destination while it is still being predicted from. Callers
+// that keep frames simply never release them — the pool then behaves like
+// plain allocation.
 type Decoder struct {
 	stream *Stream
 	next   int // next picture unit index

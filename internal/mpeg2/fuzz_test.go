@@ -2,6 +2,7 @@ package mpeg2_test
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -81,7 +82,8 @@ func FuzzPictureHeader(f *testing.F) {
 // intra VLC table (B-14 vs B-15), alternate scan and DC precision, so all
 // macroblock-type, CBP, motion and DCT coefficient tables get hit. The slice
 // decoder must terminate with a typed error or a complete slice — never
-// panic, never loop.
+// panic, never loop — and the parse-only skim must match the full parse
+// macroblock for macroblock.
 func FuzzVLC(f *testing.F) {
 	st, err := mpeg2.ParseStream(fuzzStream())
 	if err != nil {
@@ -120,28 +122,56 @@ func FuzzVLC(f *testing.F) {
 			requireTyped(t, err)
 			return
 		}
-		r := bits.NewReader(data)
-		sd, err := mpeg2.NewSliceDecoder(ctx, r, 1+int(flags>>7)*2)
+		// A full decoder and a parse-only (skimming) one run in lockstep
+		// over the same bytes: they must agree on every macroblock field the
+		// splitter reads, and fail with the same error at the same bit.
+		vpos := 1 + int(flags>>7)*2
+		r, rs := bits.NewReader(data), bits.NewReader(data)
+		sd, err := mpeg2.NewSliceDecoder(ctx, r, vpos)
 		if err != nil {
 			requireTyped(t, err)
 			return
 		}
-		var mb mpeg2.Macroblock
+		ss, err := mpeg2.NewSliceDecoder(ctx, rs, vpos)
+		if err != nil {
+			t.Fatalf("second slice decoder over the same bytes failed: %v", err)
+		}
+		ss.SetParseOnly(true)
+		var mb, ms mpeg2.Macroblock
 		limit := ctx.MBW*ctx.MBH + 2
 		for i := 0; ; i++ {
 			if i > limit {
 				t.Fatalf("slice decoder did not terminate within %d macroblocks", limit)
 			}
 			ok, err := sd.Next(&mb)
+			oks, errs := ss.Next(&ms)
+			if ok != oks || fmt.Sprint(err) != fmt.Sprint(errs) || r.BitPos() != rs.BitPos() {
+				t.Fatalf("mb %d: full ok=%v err=%v at bit %d, skim ok=%v err=%v at bit %d",
+					i, ok, err, r.BitPos(), oks, errs, rs.BitPos())
+			}
 			if err != nil {
 				requireTyped(t, err)
+				requireTyped(t, errs)
 				return
 			}
 			if !ok {
 				return
 			}
+			if !sameParse(&mb, &ms) || sd.State() != ss.State() || sd.PrevMotion() != ss.PrevMotion() {
+				t.Fatalf("mb %d: full parse %+v, skim %+v", i, mb, ms)
+			}
 		}
 	})
+}
+
+// sameParse compares everything but the coefficient payload (Blocks,
+// ACMask) of two parses of one macroblock.
+func sameParse(a, b *mpeg2.Macroblock) bool {
+	return a.BitStart == b.BitStart && a.BitEnd == b.BitEnd &&
+		a.Addr == b.Addr && a.SkippedBefore == b.SkippedBefore &&
+		a.StateBefore == b.StateBefore && a.PrevMotion == b.PrevMotion &&
+		a.Flags == b.Flags && a.QuantCode == b.QuantCode &&
+		a.MVFwd == b.MVFwd && a.MVBwd == b.MVBwd && a.CBP == b.CBP
 }
 
 // FuzzDecodePictureUnit runs full picture reconstruction — VLD, dequant,

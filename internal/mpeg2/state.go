@@ -70,7 +70,7 @@ type Macroblock struct {
 	// ACMask holds, per block, the conservative nonzero-row mask driving the
 	// fast IDCT dispatch (see IDCTFast): bit r set when a coefficient at
 	// raster positions 8r..8r+7 — excluding the DC term at position 0 — may
-	// be nonzero. Meaningless in parse-only mode.
+	// be nonzero. All zero in parse-only mode.
 	ACMask [6]uint8
 }
 

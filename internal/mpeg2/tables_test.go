@@ -230,3 +230,119 @@ func TestVLCPrefixIsolationQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// flatDCT is the simplest correct table construction: one 2^16-entry lookup
+// indexed by the next 16 bits. It is the oracle the exhaustive equivalence
+// test holds the production two-level tables to.
+type flatDCT struct {
+	lut []dctEntry
+}
+
+func buildFlatDCT(t *testing.T, specs []dctSpec) *flatDCT {
+	f := &flatDCT{lut: make([]dctEntry, 1<<dctMaxLen)}
+	for i := range f.lut {
+		f.lut[i].run = dctInvalid
+	}
+	insert := func(code string, run, level int) {
+		c, n := parseCode(code)
+		base := c << uint(dctMaxLen-n)
+		for i := uint32(0); i < 1<<uint(dctMaxLen-n); i++ {
+			slot := &f.lut[base+i]
+			if slot.run != dctInvalid {
+				t.Fatalf("flat oracle: not prefix-free at %q", code)
+			}
+			*slot = dctEntry{run: int8(run), level: uint8(level), len: uint8(n)}
+		}
+	}
+	for _, s := range specs {
+		insert(s.code, s.run, s.level)
+	}
+	insert(dctEscape, dctEsc, 0)
+	return f
+}
+
+func (f *flatDCT) decode(r *bits.Reader) (run, level int, eob, ok bool) {
+	e := f.lut[r.Peek(dctMaxLen)]
+	switch e.run {
+	case dctInvalid:
+		return 0, 0, false, false
+	case eobRun:
+		r.Skip(int(e.len))
+		return 0, 0, true, true
+	case dctEsc:
+		r.Skip(dctEscapeLen)
+		run = int(r.Read(6))
+		lv := int32(r.Read(12))
+		if lv&0x800 != 0 {
+			lv -= 0x1000
+		}
+		if lv == 0 || lv == -2048 {
+			return 0, 0, false, false
+		}
+		return run, int(lv), false, true
+	}
+	r.Skip(int(e.len))
+	run, level = int(e.run), int(e.level)
+	if r.ReadBit() != 0 {
+		level = -level
+	}
+	return run, level, false, true
+}
+
+// TestDCTTwoLevelMatchesFlat decodes every 16-bit window, followed by each
+// sign bit, through the production tables and the flat oracle: symbol, bits
+// consumed and underflow state must agree exactly, for decode and for the
+// skim's skip. A second pass ends the buffer right after the window so that
+// 16-bit codes lose their sign bit to underflow.
+func TestDCTTwoLevelMatchesFlat(t *testing.T) {
+	cases := []struct {
+		name  string
+		tab   *dctTable
+		specs []dctSpec
+	}{
+		{"B-14", dctTableB14, b14Specs},
+		{"B-14 first", dctTableB14First, b14First()},
+		{"B-15", dctTableB15, b15Specs()},
+	}
+	for _, c := range cases {
+		oracle := buildFlatDCT(t, c.specs)
+		var buf [5]byte
+		for w := 0; w < 1<<dctMaxLen; w++ {
+			for tail := 0; tail < 3; tail++ {
+				buf[0], buf[1] = byte(w>>8), byte(w)
+				// tail 0/1: sign bit 0/1 followed by escape-field filler;
+				// tail 2: the buffer ends after the window.
+				buf[2], buf[3], buf[4] = byte(tail)<<7|0x2a, 0xa5, 0x5a
+				data := buf[:]
+				if tail == 2 {
+					data = buf[:2]
+				}
+				ro, rn, rs := bits.NewReader(data), bits.NewReader(data), bits.NewReader(data)
+				or, ol, oe, ook := oracle.decode(ro)
+				nr, nl, ne, nok := c.tab.decode(rn)
+				if or != nr || ol != nl || oe != ne || ook != nok || ro.BitPos() != rn.BitPos() || ro.Err() != rn.Err() {
+					t.Fatalf("%s window %016b tail %d: decode %d/%d eob=%v ok=%v at bit %d err=%v, oracle %d/%d eob=%v ok=%v at bit %d err=%v",
+						c.name, w, tail, nr, nl, ne, nok, rn.BitPos(), rn.Err(), or, ol, oe, ook, ro.BitPos(), ro.Err())
+				}
+				sr, sok := c.tab.skip(rs)
+				if oe {
+					or = eobRun
+				}
+				if sok != ook || (ook && sr != or) || rs.BitPos() != ro.BitPos() || rs.Err() != ro.Err() {
+					t.Fatalf("%s window %016b tail %d: skip run %d ok=%v at bit %d err=%v, oracle run %d ok=%v at bit %d err=%v",
+						c.name, w, tail, sr, sok, rs.BitPos(), rs.Err(), or, ook, ro.BitPos(), ro.Err())
+				}
+			}
+		}
+	}
+}
+
+// TestDCTTablesCacheResident pins the point of the two-level layout: every
+// table fits in a few KB.
+func TestDCTTablesCacheResident(t *testing.T) {
+	for name, tab := range map[string]*dctTable{"B-14": dctTableB14, "B-14 first": dctTableB14First, "B-15": dctTableB15} {
+		if n := len(tab.l1) + len(tab.l2); n > 8*256 {
+			t.Errorf("%s: %d entries, want at most %d", name, n, 8*256)
+		}
+	}
+}

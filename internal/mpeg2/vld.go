@@ -149,8 +149,8 @@ func (d *SliceDecoder) reset(ctx *PictureContext, r *bits.Reader) {
 // NewPartialSliceDecoder starts a partial slice seeded with predictor state
 // (from an SPH). r must be positioned at the first macroblock's address
 // increment. codedCount macroblocks will be parsed; the first one's address
-// is forced to firstAddr regardless of its parsed increment. When parseOnly
-// is set, coefficient blocks are parsed but not retained or dequantised.
+// is forced to firstAddr regardless of its parsed increment. SetParseOnly
+// switches the decoder to skimming coefficient blocks.
 func NewPartialSliceDecoder(ctx *PictureContext, r *bits.Reader, st PredState, prev MotionInfo, firstAddr, codedCount int) *SliceDecoder {
 	d := new(SliceDecoder)
 	d.ResetPartial(ctx, r, st, prev, firstAddr, codedCount)
@@ -168,8 +168,11 @@ func (d *SliceDecoder) ResetPartial(ctx *PictureContext, r *bits.Reader, st Pred
 	d.firstAddr = firstAddr
 }
 
-// SetParseOnly disables coefficient retention and dequantisation; used by
-// the splitter, which only needs bit boundaries and state snapshots.
+// SetParseOnly switches the decoder to skimming: coefficient codes are
+// stepped over, not decoded, stored or dequantised, and Macroblock.Blocks is
+// nil and ACMask zero. Bit boundaries, prediction state, motion vectors and
+// every syntax error are those of the full parse. Used by the splitter,
+// which only needs bit boundaries and state snapshots.
 func (d *SliceDecoder) SetParseOnly(v bool) { d.parseOnly = v }
 
 // State returns the current prediction state (after the last parsed
@@ -320,33 +323,35 @@ func (d *SliceDecoder) Next(mb *Macroblock) (bool, error) {
 	// Blocks. The buffer is owned by the SliceDecoder and reused across
 	// macroblocks: callers must consume mb.Blocks before the next call to
 	// Next (both the serial decoder and the tile decoders reconstruct each
-	// macroblock immediately).
-	blocks := &d.scratchBlocks
+	// macroblock immediately). Parse-only mode skims the coefficients.
 	if d.parseOnly {
 		mb.Blocks = nil
-	} else {
-		mb.Blocks = blocks
-	}
-	for i := 0; i < 6; i++ {
-		mb.ACMask[i] = 0
-		if mb.CBP&(1<<uint(5-i)) == 0 {
-			continue
-		}
-		blk := &blocks[i]
-		if !d.parseOnly {
-			*blk = [64]int32{}
-		}
-		var mask uint8
-		var err error
-		if flags&MBIntra != 0 {
-			mask, err = d.intraBlock(i, blk)
-		} else {
-			mask, err = d.nonIntraBlock(blk)
-		}
-		if err != nil {
+		mb.ACMask = [6]uint8{}
+		if err := d.skimBlocks(mb.CBP, flags&MBIntra != 0); err != nil {
 			return false, err
 		}
-		mb.ACMask[i] = mask
+	} else {
+		blocks := &d.scratchBlocks
+		mb.Blocks = blocks
+		for i := 0; i < 6; i++ {
+			mb.ACMask[i] = 0
+			if mb.CBP&(1<<uint(5-i)) == 0 {
+				continue
+			}
+			blk := &blocks[i]
+			*blk = [64]int32{}
+			var mask uint8
+			var err error
+			if flags&MBIntra != 0 {
+				mask, err = d.intraBlock(i, blk)
+			} else {
+				mask, err = d.nonIntraBlock(blk)
+			}
+			if err != nil {
+				return false, err
+			}
+			mb.ACMask[i] = mask
+		}
 	}
 
 	mb.BitEnd = r.BitPos()
@@ -404,11 +409,10 @@ func (d *SliceDecoder) motionVector(s int, out *[2]int32) error {
 	return nil
 }
 
-// intraBlock parses and dequantises intra block i (0..3 luma, 4 Cb, 5 Cr).
-// The returned mask is the block's conservative AC occupancy (see ACMask).
-func (d *SliceDecoder) intraBlock(i int, blk *[64]int32) (uint8, error) {
+// intraDC decodes the DC differential of intra block i (0..3 luma, 4 Cb,
+// 5 Cr) and returns the updated predictor, which is the block's DC term.
+func (d *SliceDecoder) intraDC(i int) (int32, error) {
 	r := d.r
-	pic := d.ctx.Pic
 	comp := 0
 	table := dcSizeLumaTable
 	if i >= 4 {
@@ -429,7 +433,35 @@ func (d *SliceDecoder) intraBlock(i int, blk *[64]int32) (uint8, error) {
 		}
 	}
 	d.state.DCPred[comp] += diff
-	blk[0] = d.state.DCPred[comp]
+	return d.state.DCPred[comp], nil
+}
+
+// dctCodeErr and dctRunErr are the coefficient syntax errors, shared by the
+// full parse and the skim so both fail with the same error at the same bit.
+func dctCodeErr(intra bool, r *bits.Reader) error {
+	if intra {
+		return syntaxErrf("bad intra DCT code at bit %d", r.BitPos())
+	}
+	return syntaxErrf("bad DCT code at bit %d", r.BitPos())
+}
+
+func dctRunErr(intra bool) error {
+	if intra {
+		return syntaxErrf("intra DCT run past block end")
+	}
+	return syntaxErrf("DCT run past block end")
+}
+
+// intraBlock parses and dequantises intra block i (0..3 luma, 4 Cb, 5 Cr).
+// The returned mask is the block's conservative AC occupancy (see ACMask).
+func (d *SliceDecoder) intraBlock(i int, blk *[64]int32) (uint8, error) {
+	r := d.r
+	pic := d.ctx.Pic
+	dc, err := d.intraDC(i)
+	if err != nil {
+		return 0, err
+	}
+	blk[0] = dc
 
 	var mask uint8
 	scan := d.ctx.scan
@@ -437,26 +469,24 @@ func (d *SliceDecoder) intraBlock(i int, blk *[64]int32) (uint8, error) {
 	for {
 		run, level, eob, ok := d.ctx.intraDCT.decode(r)
 		if !ok {
-			return 0, syntaxErrf("bad intra DCT code at bit %d", r.BitPos())
+			return 0, dctCodeErr(true, r)
 		}
 		if eob {
 			break
 		}
 		n += run
 		if n > 63 {
-			return 0, syntaxErrf("intra DCT run past block end")
+			return 0, dctRunErr(true)
 		}
 		p := scan[n]
 		blk[p] = int32(level)
 		mask |= 1 << uint(p>>3) // n >= 1, so p != 0 (scan is a permutation)
 		n++
 	}
-	if !d.parseOnly {
-		DequantIntra(blk, &d.ctx.Seq.IntraQ, QuantiserScale(d.state.QuantCode, pic.QScaleType), pic.DCShift())
-		// Mismatch control may have toggled qf[63] from zero to one.
-		if blk[63] != 0 {
-			mask |= 0x80
-		}
+	DequantIntra(blk, &d.ctx.Seq.IntraQ, QuantiserScale(d.state.QuantCode, pic.QScaleType), pic.DCShift())
+	// Mismatch control may have toggled qf[63] from zero to one.
+	if blk[63] != 0 {
+		mask |= 0x80
 	}
 	return mask, streamErr(r.Err())
 }
@@ -468,25 +498,19 @@ func (d *SliceDecoder) nonIntraBlock(blk *[64]int32) (uint8, error) {
 	scan := d.ctx.scan
 	var mask uint8
 	n := 0
-	first := true
+	tab := dctTableB14First
 	for {
-		var run, level int
-		var eob, ok bool
-		if first {
-			run, level, eob, ok = dctTableB14First.decode(r)
-			first = false
-		} else {
-			run, level, eob, ok = dctTableB14.decode(r)
-		}
+		run, level, eob, ok := tab.decode(r)
+		tab = dctTableB14
 		if !ok {
-			return 0, syntaxErrf("bad DCT code at bit %d", r.BitPos())
+			return 0, dctCodeErr(false, r)
 		}
 		if eob {
 			break
 		}
 		n += run
 		if n > 63 {
-			return 0, syntaxErrf("DCT run past block end")
+			return 0, dctRunErr(false)
 		}
 		// Position 0 is the DC term, carried by blk[0] itself rather than the
 		// AC mask (non-intra coefficient 0 lands there via scan[0]).
@@ -497,12 +521,51 @@ func (d *SliceDecoder) nonIntraBlock(blk *[64]int32) (uint8, error) {
 		}
 		n++
 	}
-	if !d.parseOnly {
-		DequantNonIntra(blk, &d.ctx.Seq.NonIntraQ, QuantiserScale(d.state.QuantCode, d.ctx.Pic.QScaleType))
-		// Mismatch control may have toggled qf[63] from zero to one.
-		if blk[63] != 0 {
-			mask |= 0x80
-		}
+	DequantNonIntra(blk, &d.ctx.Seq.NonIntraQ, QuantiserScale(d.state.QuantCode, d.ctx.Pic.QScaleType))
+	// Mismatch control may have toggled qf[63] from zero to one.
+	if blk[63] != 0 {
+		mask |= 0x80
 	}
 	return mask, streamErr(r.Err())
+}
+
+// skimBlocks advances past the coded blocks of a macroblock without
+// materialising coefficients: intra DC differentials are still decoded (the
+// DC predictors are SPH state), but AC codes are only stepped over until
+// EOB, with no scan lookup, coefficient store or AC mask. It applies every
+// syntax check of the full parse — invalid code, forbidden escape level, run
+// past the block end, underflow — and fails with the same error at the same
+// bit.
+func (d *SliceDecoder) skimBlocks(cbp int, intra bool) error {
+	r := d.r
+	for i := 0; i < 6; i++ {
+		if cbp&(1<<uint(5-i)) == 0 {
+			continue
+		}
+		first, rest, n := dctTableB14First, dctTableB14, 0
+		if intra {
+			if _, err := d.intraDC(i); err != nil {
+				return err
+			}
+			first, rest, n = d.ctx.intraDCT, d.ctx.intraDCT, 1
+		}
+		for tab := first; ; tab = rest {
+			run, ok := tab.skip(r)
+			if !ok {
+				return dctCodeErr(intra, r)
+			}
+			if run == eobRun {
+				break
+			}
+			n += run
+			if n > 63 {
+				return dctRunErr(intra)
+			}
+			n++
+		}
+		if err := streamErr(r.Err()); err != nil {
+			return err
+		}
+	}
+	return nil
 }

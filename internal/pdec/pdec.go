@@ -30,9 +30,10 @@ type Config struct {
 	HaloPx int
 	// TileNode maps a tile index to its fabric node id (for peer exchanges).
 	TileNode func(tile int) int
-	// OnFrame, when non-nil, receives a copy of the tile's decoded pixels in
-	// display order (outside the measured path; used for verification).
-	OnFrame func(displayIdx int, tile int, buf *mpeg2.PixelBuf)
+	// OnFrame, when non-nil, receives a copy of the tile's decoded pixels
+	// (outside the measured path; used for verification). picIdx is the
+	// picture's decode-order index; frames arrive in display order.
+	OnFrame func(picIdx int, tile int, buf *mpeg2.PixelBuf)
 
 	// UnbatchedSends ships every exchanged macroblock as its own message
 	// instead of one bundle per peer per picture. Ablation knob: quantifies

@@ -27,9 +27,10 @@ type ServeConfig struct {
 	UnbatchedSends bool
 	Pooled         bool
 
-	// OnFrame receives decoded tile frames in display order, per session
-	// (nil when frames are not collected).
-	OnFrame func(session, displayIdx, tile int, buf *mpeg2.PixelBuf)
+	// OnFrame receives decoded tile frames (nil when frames are not
+	// collected). picIdx is the picture's decode-order index; frames arrive
+	// in display order per session.
+	OnFrame func(session, picIdx, tile int, buf *mpeg2.PixelBuf)
 	// OnResult receives the session's decode result when it completes on
 	// this tile, before the drain ack is sent to the root.
 	OnResult func(session, tile int, res *Result)
@@ -257,8 +258,8 @@ func (srv *server) open(msg *cluster.Message) error {
 	var onFrame func(int, int, *mpeg2.PixelBuf)
 	if srv.cfg.OnFrame != nil {
 		sess := msg.Session
-		onFrame = func(displayIdx, tile int, buf *mpeg2.PixelBuf) {
-			srv.cfg.OnFrame(sess, displayIdx, tile, buf)
+		onFrame = func(picIdx, tile int, buf *mpeg2.PixelBuf) {
+			srv.cfg.OnFrame(sess, picIdx, tile, buf)
 		}
 	}
 	dcfg := Config{

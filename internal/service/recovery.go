@@ -152,11 +152,11 @@ func (rv *wallRecovery) recFor(session int) *metrics.Recovery {
 // noteFrame records one tile emission: the registry's emission frontier is
 // what a respawned decoder resumes from, and the per-tile index lists are
 // the exactly-once evidence chaos tests assert.
-func (rv *wallRecovery) noteFrame(session, displayIdx, tile int) {
+func (rv *wallRecovery) noteFrame(session, picIdx, tile int) {
 	rv.mu.Lock()
 	st := rv.stateLocked(session)
 	if tile >= 0 && tile < len(st.emitted) {
-		st.emitted[tile] = append(st.emitted[tile], displayIdx)
+		st.emitted[tile] = append(st.emitted[tile], picIdx)
 	}
 	rv.mu.Unlock()
 }

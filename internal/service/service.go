@@ -45,9 +45,10 @@ type Config struct {
 	LocalNodes []int
 
 	// OnTileFrame, when set, receives every decoded tile frame hosted by
-	// this process (display order per tile per session) — the display-server
-	// hook of a multi-process wall, independent of CollectFrames.
-	OnTileFrame func(session, displayIdx, tile int, buf *mpeg2.PixelBuf)
+	// this process — the display-server hook of a multi-process wall,
+	// independent of CollectFrames. picIdx is the picture's decode-order
+	// index; frames arrive in display order per tile (per session).
+	OnTileFrame func(session, picIdx, tile int, buf *mpeg2.PixelBuf)
 
 	// MaxSessions bounds concurrently open sessions (default 8); Open fails
 	// with a *TooManySessionsError (wrapping ErrTooManySessions) beyond it.
@@ -457,12 +458,12 @@ func (w *Wall) onSecondResult(session, idx int, res *splitter.SecondResult) {
 	w.mu.Unlock()
 }
 
-func (w *Wall) onFrame(session, displayIdx, tile int, buf *mpeg2.PixelBuf) {
+func (w *Wall) onFrame(session, picIdx, tile int, buf *mpeg2.PixelBuf) {
 	if w.rv != nil {
-		w.rv.noteFrame(session, displayIdx, tile)
+		w.rv.noteFrame(session, picIdx, tile)
 	}
 	if w.cfg.OnTileFrame != nil {
-		w.cfg.OnTileFrame(session, displayIdx, tile, buf)
+		w.cfg.OnTileFrame(session, picIdx, tile, buf)
 	}
 	if !w.cfg.CollectFrames {
 		return

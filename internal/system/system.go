@@ -63,11 +63,12 @@ type Config struct {
 	// memory traffic outside the measured path).
 	CollectFrames bool
 
-	// OnTileFrame, when set, receives every decoded tile frame in display
-	// order (per tile per session) — the display-server hook, and the only
-	// per-tile output a partially subscribed session produces (full wall
-	// frames cannot be assembled when unwatched tiles emit nothing).
-	OnTileFrame func(session, displayIdx, tile int, buf *mpeg2.PixelBuf)
+	// OnTileFrame, when set, receives every decoded tile frame — the
+	// display-server hook, and the only per-tile output a partially
+	// subscribed session produces (full wall frames cannot be assembled when
+	// unwatched tiles emit nothing). picIdx is the picture's decode-order
+	// index; frames arrive in display order per tile (per session).
+	OnTileFrame func(session, picIdx, tile int, buf *mpeg2.PixelBuf)
 
 	// Pooled recycles message slabs, pixel buffers and per-picture decode
 	// state across the pipeline, eliminating steady-state heap allocation on
