@@ -70,17 +70,17 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 }
 
 // TestPooledRecoveryWallAllocs pins the composition the refcounted slab
-// ownership buys (DESIGN.md §9): a warm resident wall with pooling AND
-// recovery armed must hold a bounded per-picture allocation rate in steady
-// state. Retention shares the pooled payload slabs by reference, so arming
-// the retainer must not clone pictures or bleed slabs out of the pool — a
-// regression on either shows up here as a per-picture alloc jump.
+// ownership buys (DESIGN.md §9): a warm resident wall with recovery armed
+// must hold a bounded per-picture allocation rate in steady state. Retention
+// shares the pooled payload slabs by reference, so arming the retainer must
+// not clone pictures or bleed slabs out of the pool — a regression on either
+// shows up here as a per-picture alloc jump.
 func TestPooledRecoveryWallAllocs(t *testing.T) {
 	data, _, err := experiments.Stream(8, experiments.Options{Frames: 36, Scale: 4, Seed: 1}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := system.Config{K: 1, M: 2, N: 1, Pooled: true, SplitWorkers: 1}
+	cfg := system.Config{K: 1, M: 2, N: 1, SplitWorkers: 1}
 	cfg.Recovery.Enabled = true
 	w, err := system.NewResidentWall(cfg)
 	if err != nil {

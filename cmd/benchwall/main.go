@@ -35,9 +35,8 @@ func main() {
 		scale     = flag.Int("scale", 2, "resolution divisor (paper: 1)")
 		seed      = flag.Int64("seed", 1, "content generator seed (results are reproducible per seed)")
 		verbose   = flag.Bool("v", false, "progress logging")
-		chaos       = flag.Bool("chaos", false, "run the fault-tolerance sweep: every configuration with recovery armed and a decoder kill, with the recovery breakdown per run")
-		chaosKill   = flag.Bool("chaos-kill", true, "chaos mode: inject one decoder kill per run")
-		chaosPooled = flag.Bool("chaos-pooled", false, "chaos mode: arm buffer pooling (recovery composes with slab refcounting)")
+		chaos     = flag.Bool("chaos", false, "run the fault-tolerance sweep: every configuration with recovery armed and a decoder kill, with the recovery breakdown per run")
+		chaosKill = flag.Bool("chaos-kill", true, "chaos mode: inject one decoder kill per run")
 		jsonMode  = flag.Bool("json", false, "run the continuous-benchmark suite and write BENCH_<date>.json")
 		jsonOut   = flag.String("json-out", "", "output path for -json (default BENCH_<date>.json)")
 	)
@@ -74,11 +73,11 @@ func main() {
 	}
 
 	if *chaos {
-		rows, err := experiments.Chaos(8, *chaosKill, *chaosPooled, o)
+		rows, err := experiments.Chaos(8, *chaosKill, o)
 		if err != nil {
 			log.Fatalf("chaos: %v", err)
 		}
-		label := fmt.Sprintf("stream 8, kill=%v, pooled=%v, seed %d", *chaosKill, *chaosPooled, *seed)
+		label := fmt.Sprintf("stream 8, kill=%v, seed %d", *chaosKill, *seed)
 		experiments.PrintChaos(out, label, rows)
 		return
 	}

@@ -51,7 +51,6 @@ func main() {
 		n       = flag.Int("n", 2, "tiles down")
 		overlap = flag.Int("overlap", 0, "projector overlap in pixels")
 		verify  = flag.Bool("verify", false, "compare output against the serial decoder")
-		pooled  = flag.Bool("pooled", false, "recycle message slabs and decode state (zero steady-state allocation)")
 		splitW  = flag.Int("split-workers", 0, "slice-parse workers per splitter (0 = GOMAXPROCS, 1 = serial)")
 		snap    = flag.String("snapshot", "", "write the first displayed frame as a PPM image")
 		bwBps   = flag.Float64("bandwidth", 0, "fabric throttle in bytes/s (0 = unthrottled)")
@@ -136,7 +135,7 @@ func main() {
 		if (*role == "splitter" || *role == "decoder") && *connect == "" {
 			log.Fatalf("playwall: -role %s requires -connect <hub address>", *role)
 		}
-		nodeCfg := system.Config{K: *k, M: *m, N: *n, Overlap: *overlap, Pooled: *pooled, SplitWorkers: *splitW}
+		nodeCfg := system.Config{K: *k, M: *m, N: *n, Overlap: *overlap, SplitWorkers: *splitW}
 		if *ftRecover {
 			nodeCfg.Recovery.Enabled = true
 		}
@@ -157,7 +156,7 @@ func main() {
 			cal.TS, cal.TD, *k, cal.PredictedFPS(*k))
 	}
 
-	cfg := system.Config{K: *k, M: *m, N: *n, Overlap: *overlap, Pooled: *pooled, SplitWorkers: *splitW, CollectFrames: *verify || *snap != ""}
+	cfg := system.Config{K: *k, M: *m, N: *n, Overlap: *overlap, SplitWorkers: *splitW, CollectFrames: *verify || *snap != ""}
 	cfg.Fabric.BandwidthBps = *bwBps
 	cfg.Transport = *trans
 	if *ftRecover {
@@ -406,9 +405,9 @@ func playFleet(data []byte, cfg system.Config, wallsN, n int, sub wall.TileSet, 
 	}
 	wc := service.Config{
 		K: cfg.K, M: cfg.M, N: cfg.N, Overlap: cfg.Overlap,
-		Pooled: cfg.Pooled, SplitWorkers: cfg.SplitWorkers,
-		MaxSessions: per,
-		Recovery:    cfg.Recovery,
+		SplitWorkers: cfg.SplitWorkers,
+		MaxSessions:  per,
+		Recovery:     cfg.Recovery,
 	}
 	walls := make([]service.Config, wallsN)
 	for i := range walls {

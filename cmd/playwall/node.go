@@ -157,7 +157,6 @@ func runNode(role, listen, connect string, cfg system.Config, stall time.Duratio
 
 	scfg := service.Config{
 		K: cfg.K, M: cfg.M, N: cfg.N, Overlap: cfg.Overlap,
-		Pooled:       cfg.Pooled,
 		SplitWorkers: cfg.SplitWorkers,
 		Transport:    tr,
 		LocalNodes:   local,

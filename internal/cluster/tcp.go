@@ -107,10 +107,17 @@ func (c *TCPConfig) defaults() {
 
 // TCPTransport implements Transport over TCP links through a hub.
 type TCPTransport struct {
-	cfg   TCPConfig
-	addr  string     // hub address every local port dialed (redial target)
-	ports []*tcpPort // by node id; nil for non-local nodes
-	hub   *hub       // non-nil on the listening process
+	cfg  TCPConfig
+	addr string // hub address every local port dialed (redial target)
+	hub  *hub   // non-nil on the listening process
+
+	// ports holds the local ports by node id (nil for non-local nodes).
+	// connectLocal publishes them, with their I/O loops started, under
+	// portsMu: on the listening process the hub's accept loop already runs
+	// while the ports are dialed, so an abort teardown can race construction
+	// and reads the ports through localPorts.
+	portsMu sync.Mutex
+	ports   []*tcpPort
 
 	stats []LinkStats
 	pair  []int64
@@ -204,21 +211,49 @@ func newTCPTransport(cfg TCPConfig) *TCPTransport {
 
 func (t *TCPTransport) connectLocal(addr string) error {
 	t.addr = addr
+	var dialed []*tcpPort
+	closeDialed := func() {
+		for _, p := range dialed {
+			p.conn.Close()
+		}
+	}
 	for _, id := range t.cfg.LocalNodes {
 		p, err := t.dialPort(addr, id)
 		if err != nil {
+			closeDialed()
 			return err
 		}
-		t.ports[id] = p
+		dialed = append(dialed, p)
 	}
-	// Start the I/O loops only once every local port is handshaken, so a
-	// construction failure never leaves half-wired readers behind.
-	for _, id := range t.cfg.LocalNodes {
-		p := t.ports[id]
+	// Publish the ports and start their I/O loops only once every local port
+	// is handshaken, and only if no abort got there first: a construction
+	// failure never leaves half-wired readers behind, and every port the
+	// teardown sees has a running writer to wait on.
+	t.portsMu.Lock()
+	defer t.portsMu.Unlock()
+	if err := t.AbortCause(); err != nil {
+		closeDialed()
+		return err
+	}
+	for _, p := range dialed {
+		t.ports[p.id] = p
 		go p.reader()
 		go p.writer()
 	}
 	return nil
+}
+
+// localPorts snapshots the published local ports.
+func (t *TCPTransport) localPorts() []*tcpPort {
+	t.portsMu.Lock()
+	defer t.portsMu.Unlock()
+	var out []*tcpPort
+	for _, p := range t.ports {
+		if p != nil {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 func (t *TCPTransport) armWatchdog() {
@@ -355,10 +390,8 @@ func (t *TCPTransport) aborted() bool {
 func (t *TCPTransport) abortTeardown(cause error) {
 	t.stop1.Do(func() { close(t.stop) })
 	frame := AppendAbortFrame(nil, cause)
-	for _, p := range t.ports {
-		if p == nil {
-			continue
-		}
+	ports := t.localPorts()
+	for _, p := range ports {
 		p.wq.put(outItem{raw: frame})
 		p.wq.close()
 	}
@@ -366,14 +399,12 @@ func (t *TCPTransport) abortTeardown(cause error) {
 		t.hub.abort(frame)
 	}
 	deadline := time.Now().Add(time.Second)
-	conns := t.allConns()
+	conns := t.allConns(ports)
 	for _, c := range conns {
 		c.SetWriteDeadline(deadline)
 	}
-	for _, p := range t.ports {
-		if p != nil {
-			<-p.writerDone
-		}
+	for _, p := range ports {
+		<-p.writerDone
 	}
 	if t.hub != nil {
 		t.hub.waitWriters()
@@ -381,16 +412,14 @@ func (t *TCPTransport) abortTeardown(cause error) {
 	for _, c := range conns {
 		c.Close()
 	}
-	t.closePumps()
+	closePumps(ports)
 }
 
-func (t *TCPTransport) allConns() []*net.TCPConn {
+func (t *TCPTransport) allConns(ports []*tcpPort) []*net.TCPConn {
 	var conns []*net.TCPConn
-	for _, p := range t.ports {
-		if p != nil {
-			if c := p.currentConn(); c != nil {
-				conns = append(conns, c)
-			}
+	for _, p := range ports {
+		if c := p.currentConn(); c != nil {
+			conns = append(conns, c)
 		}
 	}
 	if t.hub != nil {
@@ -399,11 +428,8 @@ func (t *TCPTransport) allConns() []*net.TCPConn {
 	return conns
 }
 
-func (t *TCPTransport) closePumps() {
-	for _, p := range t.ports {
-		if p == nil {
-			continue
-		}
+func closePumps(ports []*tcpPort) {
+	for _, p := range ports {
 		for k := range p.pumps {
 			p.pumps[k].close()
 		}
@@ -424,20 +450,17 @@ func (t *TCPTransport) Shutdown() {
 			return
 		}
 		t.closing.Store(true)
-		for _, p := range t.ports {
-			if p != nil {
-				p.wq.close()
-			}
+		ports := t.localPorts()
+		for _, p := range ports {
+			p.wq.close()
 		}
-		for _, p := range t.ports {
-			if p != nil {
-				<-p.writerDone
-			}
+		for _, p := range ports {
+			<-p.writerDone
 		}
 		if t.hub != nil {
 			t.hub.shutdown()
 		}
-		t.closePumps()
+		closePumps(ports)
 	})
 }
 
@@ -727,7 +750,7 @@ func (p *tcpPort) writer() {
 		for _, it := range batch {
 			if it.raw != nil {
 				buf = append(buf, it.raw...)
-				if it.pooled {
+				if it.slab {
 					PutSlab(it.raw)
 				}
 				continue
@@ -799,7 +822,16 @@ func (p *tcpPort) reader() {
 		fr, err := readFrame(br)
 		if err != nil {
 			if err == io.EOF {
-				conn.Close() // orderly close from the hub side
+				// An orderly close from the hub ends the port — unless the
+				// port has already redialed: the hub then retires the old
+				// connection the same way, and the reader carries on with
+				// the current one (currentConn waits out a redial underway).
+				if t.cfg.Recoverable {
+					if cur := p.currentConn(); cur != nil && cur != conn {
+						continue
+					}
+				}
+				conn.Close()
 				return
 			}
 			if t.cfg.Recoverable && !t.closing.Load() && !t.aborted() {
@@ -1053,7 +1085,7 @@ func (h *hub) linkReader(l *hubLink, br *bufio.Reader) {
 				return
 			}
 			atomic.AddInt64(&t.activity, 1)
-			if !h.dests[dest].q.put(outItem{raw: raw, pooled: true}) {
+			if !h.dests[dest].q.put(outItem{raw: raw, slab: true}) {
 				PutSlab(raw)
 			}
 		case frameAbort:
@@ -1087,7 +1119,7 @@ func (h *hub) destWriter(d *hubDest) {
 		buf = buf[:0]
 		for _, it := range batch {
 			buf = append(buf, it.raw...)
-			if it.pooled {
+			if it.slab {
 				PutSlab(it.raw)
 			}
 		}
@@ -1249,9 +1281,9 @@ func (h *hub) killLink(node int) {
 // outItem is one queued outbound frame: either a Message to encode or a
 // pre-encoded raw frame (hub routing, abort broadcast).
 type outItem struct {
-	msg    *Message
-	raw    []byte
-	pooled bool // raw came from the slab pool; release after writing
+	msg  *Message
+	raw  []byte
+	slab bool // raw came from the slab pool; release after writing
 }
 
 // outQueue is an unbounded, closable MPSC queue feeding a link writer.
@@ -1318,7 +1350,7 @@ func (q *outQueue) closeDiscard() {
 	q.cond.Broadcast()
 	q.mu.Unlock()
 	for _, it := range items {
-		if it.pooled {
+		if it.slab {
 			PutSlab(it.raw)
 		}
 	}

@@ -243,6 +243,78 @@ func TestTCPAbortPropagation(t *testing.T) {
 	}
 }
 
+// TestTCPHubAbortAfterListen: right after ListenTCP returns, node 0's link
+// dies under the hub alone — the port reads an orderly EOF and closes with a
+// reset, and the hub's link reader aborts the transport on it. That reader
+// was started before node 0's port was published and never hears from the
+// goroutine that built the ports, so the abort teardown must pick the ports
+// up through the transport's own publication (the race detector checks it,
+// every run), and it must drain every port's writer.
+func TestTCPHubAbortAfterListen(t *testing.T) {
+	tr, err := ListenTCP("127.0.0.1:0", TCPConfig{NumNodes: 2, LocalNodes: []int{0, 1}})
+	if err != nil {
+		t.Fatalf("ListenTCP: %v", err)
+	}
+	defer tr.Shutdown()
+	c := tr.ports[0].currentConn()
+	c.SetLinger(0)
+	c.CloseRead()
+	if cause := waitAbort(t, tr, 10*time.Second); !errors.Is(cause, ErrLinkLost) {
+		t.Fatalf("abort cause %v, want ErrLinkLost", cause)
+	}
+	for _, id := range []int{0, 1} {
+		select {
+		case <-tr.ports[id].writerDone:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("port %d writer still running after the abort teardown", id)
+		}
+	}
+}
+
+// TestTCPRecoverableStaleEOF: after a link loss the port's writer can
+// redial before its reader notices, and the hub retires the old connection
+// with an orderly close when the new one takes over. The reader then reads
+// EOF on a connection the port no longer uses; that is not the hub shutting
+// down, so the reader must carry on with the current link. The redial is
+// driven by hand here, exactly as reconnect does it minus closing the old
+// connection first — the reader's view of the race.
+func TestTCPRecoverableStaleEOF(t *testing.T) {
+	tr, err := ListenTCP("127.0.0.1:0", TCPConfig{NumNodes: 2, LocalNodes: []int{0, 1}, Recoverable: true})
+	if err != nil {
+		t.Fatalf("ListenTCP: %v", err)
+	}
+	defer tr.Shutdown()
+	// Park node 1's reader in a read on its first connection: one delivered
+	// message proves the reader runs, and the pause lets it loop back into
+	// the next read before the takeover.
+	tr.Port(0).Send(1, &Message{Kind: MsgAck, Seq: 6})
+	if m := tr.Port(1).Recv(MsgAck); m == nil || m.Seq != 6 {
+		t.Fatalf("message before the takeover: %+v (abort %v)", m, tr.AbortCause())
+	}
+	time.Sleep(50 * time.Millisecond)
+	p := tr.ports[1]
+	p.mu.Lock()
+	conn, err := net.DialTimeout("tcp", tr.Addr(), time.Second)
+	if err != nil {
+		p.mu.Unlock()
+		t.Fatalf("redial: %v", err)
+	}
+	br, err := tr.handshake(conn.(*net.TCPConn), 1)
+	if err != nil {
+		p.mu.Unlock()
+		t.Fatalf("redial handshake: %v", err)
+	}
+	p.conn, p.br = conn.(*net.TCPConn), br
+	p.mu.Unlock()
+
+	tr.Port(0).Send(1, &Message{Kind: MsgAck, Seq: 7})
+	m, timedOut := tr.Port(1).RecvTimeout(MsgAck, 5*time.Second)
+	if timedOut || m == nil || m.Seq != 7 {
+		t.Fatalf("message after the takeover: %+v, timed out %v (abort %v); the reader quit on the retired link's EOF",
+			m, timedOut, tr.AbortCause())
+	}
+}
+
 // TestTCPCleanShutdownDeliversTail: everything sent before Shutdown reaches
 // a remote process that is still draining — the flush-then-FIN ordering.
 func TestTCPCleanShutdownDeliversTail(t *testing.T) {

@@ -36,9 +36,6 @@ type ChaosOptions struct {
 	// picture. Without it the sweep is fault-free: the recovery layer is on
 	// but never intervenes, so the run must be Clean and bit-exact.
 	Kill bool
-	// Pooled arms buffer pooling, proving recovery composes with slab
-	// reference counting.
-	Pooled bool
 	// StallTimeout bounds a hung run (watchdog backstop); 0 means 30s.
 	StallTimeout time.Duration
 }
@@ -133,7 +130,6 @@ func (cr *chaosRunner) run(cfg system.Config, ci int) ChaosResult {
 	rng := rand.New(rand.NewSource(cr.opt.Seed*1000003 + int64(ci)))
 	cfg.CollectFrames = true
 	cfg.Recovery = chaosRecoveryConfig()
-	cfg.Pooled = cr.opt.Pooled
 	cfg.Fabric = cluster.Config{StallTimeout: cr.stall}
 	out := ChaosResult{Config: cfg, KilledTile: -1, KilledAt: -1}
 	if cr.opt.Kill && len(cr.ref) > 2 {

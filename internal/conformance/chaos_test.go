@@ -22,7 +22,7 @@ func chaosSeed(t *testing.T) int64 {
 
 // TestChaosMatrix is the conformance oracle under injected failure: every
 // configuration of the default matrix runs with the recovery layer armed,
-// fault-free and with one random decoder kill, unpooled and pooled. The run
+// fault-free and with one random decoder kill. The run
 // must complete, every tile must emit every picture index exactly once, and
 // runs whose recovery snapshot is Clean (the fault-free sweeps) must remain
 // bit-exact with the serial decode.
@@ -40,11 +40,9 @@ func TestChaosMatrix(t *testing.T) {
 		// Fault-free: recovery armed but never intervening — every run must
 		// come back Clean and hit the bit-exactness bar.
 		{"fault-free", ChaosOptions{Seed: seed}},
-		{"fault-free-pooled", ChaosOptions{Seed: seed, Pooled: true}},
 		// One decoder kill per run: restart, replay, and (rarely) concealment
 		// are all in play; exactly-once must still hold.
 		{"kill", ChaosOptions{Seed: seed, Kill: true}},
-		{"kill-pooled", ChaosOptions{Seed: seed, Kill: true, Pooled: true}},
 	} {
 		sweep := sweep
 		t.Run(sweep.name, func(t *testing.T) {

@@ -160,7 +160,7 @@ func TestFleetMatrix(t *testing.T) {
 }
 
 // TestTransportMatrix holds the TCP socket transport to the oracle: every
-// matrix configuration (pooled, split-workers and overlap axes included)
+// matrix configuration (split-workers and overlap axes included)
 // decodes the stream over the in-process fabric AND over TCP loopback, plus 2
 // concurrent chunk-fed sessions on a resident TCP wall — all byte-identical
 // to the serial reference. Two seeds with different coding parameters bound

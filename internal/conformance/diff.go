@@ -79,9 +79,6 @@ type MatrixResult struct {
 // Name renders the configuration in the paper's 1-k-(m,n) notation.
 func (r MatrixResult) Name() string {
 	name := fmt.Sprintf("1-%d-(%d,%d)ov%d", r.Config.K, r.Config.M, r.Config.N, r.Config.Overlap)
-	if r.Config.Pooled {
-		name += "+pooled"
-	}
 	if r.Config.SplitWorkers > 0 {
 		name += fmt.Sprintf("+sw%d", r.Config.SplitWorkers)
 	}
@@ -90,9 +87,8 @@ func (r MatrixResult) Name() string {
 
 // DefaultMatrix is the conformance configuration sweep: one-level and
 // two-level systems, asymmetric grids, varying splitter fan-out, and a
-// projector-overlap geometry. Each representative shape also runs with
-// buffer/slab pooling enabled, so the zero-allocation hot path is held to
-// the same bit-exactness oracle as the allocating one.
+// projector-overlap geometry. Every row runs the pooled, zero-allocation hot
+// path the wall always uses.
 func DefaultMatrix() []system.Config {
 	return []system.Config{
 		{K: 0, M: 1, N: 1},
@@ -103,18 +99,12 @@ func DefaultMatrix() []system.Config {
 		{K: 2, M: 3, N: 2},
 		{K: 3, M: 2, N: 2, Overlap: 16},
 		{K: 4, M: 2, N: 2},
-		// Pooled axis: same decode must fall out of recycled slabs and
-		// scratch state, byte for byte.
-		{K: 0, M: 1, N: 1, Pooled: true},
-		{K: 0, M: 2, N: 2, Pooled: true},
-		{K: 2, M: 2, N: 2, Pooled: true},
-		{K: 3, M: 2, N: 2, Overlap: 16, Pooled: true},
 		// Split-workers axis: the slice-parallel splitter against the same
 		// oracle, serial path and fan-outs beyond the slice count included,
-		// with and without accumulator reuse, on the overlap geometry too.
+		// on the overlap geometry too.
 		{K: 2, M: 2, N: 2, SplitWorkers: 1},
 		{K: 2, M: 2, N: 2, SplitWorkers: 4},
-		{K: 1, M: 2, N: 2, Pooled: true, SplitWorkers: 2},
+		{K: 1, M: 2, N: 2, SplitWorkers: 2},
 		{K: 3, M: 2, N: 2, Overlap: 16, SplitWorkers: 4},
 	}
 }

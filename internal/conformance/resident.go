@@ -207,15 +207,14 @@ func RunResidentChaos(stream []byte, configs []system.Config, opt ResidentChaosO
 
 // ResidentChaosConfigs is the mixed-geometry sweep RunResidentChaos soaks:
 // hierarchical walls with one and two splitters plus the one-level system, so
-// root replay, splitter respawn and the combined-root path are all exercised.
-// Pooling is armed on both the deep hierarchy and the one-level wall so the
-// slab-refcount composition with recovery (DESIGN.md §9) soaks under kills on
-// every topology shape.
+// root replay, splitter respawn and the combined-root path are all exercised,
+// each with the slab-refcount composition with recovery (DESIGN.md §9) under
+// kills.
 func ResidentChaosConfigs() []system.Config {
 	return []system.Config{
-		{K: 2, M: 2, N: 2, Pooled: true},
+		{K: 2, M: 2, N: 2},
 		{K: 1, M: 2, N: 1, Overlap: 8},
-		{K: 0, M: 2, N: 2, Pooled: true},
+		{K: 0, M: 2, N: 2},
 	}
 }
 

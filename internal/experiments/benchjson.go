@@ -87,22 +87,17 @@ type FleetBench struct {
 
 // RecoveryBench prices the fault-free cost of arming the fault-tolerance
 // layer on a resident wall: the same stream through the same shape with and
-// without Recovery enabled, twice — once unpooled, once with the slab pool
-// armed. Each twin pair shares its allocator so the delta isolates the
-// recovery machinery itself, and the pooled pair additionally prices the
-// refcounted slab ownership that lets retention compose with pooling
-// (DESIGN.md §9). OverheadFrac = (baseline - recovery) / baseline on modeled
-// fps; both fractions are gated structurally at <10% — retainers, leases,
+// without Recovery enabled. The delta isolates the recovery machinery,
+// including the refcounted slab ownership that lets retention share buffers
+// with the pool (DESIGN.md §9). OverheadFrac = (baseline - recovery) /
+// baseline on modeled fps, gated structurally at <10% — retainers, leases,
 // stash bookkeeping and refcount traffic must stay noise against the decode
 // cost.
 type RecoveryBench struct {
-	Config             string  `json:"config"`
-	BaselineFPS        float64 `json:"baseline_fps"`
-	RecoveryFPS        float64 `json:"recovery_fps"`
-	OverheadFrac       float64 `json:"overhead_frac"`
-	PooledBaselineFPS  float64 `json:"pooled_baseline_fps"`
-	PooledRecoveryFPS  float64 `json:"pooled_recovery_fps"`
-	PooledOverheadFrac float64 `json:"pooled_overhead_frac"`
+	Config       string  `json:"config"`
+	BaselineFPS  float64 `json:"baseline_fps"`
+	RecoveryFPS  float64 `json:"recovery_fps"`
+	OverheadFrac float64 `json:"overhead_frac"`
 }
 
 // ServiceBench measures the resident wall service: cold pipeline
@@ -143,7 +138,6 @@ type KernelBench struct {
 // of the same region on the reporting host.
 type ParallelBench struct {
 	Config         string             `json:"config"`
-	Pooled         bool               `json:"pooled"`
 	SplitWorkers   int                `json:"split_workers,omitempty"`
 	Transport      string             `json:"transport,omitempty"` // "" = in-process fabric, "tcp" = socket transport on loopback
 	Nodes          int                `json:"nodes"`
@@ -180,27 +174,25 @@ func BenchJSON(o Options, now time.Time) (*BenchReport, error) {
 	// feeding sixteen decoders is the regime where ts limits F = min(k/ts,
 	// 1/td), so the 4-worker entry shows what slice parallelism buys.
 	// The transport axis pairs two representative shapes with their TCP
-	// twins: same grid, same pooling, every hop crossing loopback sockets
-	// through the hub. Diffing a pair inside one report prices the socket
-	// transport; diffing reports across pushes gates it like any system.
+	// twins: same grid, every hop crossing loopback sockets through the hub.
+	// Diffing a pair inside one report prices the socket transport; diffing
+	// reports across pushes gates it like any system.
 	for _, cfg := range []system.Config{
 		{K: 0, M: 2, N: 2, SplitWorkers: 1},
 		{K: 2, M: 2, N: 2, SplitWorkers: 1},
-		{K: 2, M: 2, N: 2, Pooled: true, SplitWorkers: 1},
-		{K: 1, M: 4, N: 4, Pooled: true, SplitWorkers: 1},
-		{K: 1, M: 4, N: 4, Pooled: true, SplitWorkers: 4},
-		{K: 2, M: 2, N: 2, Pooled: true, SplitWorkers: 1, Transport: "tcp"},
-		{K: 1, M: 4, N: 4, Pooled: true, SplitWorkers: 1, Transport: "tcp"},
+		{K: 1, M: 4, N: 4, SplitWorkers: 1},
+		{K: 1, M: 4, N: 4, SplitWorkers: 4},
+		{K: 2, M: 2, N: 2, SplitWorkers: 1, Transport: "tcp"},
+		{K: 1, M: 4, N: 4, SplitWorkers: 1, Transport: "tcp"},
 	} {
-		fmt.Fprintf(o.Log, "benchjson: 1-%d-(%d,%d) pooled=%v sw=%d transport=%s\n",
-			cfg.K, cfg.M, cfg.N, cfg.Pooled, cfg.SplitWorkers, transportName(cfg.Transport))
+		fmt.Fprintf(o.Log, "benchjson: 1-%d-(%d,%d) sw=%d transport=%s\n",
+			cfg.K, cfg.M, cfg.N, cfg.SplitWorkers, transportName(cfg.Transport))
 		res, err := system.Run(data, cfg)
 		if err != nil {
 			return nil, err
 		}
 		pb := ParallelBench{
 			Config:       fmt.Sprintf("1-%d-(%d,%d)", cfg.K, cfg.M, cfg.N),
-			Pooled:       cfg.Pooled,
 			SplitWorkers: cfg.SplitWorkers,
 			Transport:    cfg.Transport,
 			Nodes:        res.Config.NumNodes(),
@@ -260,7 +252,7 @@ func BenchJSON(o Options, now time.Time) (*BenchReport, error) {
 // from the best round without loss.
 func roiBench(data []byte) (*ROIBench, error) {
 	const rounds = 3
-	cfg := system.Config{K: 2, M: 6, N: 4, SplitWorkers: 1, Pooled: true}
+	cfg := system.Config{K: 2, M: 6, N: 4, SplitWorkers: 1}
 	w, err := system.NewResidentWall(cfg)
 	if err != nil {
 		return nil, err
@@ -378,8 +370,8 @@ func fleetBench(data []byte) (*FleetBench, error) {
 	walls := []service.Config{
 		{K: 0, M: 2, N: 2, MaxSessions: 4},
 		{K: 0, M: 2, N: 2, MaxSessions: 4},
-		{K: 1, M: 2, N: 2, SplitWorkers: 1, Pooled: true, MaxSessions: 4},
-		{K: 1, M: 2, N: 2, SplitWorkers: 1, Pooled: true, MaxSessions: 4},
+		{K: 1, M: 2, N: 2, SplitWorkers: 1, MaxSessions: 4},
+		{K: 1, M: 2, N: 2, SplitWorkers: 1, MaxSessions: 4},
 	}
 	f, err := fleet.New(fleet.Config{Walls: walls, OpenDeadline: 60 * time.Second})
 	if err != nil {
@@ -439,68 +431,52 @@ func fleetBench(data []byte) (*FleetBench, error) {
 	}, nil
 }
 
-// recoveryBench plays the stream through four warm resident walls — the
-// pooled/unpooled twins, each with and without Recovery.Enabled — and reports
-// the best-of-rounds modeled fps of each. Each twin pair alternates rounds
-// between its two walls (after an unmeasured warm-up round apiece) and takes
-// the best per side: the figures gate at 10%, so one GC pause or a stretch of
-// ambient load must not land on one side only and read as recovery overhead.
+// recoveryBench plays the stream through two warm resident walls — one with
+// and one without Recovery.Enabled — and reports the best-of-rounds modeled
+// fps of each. Rounds alternate between the two walls (after an unmeasured
+// warm-up round apiece) and the best per side is kept: the figures gate at
+// 10%, so one GC pause or a stretch of ambient load must not land on one side
+// only and read as recovery overhead.
 func recoveryBench(data []byte) (*RecoveryBench, error) {
 	const rounds = 5
-	pair := func(pooled bool) (base, rec float64, err error) {
-		cfgB := system.Config{K: 2, M: 2, N: 2, SplitWorkers: 1, Pooled: pooled}
-		cfgR := cfgB
-		cfgR.Recovery.Enabled = true
-		wb, err := system.NewResidentWall(cfgB)
-		if err != nil {
-			return 0, 0, err
-		}
-		defer wb.Close()
-		wr, err := system.NewResidentWall(cfgR)
-		if err != nil {
-			return 0, 0, err
-		}
-		defer wr.Close()
-		round := func(w *system.ResidentWall, best *float64) error {
-			res, err := w.Play(data)
-			if err != nil {
-				return err
-			}
-			if f := res.Modeled().FPS(); f > *best {
-				*best = f
-			}
-			return nil
-		}
-		for i := -1; i < rounds; i++ {
-			if err := round(wb, &base); err != nil {
-				return 0, 0, err
-			}
-			if err := round(wr, &rec); err != nil {
-				return 0, 0, err
-			}
-			if i < 0 {
-				base, rec = 0, 0 // warm-up round: discard
-			}
-		}
-		return base, rec, nil
-	}
-	base, rec, err := pair(false)
+	cfgB := system.Config{K: 2, M: 2, N: 2, SplitWorkers: 1}
+	cfgR := cfgB
+	cfgR.Recovery.Enabled = true
+	wb, err := system.NewResidentWall(cfgB)
 	if err != nil {
 		return nil, err
 	}
-	pbase, prec, err := pair(true)
+	defer wb.Close()
+	wr, err := system.NewResidentWall(cfgR)
 	if err != nil {
 		return nil, err
 	}
-	rb := &RecoveryBench{
-		Config: "1-2-(2,2)", BaselineFPS: base, RecoveryFPS: rec,
-		PooledBaselineFPS: pbase, PooledRecoveryFPS: prec,
+	defer wr.Close()
+	round := func(w *system.ResidentWall, best *float64) error {
+		res, err := w.Play(data)
+		if err != nil {
+			return err
+		}
+		if f := res.Modeled().FPS(); f > *best {
+			*best = f
+		}
+		return nil
 	}
+	var base, rec float64
+	for i := -1; i < rounds; i++ {
+		if err := round(wb, &base); err != nil {
+			return nil, err
+		}
+		if err := round(wr, &rec); err != nil {
+			return nil, err
+		}
+		if i < 0 {
+			base, rec = 0, 0 // warm-up round: discard
+		}
+	}
+	rb := &RecoveryBench{Config: "1-2-(2,2)", BaselineFPS: base, RecoveryFPS: rec}
 	if base > 0 {
 		rb.OverheadFrac = (base - rec) / base
-	}
-	if pbase > 0 {
-		rb.PooledOverheadFrac = (pbase - prec) / pbase
 	}
 	return rb, nil
 }
@@ -518,7 +494,7 @@ func transportName(t string) string {
 // throughput.
 func serviceBench(data []byte) (*ServiceBench, error) {
 	const sessions = 4
-	cfg := system.Config{K: 1, M: 4, N: 4, Pooled: true, SplitWorkers: 1, MaxSessions: sessions}
+	cfg := system.Config{K: 1, M: 4, N: 4, SplitWorkers: 1, MaxSessions: sessions}
 
 	t0 := time.Now()
 	w, err := system.NewResidentWall(cfg)
@@ -715,7 +691,7 @@ func CompareBenchReports(base, cur *BenchReport, tol float64) (violations, warni
 	// Transport extends the key only when it is not the fabric default, so
 	// reports predating the axis keep their keys and stay diffable.
 	sysKey := func(p ParallelBench) string {
-		key := fmt.Sprintf("%s pooled=%v sw=%d", p.Config, p.Pooled, p.SplitWorkers)
+		key := fmt.Sprintf("%s sw=%d", p.Config, p.SplitWorkers)
 		if p.Transport != "" && p.Transport != "fabric" {
 			key += " transport=" + p.Transport
 		}
@@ -759,24 +735,15 @@ func CompareBenchReports(base, cur *BenchReport, tol float64) (violations, warni
 	}
 	if cur.Recovery != nil {
 		// Structural gates, independent of any baseline: arming the recovery
-		// machinery on a fault-free run must cost under 10% of throughput on
-		// both allocator twins — the pooled one additionally prices the slab
-		// refcount traffic retention adds under pooling.
+		// machinery on a fault-free run must cost under 10% of throughput,
+		// slab refcount traffic for retention included.
 		if cur.Recovery.OverheadFrac > 0.10 {
 			bad = append(bad, fmt.Sprintf("recovery fault-free overhead %.1f%% is not < 10%% (%s: baseline %.1f fps, recovery %.1f fps)",
 				cur.Recovery.OverheadFrac*100, cur.Recovery.Config, cur.Recovery.BaselineFPS, cur.Recovery.RecoveryFPS))
 		}
-		if cur.Recovery.PooledOverheadFrac > 0.10 {
-			bad = append(bad, fmt.Sprintf("pooled recovery fault-free overhead %.1f%% is not < 10%% (%s: baseline %.1f fps, recovery %.1f fps)",
-				cur.Recovery.PooledOverheadFrac*100, cur.Recovery.Config, cur.Recovery.PooledBaselineFPS, cur.Recovery.PooledRecoveryFPS))
-		}
 		if base.Recovery != nil {
 			check(fmt.Sprintf("recovery %s fps", cur.Recovery.Config),
 				base.Recovery.RecoveryFPS, cur.Recovery.RecoveryFPS, false)
-			if base.Recovery.PooledRecoveryFPS > 0 {
-				check(fmt.Sprintf("recovery %s pooled fps", cur.Recovery.Config),
-					base.Recovery.PooledRecoveryFPS, cur.Recovery.PooledRecoveryFPS, false)
-			}
 		} else {
 			warnings = append(warnings, "recovery: not in baseline, skipped (regenerate the baseline to gate it)")
 		}

@@ -27,17 +27,16 @@ type ChaosRow struct {
 // configuration matrix with the recovery layer armed and (optionally) one
 // seeded decoder kill per run, reporting the per-configuration recovery
 // interventions.
-func Chaos(streamID int, kill, pooled bool, o Options) ([]ChaosRow, error) {
+func Chaos(streamID int, kill bool, o Options) ([]ChaosRow, error) {
 	o.defaults()
 	data, _, err := Stream(streamID, o, false)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(o.Log, "chaos: stream %d, kill=%v, pooled=%v, seed %d\n", streamID, kill, pooled, o.Seed)
+	fmt.Fprintf(o.Log, "chaos: stream %d, kill=%v, seed %d\n", streamID, kill, o.Seed)
 	results, err := conformance.RunChaosMatrix(data, conformance.DefaultMatrix(), conformance.ChaosOptions{
-		Seed:   o.Seed,
-		Kill:   kill,
-		Pooled: pooled,
+		Seed: o.Seed,
+		Kill: kill,
 	})
 	if err != nil {
 		return nil, err

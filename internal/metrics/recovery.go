@@ -11,11 +11,6 @@ import (
 // run. A run with an all-zero snapshot took no recovery action at all and is
 // therefore bit-exact with the fault-free pipeline.
 type Recovery struct {
-	// Transport layer (reliable endpoint).
-	Retransmits int64 // messages re-sent after loss (timeout or NACK)
-	Nacks       int64 // NACKs sent by receivers on sequence gaps
-	Duplicates  int64 // duplicate deliveries suppressed by XSeq dedup
-
 	// Supervision layer.
 	Restarts         int64 // node incarnations respawned after lease expiry
 	ReplayedPictures int64 // pictures/sub-pictures re-sent from retained windows
@@ -26,23 +21,15 @@ type Recovery struct {
 	AckTimeouts     int64 // credit waits abandoned after the per-picture deadline
 }
 
-// AddRetransmit, AddNack, etc. are the concurrent increment points.
-func (r *Recovery) AddRetransmit() { atomic.AddInt64(&r.Retransmits, 1) }
-func (r *Recovery) AddNack()       { atomic.AddInt64(&r.Nacks, 1) }
-func (r *Recovery) AddDuplicate()  { atomic.AddInt64(&r.Duplicates, 1) }
-func (r *Recovery) AddRestart()    { atomic.AddInt64(&r.Restarts, 1) }
-func (r *Recovery) AddReplayed(n int) {
-	atomic.AddInt64(&r.ReplayedPictures, int64(n))
-}
-func (r *Recovery) AddConcealedFrame()   { atomic.AddInt64(&r.ConcealedFrames, 1) }
+// AddRestart, AddReplayed, etc. are the concurrent increment points.
+func (r *Recovery) AddRestart()           { atomic.AddInt64(&r.Restarts, 1) }
+func (r *Recovery) AddReplayed(n int)     { atomic.AddInt64(&r.ReplayedPictures, int64(n)) }
+func (r *Recovery) AddConcealedFrame()    { atomic.AddInt64(&r.ConcealedFrames, 1) }
 func (r *Recovery) AddConcealedMBs(n int) { atomic.AddInt64(&r.ConcealedMBs, int64(n)) }
-func (r *Recovery) AddAckTimeout()       { atomic.AddInt64(&r.AckTimeouts, 1) }
+func (r *Recovery) AddAckTimeout()        { atomic.AddInt64(&r.AckTimeouts, 1) }
 
 // RecoverySnapshot is a plain-value copy of the counters.
 type RecoverySnapshot struct {
-	Retransmits      int64
-	Nacks            int64
-	Duplicates       int64
 	Restarts         int64
 	ReplayedPictures int64
 	ConcealedFrames  int64
@@ -56,9 +43,6 @@ func (r *Recovery) Snapshot() RecoverySnapshot {
 		return RecoverySnapshot{}
 	}
 	return RecoverySnapshot{
-		Retransmits:      atomic.LoadInt64(&r.Retransmits),
-		Nacks:            atomic.LoadInt64(&r.Nacks),
-		Duplicates:       atomic.LoadInt64(&r.Duplicates),
 		Restarts:         atomic.LoadInt64(&r.Restarts),
 		ReplayedPictures: atomic.LoadInt64(&r.ReplayedPictures),
 		ConcealedFrames:  atomic.LoadInt64(&r.ConcealedFrames),
@@ -67,9 +51,9 @@ func (r *Recovery) Snapshot() RecoverySnapshot {
 	}
 }
 
-// Clean reports whether the run needed no degradation: restarts and
-// retransmits repair losslessly, but concealment trades pixels for liveness,
-// so output is guaranteed bit-exact only when Clean holds.
+// Clean reports whether the run needed no degradation or respawn:
+// concealment trades pixels for liveness, so output is guaranteed bit-exact
+// only when Clean holds.
 func (s RecoverySnapshot) Clean() bool {
 	return s.ConcealedFrames == 0 && s.ConcealedMBs == 0 && s.Restarts == 0
 }
@@ -79,9 +63,6 @@ func (s RecoverySnapshot) Clean() bool {
 // accrued while it ran.
 func (s RecoverySnapshot) Plus(o RecoverySnapshot) RecoverySnapshot {
 	return RecoverySnapshot{
-		Retransmits:      s.Retransmits + o.Retransmits,
-		Nacks:            s.Nacks + o.Nacks,
-		Duplicates:       s.Duplicates + o.Duplicates,
 		Restarts:         s.Restarts + o.Restarts,
 		ReplayedPictures: s.ReplayedPictures + o.ReplayedPictures,
 		ConcealedFrames:  s.ConcealedFrames + o.ConcealedFrames,
@@ -96,7 +77,6 @@ func (s RecoverySnapshot) Zero() bool {
 }
 
 func (s RecoverySnapshot) String() string {
-	return fmt.Sprintf("retransmits=%d nacks=%d dups=%d restarts=%d replayed=%d concealed_frames=%d concealed_mbs=%d ack_timeouts=%d",
-		s.Retransmits, s.Nacks, s.Duplicates, s.Restarts, s.ReplayedPictures,
-		s.ConcealedFrames, s.ConcealedMBs, s.AckTimeouts)
+	return fmt.Sprintf("restarts=%d replayed=%d concealed_frames=%d concealed_mbs=%d ack_timeouts=%d",
+		s.Restarts, s.ReplayedPictures, s.ConcealedFrames, s.ConcealedMBs, s.AckTimeouts)
 }

@@ -41,16 +41,6 @@ type Config struct {
 	// count (per-message overhead dominated GM-era networks).
 	UnbatchedSends bool
 
-	// Pooled recycles decode state across pictures: message slabs return to
-	// the cluster slab pool once fully consumed, outgoing bundles are
-	// serialised into pooled slabs, and the picture context, reconstructor,
-	// slice decoder and bit reader are reused in place, making steady-state
-	// decoding allocation-free per macroblock. Composes with Recovery: every
-	// holder that outlives the consumer (the reorder stash, upstream
-	// retainers) carries its own slab reference, so the last release — not a
-	// fixed "final consumer" — recycles the payload.
-	Pooled bool
-
 	// Recovery, when non-nil, switches the decoder from fail-stop to
 	// fault-masking behaviour: sub-pictures may arrive out of order (reorder
 	// stash), duplicated (dropped), or not at all (concealed after the
@@ -121,8 +111,9 @@ type Decoder struct {
 	res     Result
 	nextPic int
 
-	// Reusable per-picture state for cfg.Pooled mode. The zero values work
-	// unpooled too; pooling only changes who allocates.
+	// Reusable per-picture state: the picture context, reconstructor, slice
+	// decoder and bit reader are reset in place, so steady-state decoding
+	// allocates nothing per macroblock.
 	spScratch  subpic.SubPicture
 	phScratch  mpeg2.PictureHeader
 	ctxScratch mpeg2.PictureContext
@@ -136,7 +127,7 @@ type Decoder struct {
 	sendBundles map[int]*sendBundle
 }
 
-// sendBundle accumulates one outgoing per-peer exchange bundle; pooled mode
+// sendBundle accumulates one outgoing per-peer exchange bundle; the decoder
 // keeps them across pictures so the cells and pixels grow once and stick.
 type sendBundle struct {
 	cells  []subpic.BlockCell
@@ -217,23 +208,12 @@ func (d *Decoder) HandleSubPicture(msg *cluster.Message) (bool, error) {
 			d.node.Send(msg.Tag, &cluster.Message{Kind: cluster.MsgAck, Seq: msg.Seq, Session: msg.Session})
 		})
 	}
-	var sp *subpic.SubPicture
-	if d.cfg.Pooled {
-		sp = &d.spScratch
-		if err := subpic.UnmarshalInto(sp, msg.Payload); err != nil {
-			return false, fmt.Errorf("tile %d: %w", d.cfg.Tile, err)
-		}
-	} else {
-		var err error
-		sp, err = subpic.Unmarshal(msg.Payload)
-		if err != nil {
-			return false, fmt.Errorf("tile %d: %w", d.cfg.Tile, err)
-		}
+	sp := &d.spScratch
+	if err := subpic.UnmarshalInto(sp, msg.Payload); err != nil {
+		return false, fmt.Errorf("tile %d: %w", d.cfg.Tile, err)
 	}
 	if sp.Final {
-		if d.cfg.Pooled {
-			cluster.PutSlab(msg.Payload)
-		}
+		cluster.PutSlab(msg.Payload)
 		// A splitter that ran out of pictures early may deliver its end
 		// marker before the last pictures from the other splitters; only
 		// exit once every picture has been decoded.
@@ -252,21 +232,17 @@ func (d *Decoder) HandleSubPicture(msg *cluster.Message) (bool, error) {
 		// whole and the sequence check kept ordering honest; there is nothing
 		// to decode, display, or rotate (the splitter only skips pictures
 		// that feed no reference this tile will ever need).
-		if d.cfg.Pooled {
-			cluster.PutSlab(msg.Payload)
-		}
+		cluster.PutSlab(msg.Payload)
 		d.res.Skipped++
 		return false, nil
 	}
 	if err := d.decodePicture(sp); err != nil {
 		return false, err
 	}
-	if d.cfg.Pooled {
-		// Every piece payload (which aliases the message) has been decoded
-		// into pixels, so nothing references the slab anymore; a sender can
-		// only obtain it again through the pool, i.e. after this call.
-		cluster.PutSlab(msg.Payload)
-	}
+	// Every piece payload (which aliases the message) has been decoded into
+	// pixels, so nothing references the slab anymore; a sender can only
+	// obtain it again through the pool, i.e. after this call.
+	cluster.PutSlab(msg.Payload)
 	d.res.Pictures++
 	b.Pictures++
 	return false, nil
@@ -348,31 +324,23 @@ func (d *Decoder) decodePicture(sp *subpic.SubPicture) error {
 	return nil
 }
 
-// emitFrame hands a copy of the tile pixels to the collector. In pooled mode
-// the copy comes from the pixel-buffer pool; a collector done with a frame
-// may Release it for reuse.
+// emitFrame hands a copy of the tile pixels to the collector. The copy comes
+// from the pixel-buffer pool and belongs to the collector, which may Release
+// it for reuse once done with it.
 func (d *Decoder) emitFrame(picIndex int, buf *mpeg2.PixelBuf) {
 	d.displayCount++
 	if d.cfg.OnFrame == nil {
 		return
 	}
-	var out *mpeg2.PixelBuf
-	if d.cfg.Pooled {
-		out = mpeg2.AcquirePixelBuf(d.rect.X0, d.rect.Y0, d.rect.W(), d.rect.H())
-	} else {
-		out = mpeg2.NewPixelBuf(d.rect.X0, d.rect.Y0, d.rect.W(), d.rect.H())
-	}
+	out := mpeg2.AcquirePixelBuf(d.rect.X0, d.rect.Y0, d.rect.W(), d.rect.H())
 	out.CopyRect(buf, d.rect.X0, d.rect.Y0, d.rect.W(), d.rect.H())
 	d.cfg.OnFrame(picIndex, d.cfg.Tile, out)
 }
 
-// marshalBundle serialises bb into a fresh buffer, or a pooled slab when
-// cfg.Pooled (the receiving tile releases it after injecting the pixels).
-func (d *Decoder) marshalBundle(bb *subpic.BlockBundle) []byte {
-	if d.cfg.Pooled {
-		return bb.AppendTo(cluster.GetSlab(bb.WireSize()))
-	}
-	return bb.Marshal()
+// marshalBundle serialises bb into a slab (the receiving tile releases it
+// after injecting the pixels).
+func marshalBundle(bb *subpic.BlockBundle) []byte {
+	return bb.AppendTo(cluster.GetSlab(bb.WireSize()))
 }
 
 // executeSends ships owed reference macroblocks, one bundle per peer.
@@ -399,7 +367,7 @@ func (d *Decoder) executeSends(sp *subpic.SubPicture, picType mpeg2.PictureType)
 			d.node.Send(d.cfg.TileNode(int(in.Peer)), &cluster.Message{
 				Kind:    cluster.MsgBlocks,
 				Seq:     int(sp.Pic.Index),
-				Payload: d.marshalBundle(&bb),
+				Payload: marshalBundle(&bb),
 			})
 			continue
 		}
@@ -427,7 +395,7 @@ func (d *Decoder) executeSends(sp *subpic.SubPicture, picType mpeg2.PictureType)
 		d.node.Send(d.cfg.TileNode(peer), &cluster.Message{
 			Kind:    cluster.MsgBlocks,
 			Seq:     int(sp.Pic.Index),
-			Payload: d.marshalBundle(&bb),
+			Payload: marshalBundle(&bb),
 		})
 		// The payload copy is on the wire; reset the accumulator for the
 		// next picture, keeping its storage.
@@ -485,48 +453,38 @@ func (d *Decoder) drainRecvs(sp *subpic.SubPicture, picType mpeg2.PictureType) e
 		if msg == nil {
 			return fmt.Errorf("tile %d: fabric aborted while waiting for reference macroblocks", d.cfg.Tile)
 		}
-		var bb *subpic.BlockBundle
-		if d.cfg.Pooled {
-			bb = &d.bbScratch
-			if err := subpic.UnmarshalBlocksInto(bb, msg.Payload); err != nil {
-				return err
-			}
-		} else {
-			var err error
-			bb, err = subpic.UnmarshalBlocks(msg.Payload)
-			if err != nil {
-				return err
-			}
+		bb := &d.bbScratch
+		if err := subpic.UnmarshalBlocksInto(bb, msg.Payload); err != nil {
+			return err
 		}
 		switch {
 		case int(bb.PicIndex) == int(sp.Pic.Index):
 			if err := apply(bb); err != nil {
 				return err
 			}
-			if d.cfg.Pooled {
-				// Pixels were injected into the halo above; the payload they
-				// alias can go back to the pool.
-				cluster.PutSlab(msg.Payload)
-			}
+			// Pixels were injected into the halo above; the payload they
+			// alias can go back to the pool.
+			cluster.PutSlab(msg.Payload)
 		case int(bb.PicIndex) == int(sp.Pic.Index)+1:
-			if d.cfg.Pooled {
-				// The stash outlives this call, so detach it from the scratch
-				// bundle; its pixels keep aliasing the (unreleased) payload.
-				clone := &subpic.BlockBundle{
-					PicIndex: bb.PicIndex,
-					Cells:    append([]subpic.BlockCell(nil), bb.Cells...),
-					Pixels:   bb.Pixels,
-				}
-				d.stash = append(d.stash, clone)
-			} else {
-				d.stash = append(d.stash, bb)
-			}
+			// The stash outlives this call, so detach it from the scratch
+			// bundle; its pixels keep aliasing the (unreleased) payload.
+			d.stash = append(d.stash, detach(bb))
 		default:
 			return fmt.Errorf("tile %d: block bundle for picture %d while decoding %d (sync broken)",
 				d.cfg.Tile, bb.PicIndex, sp.Pic.Index)
 		}
 	}
 	return nil
+}
+
+// detach copies a scratch-parsed bundle's cells so it can be stashed past the
+// call that parsed it; its pixels keep aliasing the (unreleased) payload.
+func detach(bb *subpic.BlockBundle) *subpic.BlockBundle {
+	return &subpic.BlockBundle{
+		PicIndex: bb.PicIndex,
+		Cells:    append([]subpic.BlockCell(nil), bb.Cells...),
+		Pixels:   bb.Pixels,
+	}
 }
 
 // decodePieces decodes every partial slice of the sub-picture.

@@ -21,8 +21,8 @@ import (
 // the protocol.
 
 // stashedSubPic is one out-of-order sub-picture parked until the frontier
-// reaches it. On a pooled wall the entry keeps the message payload (which
-// the parsed pieces alias) so it can be released when the entry is consumed.
+// reaches it. The entry keeps the message payload (which the parsed pieces
+// alias) so it can be released when the entry is consumed.
 type stashedSubPic struct {
 	sp      *subpic.SubPicture
 	payload []byte
@@ -52,13 +52,10 @@ func (d *Decoder) ResumeAt(next int, holes []int) {
 	}
 }
 
-// releaseStash returns every parked payload to the slab pool (pooled walls
-// only): called when the session ends with the stash non-empty — entries
-// beyond the final total that no frontier will ever consume.
+// releaseStash returns every parked payload to the slab pool: called when
+// the session ends with the stash non-empty — entries beyond the final total
+// that no frontier will ever consume.
 func (d *Decoder) releaseStash() {
-	if !d.cfg.Pooled {
-		return
-	}
 	for idx, e := range d.spStash {
 		cluster.PutSlab(e.payload)
 		delete(d.spStash, idx)
@@ -77,27 +74,15 @@ func (d *Decoder) releaseStash() {
 func (d *Decoder) HandleSubPictureRecover(msg *cluster.Message, numFinals int) (bool, error) {
 	b := &d.res.Breakdown
 	d.cfg.Recovery.Renew()
-	pooled := d.cfg.Pooled
-	var sp *subpic.SubPicture
-	if pooled {
-		sp = &d.spScratch
-		if err := subpic.UnmarshalInto(sp, msg.Payload); err != nil {
-			// Undecodable sub-picture: drop it; the deadline path conceals
-			// the picture once later ones arrive.
-			cluster.PutSlab(msg.Payload)
-			return false, nil
-		}
-	} else {
-		var err error
-		sp, err = subpic.Unmarshal(msg.Payload)
-		if err != nil {
-			return false, nil
-		}
+	sp := &d.spScratch
+	if err := subpic.UnmarshalInto(sp, msg.Payload); err != nil {
+		// Undecodable sub-picture: drop it; the deadline path conceals the
+		// picture once later ones arrive.
+		cluster.PutSlab(msg.Payload)
+		return false, nil
 	}
 	if sp.Final {
-		if pooled {
-			cluster.PutSlab(msg.Payload)
-		}
+		cluster.PutSlab(msg.Payload)
 		d.finalTotal = int(sp.Pic.Index)
 		if d.finalsFrom == nil {
 			d.finalsFrom = map[int]bool{}
@@ -124,26 +109,18 @@ func (d *Decoder) HandleSubPictureRecover(msg *cluster.Message, numFinals int) (
 		// Duplicate of a handled (or concealed) picture. Each duplicate is a
 		// distinct marshalled slab (splitters serialise per send), so this
 		// copy is released independently of the one already consumed.
-		if pooled {
-			cluster.PutSlab(msg.Payload)
-		}
+		cluster.PutSlab(msg.Payload)
 		return false, nil
 	case idx > d.nextPic:
 		if _, dup := d.spStash[idx]; dup {
-			if pooled {
-				cluster.PutSlab(msg.Payload)
-			}
-		} else if pooled {
+			cluster.PutSlab(msg.Payload)
+		} else if stSp, err := subpic.Unmarshal(msg.Payload); err == nil {
 			// The stash outlives this call and the scratch sub-picture: park
 			// a heap-parsed copy whose pieces keep aliasing the payload, and
 			// carry the payload for release when the entry is consumed.
-			if stSp, err := subpic.Unmarshal(msg.Payload); err == nil {
-				d.spStash[idx] = stashedSubPic{sp: stSp, payload: msg.Payload}
-			} else {
-				cluster.PutSlab(msg.Payload)
-			}
+			d.spStash[idx] = stashedSubPic{sp: stSp, payload: msg.Payload}
 		} else {
-			d.spStash[idx] = stashedSubPic{sp: sp}
+			cluster.PutSlab(msg.Payload)
 		}
 		if d.gapSince.IsZero() {
 			d.gapSince = time.Now()
@@ -152,11 +129,9 @@ func (d *Decoder) HandleSubPictureRecover(msg *cluster.Message, numFinals int) (
 	}
 	d.nextPic++
 	d.decodePictureRecover(sp)
-	if pooled {
-		// Every piece aliased the message payload and has been decoded (or
-		// concealed); nothing references the slab anymore.
-		cluster.PutSlab(msg.Payload)
-	}
+	// Every piece aliased the message payload and has been decoded (or
+	// concealed); nothing references the slab anymore.
+	cluster.PutSlab(msg.Payload)
 	d.res.Pictures++
 	b.Pictures++
 	d.drainStashRecover()
@@ -176,9 +151,7 @@ func (d *Decoder) drainStashRecover() {
 		delete(d.spStash, d.nextPic)
 		d.nextPic++
 		d.decodePictureRecover(e.sp)
-		if d.cfg.Pooled {
-			cluster.PutSlab(e.payload)
-		}
+		cluster.PutSlab(e.payload)
 		d.res.Pictures++
 		d.res.Breakdown.Pictures++
 	}
@@ -197,9 +170,7 @@ func (d *Decoder) flushToTotal() {
 			delete(d.spStash, d.nextPic)
 			d.nextPic++
 			d.decodePictureRecover(e.sp)
-			if d.cfg.Pooled {
-				cluster.PutSlab(e.payload)
-			}
+			cluster.PutSlab(e.payload)
 			d.res.Pictures++
 			d.res.Breakdown.Pictures++
 		} else {
@@ -427,49 +398,26 @@ func (d *Decoder) drainRecvsRecover(sp *subpic.SubPicture, picType mpeg2.Picture
 		if msg == nil {
 			return // fabric aborted; the next sub-picture Recv reports it
 		}
-		var bb *subpic.BlockBundle
-		if d.cfg.Pooled {
-			bb = &d.bbScratch
-			if err := subpic.UnmarshalBlocksInto(bb, msg.Payload); err != nil {
-				cluster.PutSlab(msg.Payload)
-				continue
-			}
-		} else {
-			var err error
-			bb, err = subpic.UnmarshalBlocks(msg.Payload)
-			if err != nil {
-				continue
-			}
+		bb := &d.bbScratch
+		if err := subpic.UnmarshalBlocksInto(bb, msg.Payload); err != nil {
+			cluster.PutSlab(msg.Payload)
+			continue
 		}
 		switch {
 		case int(bb.PicIndex) == int(sp.Pic.Index):
 			apply(bb)
-			if d.cfg.Pooled {
-				// Pixels were injected into the halo above; the payload they
-				// alias can go back to the pool.
-				cluster.PutSlab(msg.Payload)
-			}
+			// Pixels were injected into the halo above; the payload they
+			// alias can go back to the pool.
+			cluster.PutSlab(msg.Payload)
 		case int(bb.PicIndex) > int(sp.Pic.Index):
-			if d.cfg.Pooled {
-				// The stash outlives this call, so detach it from the scratch
-				// bundle; its pixels keep aliasing the payload, which (like
-				// the strict path's ahead-stash) is left to the garbage
-				// collector once applied — ahead-bundles are rare.
-				clone := &subpic.BlockBundle{
-					PicIndex: bb.PicIndex,
-					Cells:    append([]subpic.BlockCell(nil), bb.Cells...),
-					Pixels:   bb.Pixels,
-				}
-				d.stash = append(d.stash, clone)
-			} else {
-				d.stash = append(d.stash, bb)
-			}
+			// The payload the detached pixels alias is (like the strict
+			// path's ahead-stash) left to the garbage collector once
+			// applied — ahead-bundles are rare.
+			d.stash = append(d.stash, detach(bb))
 		default:
 			// Stale bundle from a replayed picture: this decoder is its only
 			// consumer, so the payload is done.
-			if d.cfg.Pooled {
-				cluster.PutSlab(msg.Payload)
-			}
+			cluster.PutSlab(msg.Payload)
 		}
 	}
 }

@@ -25,7 +25,6 @@ type ServeConfig struct {
 	RootNode int
 
 	UnbatchedSends bool
-	Pooled         bool
 
 	// OnFrame receives decoded tile frames (nil when frames are not
 	// collected). picIdx is the picture's decode-order index; frames arrive
@@ -217,11 +216,9 @@ func Serve(port cluster.Port, cfg ServeConfig) error {
 				// open: every splitter forwards the open before anything
 				// else, and sender order is preserved.)
 				if msg.Flags&cluster.FlagSessionFinal != 0 {
-					if cfg.Pooled {
-						// Final markers are marshalled per destination; this
-						// tile is the payload's only consumer.
-						cluster.PutSlab(msg.Payload)
-					}
+					// Final markers are marshalled per destination; this
+					// tile is the payload's only consumer.
+					cluster.PutSlab(msg.Payload)
 					continue
 				}
 				return fmt.Errorf("tile %d: picture for unknown session %d", cfg.Tile, msg.Session)
@@ -270,7 +267,6 @@ func (srv *server) open(msg *cluster.Message) error {
 		TileNode:       srv.cfg.TileNode,
 		OnFrame:        onFrame,
 		UnbatchedSends: srv.cfg.UnbatchedSends,
-		Pooled:         srv.cfg.Pooled,
 	}
 	if rh := srv.cfg.Recovery; rh != nil {
 		if rh.OnOpen != nil {
@@ -332,9 +328,7 @@ func (srv *server) serveRecover() error {
 				// Completed session's trailing finals, or state lost past the
 				// restart budget; either way the payload — marshalled for this
 				// tile alone — has no consumer left.
-				if srv.cfg.Pooled {
-					cluster.PutSlab(msg.Payload)
-				}
+				cluster.PutSlab(msg.Payload)
 				continue
 			}
 			// Injected crash before the dispatch (and thus before the ack):

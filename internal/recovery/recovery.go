@@ -17,7 +17,7 @@
 //     copy-from-reference for missing halo macroblocks — and every
 //     intervention is counted in metrics.Recovery.
 //
-// On a pooled wall the retainer participates in slab reference counting
+// The retainer participates in slab reference counting
 // (cluster.SlabRef/PutSlab): retaining a payload acquires a reference,
 // replaying shares the retained bytes, and the releasing ack or session
 // drop returns the reference — the last holder recycles the slab.
@@ -57,7 +57,6 @@ type Config struct {
 	// bound stays dead and the run degrades to concealment (or stalls into
 	// the watchdog). Default: 3.
 	MaxRestarts int
-
 }
 
 // WithDefaults returns c with zero fields filled in.

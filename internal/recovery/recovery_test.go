@@ -90,7 +90,7 @@ func TestLeaseExpiry(t *testing.T) {
 }
 
 func TestPictureRetainerAck(t *testing.T) {
-	r := NewPictureRetainer(false)
+	r := NewPictureRetainer()
 	r.Retain(0, 0, 2, 20, 0, []byte{2})
 	r.Retain(0, 0, 4, 40, 0, []byte{4})
 	r.Retain(0, 1, 3, 30, 0, []byte{3})
@@ -110,7 +110,7 @@ func TestPictureRetainerAck(t *testing.T) {
 }
 
 func TestPictureRetainerSessions(t *testing.T) {
-	r := NewPictureRetainer(false)
+	r := NewPictureRetainer()
 	// Interleaved sends of two sessions to the same splitter: replay order
 	// must follow send order, not per-session seq order.
 	r.Retain(1, 0, 0, 10, 0, []byte{1})
@@ -138,11 +138,11 @@ func TestPictureRetainerSessions(t *testing.T) {
 	}
 }
 
-// TestPictureRetainerPooledRefs proves the pooled retainer holds a slab
+// TestPictureRetainerPooledRefs proves the retainer holds a slab
 // reference per entry: the consumer's release cannot recycle a retained
 // slab, the releasing ack can, and duplicate acks never double-release.
 func TestPictureRetainerPooledRefs(t *testing.T) {
-	r := NewPictureRetainer(true)
+	r := NewPictureRetainer()
 	payload := append(cluster.GetSlab(512), make([]byte, 400)...)
 	r.Retain(0, 0, 0, 0, 0, payload)
 	cluster.PutSlab(payload) // the consuming splitter's release

@@ -35,26 +35,25 @@ type pictureKey struct {
 // original send order across sessions, preserving the ANID/NSID ordering
 // chain.
 //
-// On a pooled wall the retainer is a slab reference holder: Retain acquires
+// The retainer is a slab reference holder: Retain acquires
 // an extra reference on the payload (the sent copy and the retained copy
 // are the same bytes on the in-process fabric), and the releasing ack or
 // session drop returns it — the consuming splitter's own release can then
 // never recycle a slab the retainer might still replay.
 type PictureRetainer struct {
 	mu         sync.Mutex
-	pooled     bool
 	nextOrd    int64
 	bySplitter map[int]map[pictureKey]RetainedPicture // splitter index -> (session, seq) -> entry
 }
 
-// NewPictureRetainer returns an empty retainer. pooled marks payloads as
-// pooled cluster slabs whose references the retainer must manage.
-func NewPictureRetainer(pooled bool) *PictureRetainer {
-	return &PictureRetainer{pooled: pooled, bySplitter: map[int]map[pictureKey]RetainedPicture{}}
+// NewPictureRetainer returns an empty retainer. Payloads are cluster slabs
+// whose references the retainer manages.
+func NewPictureRetainer() *PictureRetainer {
+	return &PictureRetainer{bySplitter: map[int]map[pictureKey]RetainedPicture{}}
 }
 
 // Retain stores the session's picture seq sent to splitter idx, acquiring a
-// slab reference on a pooled wall.
+// slab reference on its payload.
 func (r *PictureRetainer) Retain(session, idx, seq, tag int, flags uint8, payload []byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -63,9 +62,7 @@ func (r *PictureRetainer) Retain(session, idx, seq, tag int, flags uint8, payloa
 		m = map[pictureKey]RetainedPicture{}
 		r.bySplitter[idx] = m
 	}
-	if r.pooled {
-		cluster.SlabRef(payload)
-	}
+	cluster.SlabRef(payload)
 	r.nextOrd++
 	m[pictureKey{session, seq}] = RetainedPicture{
 		Session: session, Seq: seq, Tag: tag, Flags: flags, Payload: payload, ord: r.nextOrd,
@@ -83,7 +80,7 @@ func (r *PictureRetainer) Ack(session, idx, seq int) {
 		delete(r.bySplitter[idx], k)
 	}
 	r.mu.Unlock()
-	if ok && r.pooled {
+	if ok {
 		cluster.PutSlab(e.Payload)
 	}
 }
@@ -141,9 +138,7 @@ func (r *PictureRetainer) Drop(session int) {
 	for _, m := range r.bySplitter {
 		for k, e := range m {
 			if k.session == session {
-				if r.pooled {
-					freed = append(freed, e.Payload)
-				}
+				freed = append(freed, e.Payload)
 				delete(m, k)
 			}
 		}

@@ -20,8 +20,8 @@ import (
 // root-side picture retention and replay, and the wall health state machine.
 // Failure isolation is per session: a corrupt stream or an exhausted deadline
 // budget fails that session with a typed error while the other sessions keep
-// flowing. On a pooled wall the retainer holds slab references (DESIGN.md
-// §9), so retention composes with buffer recycling.
+// flowing. The retainer holds slab references (DESIGN.md §9), so retention
+// composes with buffer recycling.
 
 // Health is the resident wall's fault-tolerance state.
 type Health int32
@@ -104,7 +104,7 @@ type wallRecovery struct {
 	sessions map[int]*sessionRecState
 }
 
-func newWallRecovery(cfg recovery.Config, chaos recovery.ChaosPlan, k, nTiles int, pooled bool) *wallRecovery {
+func newWallRecovery(cfg recovery.Config, chaos recovery.ChaosPlan, k, nTiles int) *wallRecovery {
 	rcfg := cfg.WithDefaults()
 	rec := &metrics.Recovery{}
 	return &wallRecovery{
@@ -112,7 +112,7 @@ func newWallRecovery(cfg recovery.Config, chaos recovery.ChaosPlan, k, nTiles in
 		chaos:    chaos,
 		rec:      rec,
 		sup:      recovery.NewSupervisor(rcfg, rec),
-		picRet:   recovery.NewPictureRetainer(pooled),
+		picRet:   recovery.NewPictureRetainer(),
 		respawn:  make(chan int, k+1),
 		nTiles:   nTiles,
 		sessions: map[int]*sessionRecState{},
@@ -313,7 +313,6 @@ func (w *Wall) runSplitterSupervised(i int) {
 			Overlap:      w.cfg.Overlap,
 			DecoderNodes: w.decoderIDs,
 			RootNode:     0,
-			Pooled:       w.cfg.Pooled,
 			SplitWorkers: w.cfg.SplitWorkers,
 			OnResult:     w.onSecondResult,
 			Recovery: &splitter.ServeRecovery{

@@ -84,8 +84,8 @@ func (w *Wall) runRoot() error {
 	port := w.tr.Port(0)
 	k := w.cfg.K
 	rv := w.rv
-	// drainTarget: one drain ack per splitter and per decoder closes a
-	// session. By sender FIFO every data ack precedes its sender's drain ack,
+	// drainTarget: one drain ack from each splitter and each decoder closes
+	// a session. By sender FIFO every data ack precedes its sender's drain ack,
 	// so when the count is met no stale ack for the session remains.
 	drainTarget := k + len(w.decoderIDs)
 	byID := map[int]*Session{}
@@ -175,18 +175,11 @@ func (w *Wall) runRoot() error {
 	// not restart per stream.
 	a := choose()
 	shipped := false
-	// release returns a dropped picture payload's reference to the slab pool
-	// (pictures the root drops never reach a consumer).
-	release := func(payload []byte) {
-		if w.cfg.Pooled {
-			cluster.PutSlab(payload)
-		}
-	}
 	emit := func(it workItem) error {
 		s := it.sess
 		if rv != nil && s.failCause() != nil {
 			s.releaseToken() // failed in isolation; drop queued pictures
-			release(it.payload)
+			cluster.PutSlab(it.payload)
 			return nil
 		}
 		pt := picTypeOf(it.payload)
@@ -210,7 +203,7 @@ func (w *Wall) runRoot() error {
 			// splitter, costs no credit, and frees its feed slot at once.
 			s.droppedPics++
 			s.releaseToken()
-			release(it.payload)
+			cluster.PutSlab(it.payload)
 			return nil
 		}
 		// Shipped pictures are re-indexed densely so the downstream protocol
@@ -291,12 +284,10 @@ func (w *Wall) runRoot() error {
 			}
 			for _, p := range rv.picRet.PendingSplitter(idx) {
 				rv.rec.AddReplayed(1)
-				if w.cfg.Pooled {
-					// Each replay delivery shares the retained bytes and the
-					// consumer releases per delivery, so every send acquires
-					// its own slab reference (nil Final payloads are no-ops).
-					cluster.SlabRef(p.Payload)
-				}
+				// Each replay delivery shares the retained bytes and the
+				// consumer releases per delivery, so every send acquires its
+				// own slab reference (nil Final payloads are no-ops).
+				cluster.SlabRef(p.Payload)
 				port.Send(w.splitterIDs[idx], &cluster.Message{
 					Kind:    cluster.MsgPicture,
 					Seq:     p.Seq,
@@ -355,15 +346,20 @@ func (w *Wall) runRoot() error {
 	}
 }
 
-// drainAck counts one node's session-drained notification; the last one
-// releases the session's waiter.
+// drainAck counts one node's session-drained notification; the last node's
+// releases the session's waiter. A node counts once: a respawned splitter
+// re-acks the session final the root replays to it, and that duplicate must
+// not stand in for a node still draining.
 func (w *Wall) drainAck(byID map[int]*Session, m *cluster.Message, target int) {
 	s := byID[m.Session]
-	if s == nil {
+	if s == nil || s.drainedBy[m.From] {
 		return
 	}
-	s.drainAcks++
-	if s.drainAcks == target {
+	if s.drainedBy == nil {
+		s.drainedBy = map[int]bool{}
+	}
+	s.drainedBy[m.From] = true
+	if len(s.drainedBy) == target {
 		delete(byID, m.Session)
 		close(s.drained)
 	}
@@ -387,18 +383,6 @@ type combinedSession struct {
 	ms  *splitter.MBSplitter
 	res *splitter.SecondResult
 	roi splitter.ROIScratch
-}
-
-func (cs *combinedSession) marshal(sp *subpic.SubPicture, pooled bool) []byte {
-	t0 := time.Now()
-	var payload []byte
-	if pooled {
-		payload = sp.AppendTo(cluster.GetSlab(sp.WireSize()))
-	} else {
-		payload = sp.Marshal()
-	}
-	cs.res.Split.Add(metrics.SplitSerialize, time.Since(t0))
-	return payload
 }
 
 // runRootCombined is the K=0 root: the combined splitter of the batch
@@ -471,7 +455,7 @@ func (w *Wall) runRootCombined() error {
 				Tag:     port.ID(),
 				Flags:   cluster.FlagSessionFinal,
 				Session: s.id,
-				Payload: cs.marshal(sp, w.cfg.Pooled),
+				Payload: cs.res.Marshal(sp),
 			})
 		}
 		cs.ms.Close()
@@ -495,7 +479,7 @@ func (w *Wall) runRootCombined() error {
 				sessions[s.id] = &combinedSession{
 					ms: splitter.NewMBSplitterOpts(s.seq, s.geo, splitter.SplitOptions{
 						Workers: w.cfg.SplitWorkers,
-						Reuse:   w.cfg.Pooled,
+						Reuse:   true,
 					}),
 					res: &splitter.SecondResult{},
 				}
@@ -515,9 +499,7 @@ func (w *Wall) runRootCombined() error {
 				cs := sessions[s.id]
 				if cs == nil {
 					s.releaseToken() // session already failed in isolation
-					if w.cfg.Pooled {
-						cluster.PutSlab(it.payload)
-					}
+					cluster.PutSlab(it.payload)
 					continue
 				}
 				// The root is the (single) splitter here, so subscription
@@ -530,9 +512,7 @@ func (w *Wall) runRootCombined() error {
 				if trickDrops(s.rootTrick, pt) {
 					s.droppedPics++
 					s.releaseToken()
-					if w.cfg.Pooled {
-						cluster.PutSlab(it.payload)
-					}
+					cluster.PutSlab(it.payload)
 					continue
 				}
 				sIdx := s.shippedPics
@@ -545,9 +525,7 @@ func (w *Wall) runRootCombined() error {
 					if rv != nil {
 						failCombined(s, cs, sIdx, err)
 						s.releaseToken()
-						if w.cfg.Pooled {
-							cluster.PutSlab(it.payload)
-						}
+						cluster.PutSlab(it.payload)
 						continue
 					}
 					return err
@@ -562,7 +540,7 @@ func (w *Wall) runRootCombined() error {
 				cs.res.SkippedSubPics += int64(nSkipped)
 				b.Timed(metrics.PhaseServe, func() {
 					for t := 0; t < nd; t++ {
-						payload := cs.marshal(ship[t], w.cfg.Pooled)
+						payload := cs.res.Marshal(ship[t])
 						cs.res.SPBytes += int64(len(payload))
 						port.Send(w.decoderIDs[t], &cluster.Message{
 							Kind:    cluster.MsgSubPicture,
@@ -580,9 +558,7 @@ func (w *Wall) runRootCombined() error {
 				// The sub-pictures aliased the picture payload until the
 				// serialisation above; there is no retainer on a one-level
 				// wall, so the root's release is the last.
-				if w.cfg.Pooled {
-					cluster.PutSlab(it.payload)
-				}
+				cluster.PutSlab(it.payload)
 			case workFinal:
 				s := it.sess
 				cs := sessions[s.id]
@@ -598,7 +574,7 @@ func (w *Wall) runRootCombined() error {
 						Tag:     port.ID(),
 						Flags:   cluster.FlagSessionFinal,
 						Session: s.id,
-						Payload: cs.marshal(sp, w.cfg.Pooled),
+						Payload: cs.res.Marshal(sp),
 					})
 				}
 				cs.res.FoldSplit(cs.ms)

@@ -1,18 +1,31 @@
-package splitter
+package service
 
 import (
 	"sync"
 	"testing"
 	"time"
 
+	"tiledwall/internal/bits"
 	"tiledwall/internal/cluster"
 )
 
-// pictureStream builds a synthetic elementary stream of bare picture units
-// with the given payload sizes. The filler carries no start codes, so the
-// root's scan sees exactly len(sizes) pictures.
+// pictureStream builds a synthetic elementary stream: a minimal 32x32
+// sequence header followed by bare picture units with the given payload
+// sizes. The filler carries no start codes, so the root's scan sees exactly
+// len(sizes) pictures, and its picture-type peek reads no I picture (no
+// subscription activation, no trick-play drop).
 func pictureStream(sizes []int) []byte {
-	var out []byte
+	w := bits.NewWriter(16)
+	w.WriteBits(0x000001B3, 32) // sequence header start code
+	w.WriteBits(32, 12)         // horizontal size
+	w.WriteBits(32, 12)         // vertical size
+	w.WriteBits(1, 4)           // aspect ratio
+	w.WriteBits(3, 4)           // frame rate code
+	w.WriteBits(0x3FFFF, 18)    // bit rate
+	w.WriteBit(1)               // marker
+	w.WriteBits(0, 10)          // vbv buffer size
+	w.WriteBits(0, 3)           // constrained flag, default quant matrices
+	out := w.Bytes()
 	for _, size := range sizes {
 		out = append(out, 0, 0, 1, 0) // picture start code
 		for j := 0; j < size; j++ {
@@ -28,41 +41,83 @@ type stubRecord struct {
 	seq, nsid, size int
 }
 
-// runRootWithStubs drives RunRoot against stub second-level splitters whose
-// only behaviour is the protocol's: consume a picture, stay busy for a time
-// proportional to its size, then ack. Returns each stub's observation log.
-func runRootWithStubs(t *testing.T, stream []byte, k int, dynamic bool) [][]stubRecord {
+// runRootWithStubs drives the resident root (Wall.runRoot) of a 1-k-(1,1)
+// wall whose splitters and decoder are test goroutines with only the
+// protocol's behaviour. A stub splitter consumes a picture, stays busy for a
+// time proportional to its size, then acks receipt; it forwards the session
+// final to the decoder stub and drain-acks it. The decoder stub drain-acks
+// once every splitter's final is in. Returns each stub splitter's
+// observation log.
+func runRootWithStubs(t *testing.T, sizes []int, k int, dynamic bool) [][]stubRecord {
 	t.Helper()
-	fab := cluster.New(1+k, cluster.Config{})
+	fab := cluster.New(1+k+1, cluster.Config{StallTimeout: 10 * time.Second})
 	defer fab.Shutdown()
-	nodes := make([]int, k)
-	for i := range nodes {
-		nodes[i] = 1 + i
+	w, err := New(Config{K: k, M: 1, N: 1, DynamicBalance: dynamic, Transport: fab, LocalNodes: []int{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoder := 1 + k
+	drainAck := func(port cluster.Port, session int) {
+		port.Send(0, &cluster.Message{Kind: cluster.MsgAck, Seq: cluster.DrainAckSeq, Session: session})
 	}
 	logs := make([][]stubRecord, k)
 	var wg sync.WaitGroup
 	for i := 0; i < k; i++ {
 		i := i
-		node := fab.Node(nodes[i])
+		port := fab.Port(1 + i)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				m := node.Recv(cluster.MsgPicture)
-				if m == nil || m.Seq < 0 {
+				m := port.Recv(cluster.MsgPicture)
+				switch {
+				case m == nil || m.Flags&cluster.FlagShutdown != 0:
 					return
+				case m.Flags&cluster.FlagSessionOpen != 0:
+				case m.Flags&cluster.FlagSessionFinal != 0:
+					port.Send(decoder, &cluster.Message{
+						Kind: cluster.MsgSubPicture, Seq: -1, Flags: cluster.FlagSessionFinal, Session: m.Session,
+					})
+					drainAck(port, m.Session)
+				default:
+					logs[i] = append(logs[i], stubRecord{seq: m.Seq, nsid: m.Tag, size: len(m.Payload)})
+					// Busy time scales with picture size; the ack returns the
+					// posted buffer only once the stub is free again, which
+					// is the signal the credit-based chooser reads.
+					time.Sleep(time.Duration(len(m.Payload)) * 8 * time.Microsecond)
+					port.Send(0, &cluster.Message{Kind: cluster.MsgAck, Seq: m.Seq, Session: m.Session})
 				}
-				logs[i] = append(logs[i], stubRecord{seq: m.Seq, nsid: m.Tag, size: len(m.Payload)})
-				// Busy time scales with picture size; the ack returns the
-				// posted buffer only once the stub is free again, which is
-				// the signal the credit-based chooser reads.
-				time.Sleep(time.Duration(len(m.Payload)) * 500 * time.Nanosecond)
-				node.Send(0, &cluster.Message{Kind: cluster.MsgAck, Seq: m.Seq})
 			}
 		}()
 	}
-	res, err := RunRoot(fab.Node(0), RootConfig{Stream: stream, SplitterNodes: nodes, Dynamic: dynamic})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		port := fab.Port(decoder)
+		finals := 0
+		for {
+			m := port.Recv(cluster.MsgSubPicture)
+			if m == nil || m.Flags&cluster.FlagShutdown != 0 {
+				return
+			}
+			if finals++; finals == k {
+				drainAck(port, m.Session)
+			}
+		}
+	}()
+
+	s, err := w.Open("balance")
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Feed(pictureStream(sizes)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -70,8 +125,8 @@ func runRootWithStubs(t *testing.T, stream []byte, k int, dynamic bool) [][]stub
 	for i := range logs {
 		wantPics += len(logs[i])
 	}
-	if res.Pictures != wantPics {
-		t.Fatalf("root reports %d pictures, stubs saw %d", res.Pictures, wantPics)
+	if res.Pictures != len(sizes) || res.Pictures != wantPics {
+		t.Fatalf("root reports %d pictures, stubs saw %d, stream has %d", res.Pictures, wantPics, len(sizes))
 	}
 	return logs
 }
@@ -112,9 +167,8 @@ func TestDynamicBalanceSkewedLoad(t *testing.T) {
 			sizes[i] = 16384
 		}
 	}
-	stream := pictureStream(sizes)
 
-	rr := runRootWithStubs(t, stream, k, false)
+	rr := runRootWithStubs(t, sizes, k, false)
 	rrCounts, rrBytes := loadOf(rr)
 	// Round-robin is deterministic: stub 0 takes every k-th picture,
 	// including the heavy one.
@@ -130,7 +184,7 @@ func TestDynamicBalanceSkewedLoad(t *testing.T) {
 		}
 	}
 
-	dyn := runRootWithStubs(t, stream, k, true)
+	dyn := runRootWithStubs(t, sizes, k, true)
 	dynCounts, dynBytes := loadOf(dyn)
 	busiest := 0
 	for i, b := range dynBytes {
@@ -170,9 +224,8 @@ func TestDynamicBalanceNSID(t *testing.T) {
 			sizes[i] = 4096
 		}
 	}
-	stream := pictureStream(sizes)
 	for _, dynamic := range []bool{false, true} {
-		logs := runRootWithStubs(t, stream, 3, dynamic)
+		logs := runRootWithStubs(t, sizes, 3, dynamic)
 		assignee := make(map[int]int, pics) // seq -> node id
 		nsid := make(map[int]int, pics)     // seq -> announced next node id
 		for i, l := range logs {

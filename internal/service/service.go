@@ -28,7 +28,6 @@ type Config struct {
 	DynamicBalance    bool
 	SplitWorkers      int
 	UnbatchedExchange bool
-	Pooled            bool
 	CollectFrames     bool
 
 	// Fabric configures the in-process transport built by New when Transport
@@ -63,8 +62,8 @@ type Config struct {
 	// respawn with in-band session re-join), the root retains and replays
 	// unacked pictures, credit waits are deadline-bounded, decoders conceal
 	// lost pictures, and a broken session fails alone with a typed error.
-	// Composes with Pooled: retained payloads carry slab references, so
-	// replay and recycling share buffers safely (DESIGN.md §9).
+	// Retained payloads carry slab references, so replay and recycling
+	// share buffers safely (DESIGN.md §9).
 	Recovery recovery.Config
 	// Chaos injects crashes for tests and soaks; each kill fires on the
 	// named node's first incarnation only.
@@ -232,7 +231,7 @@ func New(cfg Config) (*Wall, error) {
 		w.decoderIDs = append(w.decoderIDs, 1+cfg.K+t)
 	}
 	if cfg.Recovery.Enabled {
-		w.rv = newWallRecovery(cfg.Recovery, cfg.Chaos, cfg.K, nTiles, cfg.Pooled)
+		w.rv = newWallRecovery(cfg.Recovery, cfg.Chaos, cfg.K, nTiles)
 	}
 
 	// Wake a Close blocked on active sessions if the transport aborts.
@@ -265,7 +264,6 @@ func New(cfg Config) (*Wall, error) {
 				Overlap:      cfg.Overlap,
 				DecoderNodes: w.decoderIDs,
 				RootNode:     0,
-				Pooled:       cfg.Pooled,
 				SplitWorkers: cfg.SplitWorkers,
 				OnResult:     w.onSecondResult,
 			})
@@ -315,7 +313,6 @@ func (w *Wall) decoderServeCfg(t int) pdec.ServeConfig {
 		TileNode:       func(tile int) int { return w.decoderIDs[tile] },
 		RootNode:       0,
 		UnbatchedSends: w.cfg.UnbatchedExchange,
-		Pooled:         w.cfg.Pooled,
 		OnResult:       w.onDecoderResult,
 	}
 	// Recovery always observes emissions: the registry's per-tile frontier
@@ -450,9 +447,14 @@ func (w *Wall) sessionDone(s *Session) {
 	w.mu.Unlock()
 }
 
+// onSecondResult and onDecoderResult publish a node's session result. The
+// first publication wins: a respawned splitter re-processes a session final
+// the root replays to it, and its late duplicate must not overwrite a result
+// that Session.Close may already be reading (the node's first drain ack
+// released the session's waiter).
 func (w *Wall) onSecondResult(session, idx int, res *splitter.SecondResult) {
 	w.mu.Lock()
-	if s := w.sessions[session]; s != nil {
+	if s := w.sessions[session]; s != nil && s.splitters[idx] == nil {
 		s.splitters[idx] = res
 	}
 	w.mu.Unlock()
@@ -478,7 +480,7 @@ func (w *Wall) onFrame(session, picIdx, tile int, buf *mpeg2.PixelBuf) {
 
 func (w *Wall) onDecoderResult(session, tile int, res *pdec.Result) {
 	w.mu.Lock()
-	if s := w.sessions[session]; s != nil {
+	if s := w.sessions[session]; s != nil && s.decoders[tile] == nil {
 		s.decoders[tile] = res
 	}
 	w.mu.Unlock()

@@ -59,10 +59,11 @@ type Session struct {
 	splitters []*splitter.SecondResult
 	decoders  []*pdec.Result
 
-	// Root-goroutine-only state (like drainAcks): the active subscription,
-	// the pending one awaiting the next I picture, the dense shipped-picture
-	// counter trick play re-indexes with, and the activation log.
-	drainAcks   int
+	// Root-goroutine-only state: the nodes that have drained the session,
+	// the active subscription, the pending one awaiting the next I picture,
+	// the dense shipped-picture counter trick play re-indexes with, and the
+	// activation log.
+	drainedBy   map[int]bool
 	rootSub     wall.TileSet
 	rootTrick   splitter.TrickMode
 	pendSub     wall.TileSet
@@ -385,15 +386,9 @@ func (s *Session) onHeader(prefix []byte) error {
 func (s *Session) onUnit(u []byte) error {
 	t0 := time.Now()
 	defer func() { s.cbTime += time.Since(t0) }()
-	var buf []byte
-	if s.w.cfg.Pooled {
-		// Picture units travel as pooled slabs so the root's retainer and the
-		// consuming splitter can share the payload by reference count.
-		buf = append(cluster.GetSlab(len(u)), u...)
-	} else {
-		buf = make([]byte, len(u))
-		copy(buf, u)
-	}
+	// Picture units travel as slabs so the root's retainer and the consuming
+	// splitter can share the payload by reference count.
+	buf := append(cluster.GetSlab(len(u)), u...)
 	s.rootRes.CopyTime += time.Since(t0)
 	select {
 	case <-s.tokens:

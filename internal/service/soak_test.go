@@ -92,7 +92,7 @@ func TestSoakMultiSession(t *testing.T) {
 	walls := []system.Config{
 		{K: 0, M: 2, N: 2},
 		{K: 2, M: 2, N: 2},
-		{K: 3, M: 2, N: 2, Overlap: 16, Pooled: true},
+		{K: 3, M: 2, N: 2, Overlap: 16},
 		{K: 1, M: 3, N: 1, SplitWorkers: 2, DynamicBalance: true},
 	}
 	for wi, cfg := range walls {
@@ -145,7 +145,7 @@ func TestSoakTCPLoopback(t *testing.T) {
 	streams := genStreams(t, []int64{3, 11})
 	walls := []system.Config{
 		{K: 0, M: 2, N: 2, Transport: "tcp"},
-		{K: 2, M: 2, N: 2, Pooled: true, SplitWorkers: 2, Transport: "tcp"},
+		{K: 2, M: 2, N: 2, SplitWorkers: 2, Transport: "tcp"},
 	}
 	for wi, cfg := range walls {
 		wi, cfg := wi, cfg

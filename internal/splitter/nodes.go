@@ -1,29 +1,12 @@
 package splitter
 
 import (
-	"fmt"
 	"time"
 
-	"tiledwall/internal/bits"
 	"tiledwall/internal/cluster"
 	"tiledwall/internal/metrics"
+	"tiledwall/internal/subpic"
 )
-
-// RootConfig wires the root splitter node.
-type RootConfig struct {
-	Stream []byte
-	// SplitterNodes lists the k second-level splitter node ids in
-	// round-robin order.
-	SplitterNodes []int
-	// Dynamic enables credit-based splitter selection instead of strict
-	// round-robin: each picture goes to the splitter with the most free
-	// receive buffers, so a splitter stuck on an expensive picture is not
-	// handed more work while an idle one waits. This implements the dynamic
-	// load balancing the paper's §6 leaves as future work; the ANID/NSID
-	// ordering protocol is unaffected because the root always announces the
-	// actual next assignee.
-	Dynamic bool
-}
 
 // RootResult reports the root splitter's run.
 type RootResult struct {
@@ -32,146 +15,6 @@ type RootResult struct {
 	CopyTime time.Duration
 	WaitTime time.Duration
 	SendTime time.Duration
-}
-
-// RunRoot scans the stream at picture level (start codes only — the cheap
-// split of Table 1), copies each picture unit into a send buffer and
-// round-robins it to the second-level splitters. Before every send except
-// the first it waits for an ack from any splitter (two posted receive
-// buffers at each splitter make the pipeline two pictures deep). The NSID —
-// the splitter responsible for the next picture — rides along so splitters
-// can fill in the ANID without knowing each other (§4.5, Table 3).
-//
-// RunRoot is the bare batch protocol driver (benchmarks and load-balance
-// tests); the resident wall's root — sessions, retention, recovery — lives
-// in internal/service.
-func RunRoot(node cluster.Net, cfg RootConfig) (*RootResult, error) {
-	res := &RootResult{}
-	k := len(cfg.SplitterNodes)
-	if k == 0 {
-		return nil, fmt.Errorf("splitter: root needs at least one second-level splitter")
-	}
-	data := cfg.Stream
-
-	// The root's per-picture work is exactly the paper's: find the picture
-	// boundaries by start-code scan and copy the bytes out. Flow control is
-	// credit-based (two posted receive buffers per splitter); the assignee
-	// of picture p+1 is fixed before p is sent so its id can ride along as
-	// the NSID.
-	credits := make([]int, k)
-	nodeIdx := make(map[int]int, k)
-	for i, id := range cfg.SplitterNodes {
-		credits[i] = 2
-		nodeIdx[id] = i
-	}
-	onAck := func(m *cluster.Message) {
-		credits[nodeIdx[m.From]]++
-	}
-	takeAck := func() error {
-		m := node.Recv(cluster.MsgAck)
-		if m == nil {
-			return fmt.Errorf("splitter: root aborted while waiting for splitter ack")
-		}
-		onAck(m)
-		return nil
-	}
-	// choose picks the next assignee: strict round-robin, or (Dynamic) the
-	// splitter with the most free buffers, ties broken round-robin.
-	rr := 0
-	choose := func() int {
-		if !cfg.Dynamic {
-			c := rr
-			rr = (rr + 1) % k
-			return c
-		}
-		best := rr
-		for off := 0; off < k; off++ {
-			i := (rr + off) % k
-			if credits[i] > credits[best] {
-				best = i
-			}
-		}
-		rr = (best + 1) % k
-		return best
-	}
-
-	a := choose()
-	pics := 0
-	picStart := -1
-	emit := func(end int) error {
-		if picStart < 0 {
-			return nil
-		}
-		t0 := time.Now()
-		buf := make([]byte, end-picStart)
-		copy(buf, data[picStart:end])
-		res.CopyTime += time.Since(t0)
-		picStart = -1
-
-		t0 = time.Now()
-		for credits[a] == 0 {
-			if err := takeAck(); err != nil {
-				return err
-			}
-		}
-		res.WaitTime += time.Since(t0)
-		// Drain any further acks without blocking so Dynamic sees fresh
-		// credit counts.
-		for {
-			m, ok := node.TryRecv(cluster.MsgAck)
-			if !ok {
-				break
-			}
-			onAck(m)
-		}
-		credits[a]--
-		next := choose()
-
-		t0 = time.Now()
-		node.Send(cfg.SplitterNodes[a], &cluster.Message{
-			Kind:    cluster.MsgPicture,
-			Seq:     pics,
-			Tag:     cfg.SplitterNodes[next], // NSID
-			Payload: buf,
-		})
-		res.SendTime += time.Since(t0)
-		a = next
-		pics++
-		return nil
-	}
-
-	scanStart := time.Now()
-	for off := bits.NextStartCode(data, 0); off >= 0; off = bits.NextStartCode(data, off+4) {
-		code := data[off+3]
-		switch {
-		case code == bits.PictureStartCode:
-			res.ScanTime += time.Since(scanStart)
-			if err := emit(off); err != nil {
-				return res, err
-			}
-			picStart = off
-			scanStart = time.Now()
-		case code == bits.GroupStartCode, code == bits.SequenceHeaderCod, code == bits.SequenceEndCode:
-			res.ScanTime += time.Since(scanStart)
-			if err := emit(off); err != nil {
-				return res, err
-			}
-			scanStart = time.Now()
-		}
-	}
-	res.ScanTime += time.Since(scanStart)
-	if err := emit(len(data)); err != nil {
-		return res, err
-	}
-	res.Pictures = pics
-	// Tell every splitter the stream has ended. The end marker carries the
-	// total picture count (in Tag): a decoder may see a Final forwarded by a
-	// splitter that finished early before the last pictures from the other
-	// splitters arrive, so it exits only once it has decoded them all.
-	for i := 0; i < k; i++ {
-		node.Send(cfg.SplitterNodes[i], &cluster.Message{Kind: cluster.MsgPicture, Seq: -1, Tag: pics})
-	}
-	return res, nil
 }
 
 // SecondResult reports a second-level splitter's run (one session on a
@@ -185,6 +28,15 @@ type SecondResult struct {
 	// SkippedSubPics counts tiles reduced to ROI skip markers (subscription
 	// sessions only; zero on a full subscription).
 	SkippedSubPics int64
+}
+
+// Marshal serialises sp into a slab from the cluster pool, charging the time
+// to SplitSerialize. The receiving decoder owns the slab and releases it.
+func (r *SecondResult) Marshal(sp *subpic.SubPicture) []byte {
+	t0 := time.Now()
+	payload := sp.AppendTo(cluster.GetSlab(sp.WireSize()))
+	r.Split.Add(metrics.SplitSerialize, time.Since(t0))
+	return payload
 }
 
 // FoldSplit merges the splitter's phase breakdown into the result and models

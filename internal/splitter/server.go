@@ -26,7 +26,6 @@ type ServeConfig struct {
 	DecoderNodes []int
 	RootNode     int
 
-	Pooled       bool
 	SplitWorkers int
 
 	// OnResult receives the splitter-side result when a session's final
@@ -80,18 +79,6 @@ type splitSession struct {
 	live  wall.TileSet
 	trick TrickMode
 	roi   ROIScratch
-}
-
-func (ss *splitSession) marshal(sp *subpic.SubPicture, pooled bool) []byte {
-	t0 := time.Now()
-	var payload []byte
-	if pooled {
-		payload = sp.AppendTo(cluster.GetSlab(sp.WireSize()))
-	} else {
-		payload = sp.Marshal()
-	}
-	ss.res.Split.Add(metrics.SplitSerialize, time.Since(t0))
-	return payload
 }
 
 // ServeSecond runs the resident splitter loop until a FlagShutdown message
@@ -169,7 +156,7 @@ func ServeSecond(port cluster.Port, cfg ServeConfig) error {
 					Tag:     port.ID(),
 					Flags:   cluster.FlagSessionFinal,
 					Session: msg.Session,
-					Payload: ss.marshal(sp, cfg.Pooled),
+					Payload: ss.res.Marshal(sp),
 				})
 			}
 			ss.res.FoldSplit(ss.ms)
@@ -192,9 +179,7 @@ func ServeSecond(port cluster.Port, cfg ServeConfig) error {
 				if rh != nil {
 					// Session failed or completed; drop quietly, releasing
 					// this delivery's reference to the payload.
-					if cfg.Pooled {
-						cluster.PutSlab(msg.Payload)
-					}
+					cluster.PutSlab(msg.Payload)
 					continue
 				}
 				return fmt.Errorf("splitter %d: picture for unknown session %d", cfg.Index, msg.Session)
@@ -222,7 +207,7 @@ func openSession(port cluster.Port, cfg ServeConfig, sessions map[int]*splitSess
 		return fmt.Errorf("splitter %d: session %d open: %w", cfg.Index, session, err)
 	}
 	ss := &splitSession{
-		ms:  NewMBSplitterOpts(seq, geo, SplitOptions{Workers: cfg.SplitWorkers, Reuse: cfg.Pooled}),
+		ms:  NewMBSplitterOpts(seq, geo, SplitOptions{Workers: cfg.SplitWorkers, Reuse: true}),
 		res: &SecondResult{},
 	}
 	if rh := cfg.Recovery; rh != nil {
@@ -253,9 +238,7 @@ func splitOne(port cluster.Port, cfg ServeConfig, ss *splitSession, msg *cluster
 			// Root replay overlapping the surviving node queue. Each delivery
 			// carries its own slab reference (the root acquires one per replay
 			// send), so the duplicate's reference is released here.
-			if cfg.Pooled {
-				cluster.PutSlab(msg.Payload)
-			}
+			cluster.PutSlab(msg.Payload)
 			return nil
 		}
 		ss.seen[msg.Seq] = true
@@ -286,9 +269,7 @@ func splitOne(port cluster.Port, cfg ServeConfig, ss *splitSession, msg *cluster
 		// This consumer is done with the picture payload; the root's retainer
 		// may still hold its own reference, in which case the release only
 		// drops this delivery's.
-		if cfg.Pooled {
-			cluster.PutSlab(msg.Payload)
-		}
+		cluster.PutSlab(msg.Payload)
 		if rh != nil {
 			// A corrupt picture unit fails its session alone: notify the
 			// root (which surfaces a typed error to the feeder) and keep
@@ -353,7 +334,7 @@ func splitOne(port cluster.Port, cfg ServeConfig, ss *splitSession, msg *cluster
 	}
 	b.Timed(metrics.PhaseServe, func() {
 		for t := 0; t < nd; t++ {
-			payload := ss.marshal(ship[t], cfg.Pooled)
+			payload := ss.res.Marshal(ship[t])
 			ss.res.SPBytes += int64(len(payload))
 			port.Send(cfg.DecoderNodes[t], &cluster.Message{
 				Kind:    cluster.MsgSubPicture,
@@ -370,8 +351,6 @@ func splitOne(port cluster.Port, cfg ServeConfig, ss *splitSession, msg *cluster
 	// The sub-pictures aliased the picture payload until serialisation; this
 	// delivery's reference can now be released (the root's retainer still
 	// holds its own until the receipt ack above lands).
-	if cfg.Pooled {
-		cluster.PutSlab(msg.Payload)
-	}
+	cluster.PutSlab(msg.Payload)
 	return nil
 }

@@ -37,7 +37,7 @@ type SplitOptions struct {
 	// Reuse makes Split return sub-pictures owned by the splitter: the
 	// SubPicture values and their Pieces/MEI backing arrays are recycled on
 	// the next Split call. Callers that serialise every sub-picture before
-	// splitting the next picture (the Pooled pipelines) get a
+	// splitting the next picture (the resident wall) get a
 	// zero-allocation steady state; everyone else leaves Reuse off and
 	// receives fresh copies.
 	Reuse bool
@@ -382,6 +382,11 @@ func (k *sliceWorker) splitSlice(unit []byte, ref mpeg2.SliceRef, acc *sliceAcc)
 	}
 	k.sd.SetParseOnly(true)
 	k.seen.begin()
+	// A slice that failed part-way returned with pieces still open; they
+	// belong to a discarded picture and must not leak into this slice.
+	for t := range k.open {
+		k.open[t].active = false
+	}
 	picType := ctx.Pic.PicType
 
 	// The parser leaves fields of directions a macroblock does not code

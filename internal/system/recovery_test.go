@@ -71,13 +71,11 @@ func TestRecoveryFaultFreeBitExact(t *testing.T) {
 	for _, cfg := range []Config{
 		{K: 0, M: 2, N: 1},
 		{K: 2, M: 2, N: 2},
-		{K: 2, M: 2, N: 2, Pooled: true},
-		{K: 0, M: 2, N: 1, Pooled: true},
 	} {
 		cfg.CollectFrames = true
 		cfg.Recovery = testRecoveryConfig()
 		cfg.Fabric = cluster.Config{StallTimeout: 10 * time.Second}
-		name := fmt.Sprintf("1-%d-(%d,%d) pooled=%v", cfg.K, cfg.M, cfg.N, cfg.Pooled)
+		name := fmt.Sprintf("1-%d-(%d,%d)", cfg.K, cfg.M, cfg.N)
 		res, err := Run(stream, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -111,7 +109,6 @@ func TestRecoveryDecoderKill(t *testing.T) {
 		{Config{K: 0, M: 2, N: 1}, 1, 3},
 		{Config{K: 2, M: 2, N: 2}, 2, 4},
 		{Config{K: 1, M: 2, N: 2}, 0, 7},
-		{Config{K: 2, M: 2, N: 2, Pooled: true}, 2, 4},
 	} {
 		cfg := tc.cfg
 		cfg.Recovery = testRecoveryConfig()
@@ -144,7 +141,6 @@ func TestRecoverySplitterKill(t *testing.T) {
 		// so the kill picture must be on the target's schedule.
 		{Config{K: 2, M: 2, N: 2}, 1, 3},
 		{Config{K: 3, M: 2, N: 1}, 0, 6},
-		{Config{K: 2, M: 2, N: 2, Pooled: true}, 1, 3},
 	} {
 		cfg := tc.cfg
 		cfg.Recovery = testRecoveryConfig()

@@ -79,7 +79,6 @@ func NewResidentWall(cfg Config) (*ResidentWall, error) {
 		DynamicBalance:      cfg.DynamicBalance,
 		SplitWorkers:        cfg.SplitWorkers,
 		UnbatchedExchange:   cfg.UnbatchedExchange,
-		Pooled:              cfg.Pooled,
 		CollectFrames:       cfg.CollectFrames,
 		OnTileFrame:         cfg.OnTileFrame,
 		Fabric:              cfg.Fabric,
@@ -175,11 +174,10 @@ func (w *ResidentWall) result(sres *service.SessionResult, streamBytes int64) *R
 		// the wall-level charges (restarts, replays, root credit timeouts)
 		// accrued while it ran — cumulative across sessions on a shared wall,
 		// exact for the single-Play wall that Run builds.
-		Recovery:        sres.Recovery.Plus(w.svc.Recovery()),
-		TileEmissions:   sres.TileEmissions,
-		Warnings:        w.cfg.validate(),
-		EffectivePooled: w.cfg.Pooled,
-		transport:       w.svc.Transport(),
+		Recovery:      sres.Recovery.Plus(w.svc.Recovery()),
+		TileEmissions: sres.TileEmissions,
+		Warnings:      w.cfg.validate(),
+		transport:     w.svc.Transport(),
 	}
 	for i := 0; i < w.cfg.K; i++ {
 		res.SplitterNodeIDs = append(res.SplitterNodeIDs, 1+i)

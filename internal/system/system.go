@@ -70,13 +70,7 @@ type Config struct {
 	// index; frames arrive in display order per tile (per session).
 	OnTileFrame func(session, picIdx, tile int, buf *mpeg2.PixelBuf)
 
-	// Pooled recycles message slabs, pixel buffers and per-picture decode
-	// state across the pipeline, eliminating steady-state heap allocation on
-	// the decode hot path. Pixels must be bit-identical either way — the
-	// conformance matrix runs a pooled axis to prove it. Composes with
-	// Recovery: every holder that outlives a payload's consumer (the root's
-	// retainer, the decoders' reorder stashes) carries its own slab reference
-	// and the last release recycles the buffer (DESIGN.md §9).
+	// Deprecated: buffers are always pooled; ignored.
 	Pooled bool
 
 	// Recovery enables the fault-tolerance layer (DESIGN.md §6): supervised
@@ -151,11 +145,8 @@ type Result struct {
 	TileEmissions [][]int
 
 	// Warnings lists accepted-but-surprising configuration interactions
-	// (Config.validate). EffectivePooled always equals Config.Pooled now
-	// that pooling composes with recovery; the field survives so report
-	// tooling keyed on it keeps working.
-	Warnings        []string
-	EffectivePooled bool
+	// (Config.validate).
+	Warnings []string
 
 	transport cluster.Transport
 }
@@ -291,8 +282,8 @@ func (fc *frameCollector) assemble() ([]*mpeg2.PixelBuf, error) {
 
 // Run executes the pipeline over a complete elementary stream: it opens a
 // resident wall, plays the stream as its only session, and closes the wall.
-// This is the single execution path for every configuration — transports,
-// pooling and recovery included. The session path is byte-identical to the
+// This is the single execution path for every configuration — transports
+// and recovery included. The session path is byte-identical to the
 // historical batch pipeline — the conformance matrix proves it — so Run
 // remains the reference entry point.
 func Run(stream []byte, cfg Config) (*Result, error) {
