@@ -29,21 +29,30 @@ func allocStream(t testing.TB) *mpeg2.Stream {
 }
 
 // decodeAllReleasing decodes the whole stream, releasing every emitted frame
-// back to the pixel-buffer pool — the steady-state wall usage pattern, where
-// a frame is scanned out and its buffer recycled.
+// back to the pixel-buffer pool by the Decoder's release rule — a B picture
+// at once, an I/P picture once the next I/P picture has been emitted — the
+// steady-state wall usage pattern, where a frame is scanned out and its
+// buffer recycled.
 func decodeAllReleasing(t testing.TB, s *mpeg2.Stream) int {
 	d := mpeg2.NewStreamDecoder(s)
 	n := 0
+	var anchor *mpeg2.PixelBuf
 	for {
 		p, err := d.Next()
 		if err == io.EOF {
+			anchor.Release()
 			return n
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		n++
-		p.Buf.Release()
+		if p.Pic.PicType == mpeg2.PictureB {
+			p.Buf.Release()
+			continue
+		}
+		anchor.Release()
+		anchor = p.Buf
 	}
 }
 

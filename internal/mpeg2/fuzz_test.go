@@ -242,3 +242,28 @@ func sliceOffset(unit []byte) int {
 	}
 	return -1
 }
+
+// FuzzIDCTFast holds the mask-dispatched transform to the generic one on
+// arbitrary sparse blocks. Each three input bytes place one coefficient: a
+// raster position and a 16-bit level clamped to the dequantised range
+// [-2048, 2047]; later placements overwrite earlier ones.
+func FuzzIDCTFast(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0xd2, 0x04})                                // DC only
+	f.Add([]byte{0, 0x40, 0x00, 63, 0x01, 0x00})                // DC + toggled coefficient 63
+	f.Add([]byte{1, 0x10, 0x00, 9, 0xf0, 0xff, 63, 0xff, 0xff}) // rows 0..1 and a -1 at 63
+	f.Add([]byte{27, 0xff, 0x07, 36, 0x00, 0xf8})               // rows 3 and 4
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var blk [64]int32
+		for ; len(data) >= 3; data = data[3:] {
+			v := int32(int16(uint16(data[1]) | uint16(data[2])<<8))
+			blk[data[0]%64] = max(-2048, min(2047, v))
+		}
+		want, got := blk, blk
+		mpeg2.IDCT(&want)
+		mpeg2.IDCTFast(&got, mpeg2.ACMaskOf(&blk))
+		if got != want {
+			t.Fatalf("IDCTFast (mask %08b) differs from IDCT on %v:\nwant %v\ngot  %v", mpeg2.ACMaskOf(&blk), blk, want, got)
+		}
+	})
+}

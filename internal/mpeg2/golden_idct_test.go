@@ -126,3 +126,78 @@ func TestGoldenIDCTMaskContract(t *testing.T) {
 		requireSameBlock(t, "mask-contract", &blk, over)
 	}
 }
+
+// TestGoldenIDCTTopRowsLast covers the dispatch class of blocks whose rows
+// 4..6 are zero but row 7 is not — in the decoder, chiefly low-frequency
+// blocks whose coefficient 63 mismatch control toggled. It runs every
+// occupancy pattern of rows 0..3 and 7, every ±1 coefficient-63 toggle over
+// random rows 0..3 (alone and with the rest of row 7 populated), every
+// single row-7 coefficient, and saturated rows, each under the exact mask
+// and overset masks.
+func TestGoldenIDCTTopRowsLast(t *testing.T) {
+	rng := rand.New(rand.NewSource(4804))
+	check := func(name string, blk *[64]int32) {
+		t.Helper()
+		m := ACMaskOf(blk)
+		requireSameBlock(t, name, blk, m)
+		requireSameBlock(t, name+"-overset", blk, m|0x8f)
+		requireSameBlock(t, name+"-dense-mask", blk, 0xff)
+	}
+	randomRow := func(blk *[64]int32, r int, lim int) {
+		for c := 0; c < 8; c++ {
+			if rng.Intn(3) == 0 {
+				blk[8*r+c] = int32(rng.Intn(2*lim) - lim)
+			}
+		}
+	}
+	for trial := 0; trial < 500; trial++ {
+		// Every subset of rows 0..3 and 7 (the class's row-pass patterns).
+		for rows := 0; rows < 32; rows++ {
+			var blk [64]int32
+			blk[0] = int32(rng.Intn(4096) - 2048)
+			for k, r := range []int{0, 1, 2, 3, 7} {
+				if rows&(1<<uint(k)) != 0 {
+					randomRow(&blk, r, 2048)
+				}
+			}
+			check("row-subset", &blk)
+		}
+		// Random rows 0..3 with each ±1 toggle of coefficient 63.
+		var top [64]int32
+		for r := 0; r < 4; r++ {
+			randomRow(&top, r, 1+rng.Intn(2048))
+		}
+		for _, v := range []int32{1, -1} {
+			blk := top
+			blk[63] = v
+			check("toggle-63", &blk)
+			randomRow(&blk, 7, 64)
+			blk[63] = v
+			check("toggle-63-row7", &blk)
+		}
+	}
+	for pos := 56; pos < 64; pos++ {
+		for _, dc := range []int32{-2048, 0, 1, 2047} {
+			for _, lv := range []int32{-2048, -1, 1, 2047} {
+				var blk [64]int32
+				blk[0] = dc
+				blk[pos] = lv
+				check("single-row7", &blk)
+			}
+		}
+	}
+	for _, a := range []int32{-2048, 2047} {
+		for _, b := range []int32{-2048, 2047} {
+			var blk [64]int32
+			for i := range blk {
+				if r := i >> 3; r < 4 || r == 7 {
+					blk[i] = a
+					if i%2 == 1 {
+						blk[i] = b
+					}
+				}
+			}
+			check("saturation-top-last", &blk)
+		}
+	}
+}

@@ -9,7 +9,49 @@ import (
 // Golden motion-compensation suite: every specialised half-pel kernel must
 // be bit-exact against samplePlaneRef, the original scalar implementation,
 // across both block geometries (16×16 luma, 8×8 chroma), all four phases,
-// and randomised strides, offsets and pixel content.
+// randomised source strides, offsets and pixel content, and destinations
+// that are either packed (stride = block width) or a window into a wider
+// frame plane, whose samples outside the block must stay untouched.
+
+// requireSameBytes fails with the first divergence between want and got.
+func requireSameBytes(t *testing.T, what string, want, got []uint8) {
+	t.Helper()
+	if bytes.Equal(want, got) {
+		return
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("%s: first divergence at %d: ref %d fast %d", what, i, want[i], got[i])
+		}
+	}
+}
+
+// randomBytes returns n random bytes.
+func randomBytes(rng *rand.Rand, n int) []uint8 {
+	b := make([]uint8, n)
+	rng.Read(b)
+	return b
+}
+
+// randomSource returns a w×h block's source plane (stride and an index si
+// leaving room for the half-sample row and column).
+func randomSource(rng *rand.Rand, w, h int) (src []uint8, stride, si int) {
+	stride = w + 1 + rng.Intn(64)
+	src = randomBytes(rng, stride*(h+1+rng.Intn(8))+w+1)
+	si = rng.Intn(len(src) - (h*stride + w + 1) + 1)
+	return src, stride, si
+}
+
+// randomDest returns a frame plane holding a w×h block at index di with row
+// stride ds: packed (ds == w) in a third of the calls, wider otherwise.
+func randomDest(rng *rand.Rand, w, h int) (frame []uint8, ds, di int) {
+	ds = w
+	if rng.Intn(3) != 0 {
+		ds = w + 1 + rng.Intn(64)
+	}
+	di = rng.Intn(3)*ds + rng.Intn(ds-w+1)
+	return randomBytes(rng, di+(h+rng.Intn(3))*ds), ds, di
+}
 
 func TestGoldenSamplePlane(t *testing.T) {
 	rng := rand.New(rand.NewSource(9301))
@@ -19,28 +61,15 @@ func TestGoldenSamplePlane(t *testing.T) {
 			w = 16
 		}
 		h := w
-		stride := w + 1 + rng.Intn(64)
-		rows := h + 1 + rng.Intn(8)
-		src := make([]uint8, stride*rows+w+1)
-		for i := range src {
-			src[i] = uint8(rng.Intn(256))
-		}
-		maxSI := len(src) - ((h)*stride + w + 1)
-		si := rng.Intn(maxSI + 1)
+		src, stride, si := randomSource(rng, w, h)
+		frame, ds, di := randomDest(rng, w, h)
 		for hy := 0; hy <= 1; hy++ {
 			for hx := 0; hx <= 1; hx++ {
-				want := make([]uint8, w*h)
-				got := make([]uint8, w*h)
-				samplePlaneRef(want, w, h, src, stride, si, hx, hy)
-				samplePlane(got, w, h, src, stride, si, hx, hy)
-				if !bytes.Equal(want, got) {
-					for i := range want {
-						if want[i] != got[i] {
-							t.Fatalf("phase (hx=%d,hy=%d) w=%d stride=%d si=%d: first divergence at %d: ref %d fast %d",
-								hx, hy, w, stride, si, i, want[i], got[i])
-						}
-					}
-				}
+				want := append([]uint8(nil), frame...)
+				got := append([]uint8(nil), frame...)
+				samplePlaneRef(want[di:], ds, w, h, src, stride, si, hx, hy)
+				samplePlane(got[di:], ds, w, h, src, stride, si, hx, hy)
+				requireSameBytes(t, "samplePlane", want, got)
 			}
 		}
 	}
@@ -60,8 +89,8 @@ func TestGoldenSamplePlaneExtremes(t *testing.T) {
 			for hx := 0; hx <= 1; hx++ {
 				want := make([]uint8, w*h)
 				got := make([]uint8, w*h)
-				samplePlaneRef(want, w, h, src, stride, 0, hx, hy)
-				samplePlane(got, w, h, src, stride, 0, hx, hy)
+				samplePlaneRef(want, w, w, h, src, stride, 0, hx, hy)
+				samplePlane(got, w, w, h, src, stride, 0, hx, hy)
 				if !bytes.Equal(want, got) {
 					t.Fatalf("pattern %v phase (hx=%d,hy=%d): kernels diverge", p, hx, hy)
 				}
@@ -70,24 +99,59 @@ func TestGoldenSamplePlaneExtremes(t *testing.T) {
 	}
 }
 
-func TestGoldenAvgBytes(t *testing.T) {
+// TestGoldenBidirectionalInPlace follows the B-macroblock path: the forward
+// prediction written into a frame plane, the backward one into a packed
+// block, and the two averaged into the frame in place. The reference is two
+// samplePlaneRef predictions and the scalar rounding average, over every
+// pair of phases and both block sizes.
+func TestGoldenBidirectionalInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(9303))
+	for trial := 0; trial < 300; trial++ {
+		for _, w := range []int{8, 16} {
+			h := w
+			fsrc, fstride, fsi := randomSource(rng, w, h)
+			bsrc, bstride, bsi := randomSource(rng, w, h)
+			frame, ds, di := randomDest(rng, w, h)
+			for phase := 0; phase < 16; phase++ {
+				fhx, fhy, bhx, bhy := phase&1, phase>>1&1, phase>>2&1, phase>>3
+				pf := make([]uint8, w*h)
+				pb := make([]uint8, w*h)
+				samplePlaneRef(pf, w, w, h, fsrc, fstride, fsi, fhx, fhy)
+				samplePlaneRef(pb, w, w, h, bsrc, bstride, bsi, bhx, bhy)
+				want := append([]uint8(nil), frame...)
+				for r := 0; r < h; r++ {
+					for c := 0; c < w; c++ {
+						want[di+r*ds+c] = uint8((int32(pf[r*w+c]) + int32(pb[r*w+c]) + 1) >> 1)
+					}
+				}
+
+				got := append([]uint8(nil), frame...)
+				bwd := make([]uint8, w*h)
+				samplePlane(got[di:], ds, w, h, fsrc, fstride, fsi, fhx, fhy)
+				samplePlane(bwd, w, w, h, bsrc, bstride, bsi, bhx, bhy)
+				avgRows(got[di:], ds, bwd, w, h)
+				requireSameBytes(t, "bidirectional", want, got)
+			}
+		}
+	}
+}
+
+func TestGoldenAvgRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(9302))
 	for trial := 0; trial < 2000; trial++ {
-		n := 8 * (1 + rng.Intn(32))
-		a := make([]uint8, n)
-		b := make([]uint8, n)
-		for i := range a {
-			a[i] = uint8(rng.Intn(256))
-			b[i] = uint8(rng.Intn(256))
+		w := 8 * (1 + rng.Intn(4))
+		h := 1 + rng.Intn(16)
+		frame, ds, di := randomDest(rng, w, h)
+		src := randomBytes(rng, w*h)
+		want := append([]uint8(nil), frame...)
+		for r := 0; r < h; r++ {
+			for c := 0; c < w; c++ {
+				i := di + r*ds + c
+				want[i] = uint8((int32(frame[i]) + int32(src[r*w+c]) + 1) >> 1)
+			}
 		}
-		want := make([]uint8, n)
-		for i := range want {
-			want[i] = uint8((int32(a[i]) + int32(b[i]) + 1) >> 1)
-		}
-		got := append([]uint8(nil), a...)
-		avgBytes(got, b)
-		if !bytes.Equal(want, got) {
-			t.Fatalf("avgBytes diverges from scalar rounding average (n=%d)", n)
-		}
+		got := append([]uint8(nil), frame...)
+		avgRows(got[di:], ds, src, w, h)
+		requireSameBytes(t, "avgRows", want, got)
 	}
 }

@@ -22,13 +22,13 @@ package mpeg2
 
 // IDCTFast computes the 8x8 inverse DCT of block in place (raster order),
 // dispatching on the AC occupancy mask. acMask == 0 means positions 1..63
-// are all zero; acMask with only low nibble bits means rows 4..7 are zero.
+// are all zero; acMask with bits 4..6 clear means rows 4..6 are zero.
 func IDCTFast(block *[64]int32, acMask uint8) {
 	switch {
 	case acMask == 0:
 		idctDCOnly(block)
-	case acMask&0xF0 == 0:
-		idctTopRows(block)
+	case acMask&0x70 == 0:
+		idctTopRows(block, acMask)
 	default:
 		IDCT(block)
 	}
@@ -53,28 +53,38 @@ func idctDCOnly(b *[64]int32) {
 }
 
 // idctTopRows handles blocks whose nonzero coefficients all lie in rows
-// 0..3 (raster positions 0..31). The row pass only needs the top four rows —
-// the bottom four are zero and transform to zero — and the column pass runs
-// a reduced butterfly with the four bottom-row taps folded out.
-func idctTopRows(b *[64]int32) {
-	for i := 0; i < 4; i++ {
-		idctRow(b[8*i : 8*i+8])
+// 0..3 and row 7. Row 7 belongs to the class because §7.4.4 mismatch
+// control toggles coefficient 63 in about half of all coded blocks, so a
+// low-frequency block very often carries that one high-frequency term. The
+// row pass transforms row 0 and the other rows acMask marks (a zero row
+// transforms to zeros), and the column pass runs a butterfly with the
+// row-4/5/6 taps folded out.
+func idctTopRows(b *[64]int32, acMask uint8) {
+	idctRow(b[0:8])
+	for i := 1; i < 4; i++ {
+		if acMask&(1<<uint(i)) != 0 {
+			idctRow(b[8*i : 8*i+8])
+		}
+	}
+	if acMask&0x80 != 0 {
+		idctRow(b[56:64])
 	}
 	for i := 0; i < 8; i++ {
 		idctColTop(b[i:])
 	}
 }
 
-// idctColTop is idctCol specialised for columns whose rows 4..7 are zero:
-// the generic taps x1 (row 4), x2 (row 6), x5 (row 7) and x6 (row 5) are
-// structurally zero, so every multiplication involving them is folded away.
-// The surviving operations are identical to the generic column butterfly,
+// idctColTop is idctCol specialised for columns whose rows 4..6 are zero:
+// the generic taps x1 (row 4), x2 (row 6) and x6 (row 5) are structurally
+// zero, so every multiplication involving them is folded away. The
+// surviving operations are identical to the generic column butterfly,
 // keeping the output bit-exact.
 func idctColTop(b []int32) {
 	x3 := b[8*2]
 	x4 := b[8*1]
+	x5 := b[8*7]
 	x7 := b[8*3]
-	if x3|x4|x7 == 0 {
+	if x3|x4|x5|x7 == 0 {
 		v := (b[0] + 32) >> 6
 		for i := 0; i < 8; i++ {
 			b[8*i] = v
@@ -83,9 +93,9 @@ func idctColTop(b []int32) {
 	}
 	x0 := (b[0] << 8) + 8192
 
-	x8 := idctW7*x4 + 4
+	x8 := idctW7*(x4+x5) + 4
 	x4 = (x8 + (idctW1-idctW7)*x4) >> 3
-	x5 := x8 >> 3
+	x5 = (x8 - (idctW1+idctW7)*x5) >> 3
 	x8 = idctW3*x7 + 4
 	x6 := x8 >> 3
 	x7 = (x8 - (idctW3+idctW5)*x7) >> 3

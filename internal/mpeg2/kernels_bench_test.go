@@ -6,7 +6,8 @@ import (
 )
 
 // Kernel benchmarks for the hot-path overhaul: the three IDCT coefficient
-// classes the fast dispatch distinguishes, and the four half-pel motion
+// classes the fast dispatch distinguishes (the sparse one with and without
+// a mismatch-toggled coefficient 63), and the four half-pel motion
 // compensation phases. Run with the rest of the continuous-benchmark layer:
 //
 //	go test -bench 'IDCT|MotionComp' -benchmem ./internal/mpeg2/
@@ -29,6 +30,24 @@ func BenchmarkIDCTSparse(b *testing.B) {
 	for i := 0; i < 32; i++ {
 		blk[i] = int32(rng.Intn(512) - 256)
 	}
+	mask := ACMaskOf(&blk)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tmp := blk
+		IDCTFast(&tmp, mask)
+	}
+}
+
+// BenchmarkIDCTSparseLast is the sparse class as the VLD most often hands
+// it over: the same top-row coefficients plus a coefficient 63 that §7.4.4
+// mismatch control toggled to one.
+func BenchmarkIDCTSparseLast(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	var blk [64]int32
+	for i := 0; i < 32; i++ {
+		blk[i] = int32(rng.Intn(512) - 256)
+	}
+	blk[63] = 1
 	mask := ACMaskOf(&blk)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -68,7 +87,7 @@ func benchMotionComp(b *testing.B, hx, hy int) {
 	b.ReportAllocs()
 	b.SetBytes(16 * 16)
 	for i := 0; i < b.N; i++ {
-		samplePlane(dst, 16, 16, src, stride, stride*4+8, hx, hy)
+		samplePlane(dst, 16, 16, 16, src, stride, stride*4+8, hx, hy)
 	}
 }
 
@@ -85,6 +104,6 @@ func BenchmarkMotionCompHVRef(b *testing.B) {
 	b.ReportAllocs()
 	b.SetBytes(16 * 16)
 	for i := 0; i < b.N; i++ {
-		samplePlaneRef(dst, 16, 16, src, stride, stride*4+8, 1, 1)
+		samplePlaneRef(dst, 16, 16, 16, src, stride, stride*4+8, 1, 1)
 	}
 }

@@ -6,8 +6,11 @@ package mpeg2
 // decoder applies, exported so the closed-loop encoder computes residuals
 // against identical samples.
 func PredictMacroblock(ref *PixelBuf, x, y int, mv [2]int32, pY *[256]uint8, pCb, pCr *[64]uint8) error {
-	var rc Reconstructor
-	return rc.predict(ref, x, y, mv, pY, pCb, pCr)
+	if err := checkPrediction(nil, ref, x, y, mv); err != nil {
+		return err
+	}
+	predict(ref, x, y, mv, pY[:], 16, pCb[:], pCr[:], 8)
+	return nil
 }
 
 // AveragePrediction combines two predictions with the standard rounding,

@@ -1,18 +1,21 @@
 package mpeg2
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Reconstructor turns parsed macroblocks into pixels: IDCT, motion
 // compensation with half-sample interpolation, and skipped-macroblock
-// reconstruction. One Reconstructor per decoding goroutine; it holds scratch
-// prediction buffers to avoid per-macroblock allocation.
+// reconstruction. Prediction and residual are written straight into the
+// destination frame; the only scratch is the backward prediction of a
+// bidirectional macroblock, averaged into the forward one in place. One
+// Reconstructor per decoding goroutine.
 type Reconstructor struct {
 	pic *PictureHeader
 
-	predY          [256]uint8
-	predCb, predCr [64]uint8
-	aY             [256]uint8
-	aCb, aCr       [64]uint8
+	bwdY         [256]uint8
+	bwdCb, bwdCr [64]uint8
 }
 
 // NewReconstructor returns a Reconstructor for pictures described by pic.
@@ -41,8 +44,9 @@ func clip255(v int32) uint8 {
 var blockOffsets = [4][2]int{{0, 0}, {8, 0}, {0, 8}, {8, 8}}
 
 // Macroblock reconstructs mb into dst. fwd and bwd are the forward and
-// backward reference windows (bwd may be nil outside B pictures). The
-// macroblock position is derived from mb.Addr and mbWidth.
+// backward reference windows (bwd may be nil outside B pictures); dst must
+// not share sample planes with either. The macroblock position is derived
+// from mb.Addr and mbWidth.
 func (rc *Reconstructor) Macroblock(dst, fwd, bwd *PixelBuf, mb *Macroblock, mbWidth int) error {
 	mbx := mb.Addr % mbWidth
 	mby := mb.Addr / mbWidth
@@ -67,35 +71,29 @@ func (rc *Reconstructor) Skipped(dst, fwd, bwd *PixelBuf, mbx, mby int, prev Mot
 	return rc.inter(dst, fwd, bwd, mbx, mby, m, 0, nil, nil)
 }
 
-func (rc *Reconstructor) intra(dst *PixelBuf, mbx, mby int, blocks *[6][64]int32, masks *[6]uint8) {
-	x, y := mbx*16, mby*16
-	for i := 0; i < 4; i++ {
-		blk := &blocks[i]
-		IDCTFast(blk, masks[i])
-		bx, by := x+blockOffsets[i][0], y+blockOffsets[i][1]
-		for r := 0; r < 8; r++ {
-			di := dst.lumaIndex(bx, by+r)
-			dy := dst.Y[di : di+8 : di+8]
-			src := blk[r*8 : r*8+8 : r*8+8]
-			for c := 0; c < 8; c++ {
-				dy[c] = clip255(src[c])
-			}
-		}
+// blockPlane returns the destination of block i (0..3 luma, 4 Cb, 5 Cr) of
+// the macroblock at luma position (x, y), sliced from its top-left sample,
+// and the plane's row stride.
+func blockPlane(dst *PixelBuf, x, y, i int) ([]uint8, int) {
+	switch i {
+	case 4:
+		return dst.Cb[dst.chromaIndex(x/2, y/2):], dst.W / 2
+	case 5:
+		return dst.Cr[dst.chromaIndex(x/2, y/2):], dst.W / 2
 	}
-	cx, cy := x/2, y/2
-	for i := 4; i < 6; i++ {
+	return dst.Y[dst.lumaIndex(x+blockOffsets[i][0], y+blockOffsets[i][1]):], dst.W
+}
+
+func (rc *Reconstructor) intra(dst *PixelBuf, mbx, mby int, blocks *[6][64]int32, masks *[6]uint8) {
+	for i := range blocks {
 		blk := &blocks[i]
 		IDCTFast(blk, masks[i])
-		plane := dst.Cb
-		if i == 5 {
-			plane = dst.Cr
-		}
+		d, stride := blockPlane(dst, mbx*16, mby*16, i)
 		for r := 0; r < 8; r++ {
-			di := dst.chromaIndex(cx, cy+r)
-			dp := plane[di : di+8 : di+8]
+			dr := d[r*stride : r*stride+8 : r*stride+8]
 			src := blk[r*8 : r*8+8 : r*8+8]
 			for c := 0; c < 8; c++ {
-				dp[c] = clip255(src[c])
+				dr[c] = clip255(src[c])
 			}
 		}
 	}
@@ -103,99 +101,87 @@ func (rc *Reconstructor) intra(dst *PixelBuf, mbx, mby int, blocks *[6][64]int32
 
 func (rc *Reconstructor) inter(dst, fwd, bwd *PixelBuf, mbx, mby int, m MotionInfo, cbp int, blocks *[6][64]int32, masks *[6]uint8) error {
 	x, y := mbx*16, mby*16
-	switch {
-	case m.Fwd && m.Bwd:
-		if err := rc.predict(fwd, x, y, m.MVFwd, &rc.predY, &rc.predCb, &rc.predCr); err != nil {
-			return err
-		}
-		if err := rc.predict(bwd, x, y, m.MVBwd, &rc.aY, &rc.aCb, &rc.aCr); err != nil {
-			return err
-		}
-		avgBytes(rc.predY[:], rc.aY[:])
-		avgBytes(rc.predCb[:], rc.aCb[:])
-		avgBytes(rc.predCr[:], rc.aCr[:])
-	case m.Fwd:
-		if err := rc.predict(fwd, x, y, m.MVFwd, &rc.predY, &rc.predCb, &rc.predCr); err != nil {
-			return err
-		}
-	case m.Bwd:
-		if err := rc.predict(bwd, x, y, m.MVBwd, &rc.predY, &rc.predCb, &rc.predCr); err != nil {
-			return err
-		}
-	default:
+	if !m.Fwd && !m.Bwd {
 		return syntaxErrf("inter macroblock with no prediction at (%d,%d)", mbx, mby)
 	}
-
-	// Store prediction plus residual.
-	for i := 0; i < 4; i++ {
-		bx, by := x+blockOffsets[i][0], y+blockOffsets[i][1]
-		coded := cbp&(1<<uint(5-i)) != 0
-		var blk *[64]int32
-		if coded {
-			blk = &blocks[i]
-			IDCTFast(blk, masks[i])
-		}
-		for r := 0; r < 8; r++ {
-			di := dst.lumaIndex(bx, by+r)
-			pi := (blockOffsets[i][1]+r)*16 + blockOffsets[i][0]
-			if coded {
-				res := blk[r*8 : r*8+8 : r*8+8]
-				pr := rc.predY[pi : pi+8 : pi+8]
-				dy := dst.Y[di : di+8 : di+8]
-				for c := 0; c < 8; c++ {
-					dy[c] = clip255(int32(pr[c]) + res[c])
-				}
-			} else {
-				copy(dst.Y[di:di+8], rc.predY[pi:pi+8])
-			}
+	// Prediction goes straight into dst, so every reference window is
+	// checked before the first write: a failing macroblock leaves dst
+	// untouched.
+	if m.Fwd {
+		if err := checkPrediction(dst, fwd, x, y, m.MVFwd); err != nil {
+			return err
 		}
 	}
-	cx, cy := x/2, y/2
-	for i := 4; i < 6; i++ {
-		plane, pred := dst.Cb, &rc.predCb
-		if i == 5 {
-			plane, pred = dst.Cr, &rc.predCr
+	if m.Bwd {
+		if err := checkPrediction(dst, bwd, x, y, m.MVBwd); err != nil {
+			return err
 		}
-		coded := cbp&(1<<uint(5-i)) != 0
-		var blk *[64]int32
-		if coded {
-			blk = &blocks[i]
-			IDCTFast(blk, masks[i])
+	}
+	ci := dst.chromaIndex(x/2, y/2)
+	dY, dCb, dCr := dst.Y[dst.lumaIndex(x, y):], dst.Cb[ci:], dst.Cr[ci:]
+	cs := dst.W / 2
+	switch {
+	case m.Fwd && m.Bwd:
+		predict(fwd, x, y, m.MVFwd, dY, dst.W, dCb, dCr, cs)
+		predict(bwd, x, y, m.MVBwd, rc.bwdY[:], 16, rc.bwdCb[:], rc.bwdCr[:], 8)
+		avgRows(dY, dst.W, rc.bwdY[:], 16, 16)
+		avgRows(dCb, cs, rc.bwdCb[:], 8, 8)
+		avgRows(dCr, cs, rc.bwdCr[:], 8, 8)
+	case m.Fwd:
+		predict(fwd, x, y, m.MVFwd, dY, dst.W, dCb, dCr, cs)
+	default:
+		predict(bwd, x, y, m.MVBwd, dY, dst.W, dCb, dCr, cs)
+	}
+
+	// Add the residual of each coded block to the prediction in place.
+	for i := 0; i < 6; i++ {
+		if cbp&(1<<uint(5-i)) == 0 {
+			continue
 		}
+		blk := &blocks[i]
+		IDCTFast(blk, masks[i])
+		d, stride := blockPlane(dst, x, y, i)
 		for r := 0; r < 8; r++ {
-			di := dst.chromaIndex(cx, cy+r)
-			if coded {
-				res := blk[r*8 : r*8+8 : r*8+8]
-				pr := pred[r*8 : r*8+8 : r*8+8]
-				dp := plane[di : di+8 : di+8]
-				for c := 0; c < 8; c++ {
-					dp[c] = clip255(int32(pr[c]) + res[c])
-				}
-			} else {
-				copy(plane[di:di+8], pred[r*8:r*8+8])
+			dr := d[r*stride : r*stride+8 : r*stride+8]
+			res := blk[r*8 : r*8+8 : r*8+8]
+			for c := 0; c < 8; c++ {
+				dr[c] = clip255(int32(dr[c]) + res[c])
 			}
 		}
 	}
 	return nil
 }
 
-// predict fills the 16×16 luma and 8×8 chroma prediction buffers from ref
-// for the macroblock at luma position (x, y) with motion vector mv in
-// half-sample units.
-func (rc *Reconstructor) predict(ref *PixelBuf, x, y int, mv [2]int32, py *[256]uint8, pcb, pcr *[64]uint8) error {
+// checkPrediction reports whether the macroblock at luma position (x, y)
+// can be predicted from ref with vector mv (half-sample units) and written
+// into dst: ref must exist, hold the whole interpolation window, and not
+// share sample planes with dst, which the prediction is written into while
+// ref is read.
+func checkPrediction(dst, ref *PixelBuf, x, y int, mv [2]int32) error {
 	if ref == nil {
 		return syntaxErrf("missing reference picture")
 	}
-	// Luma.
 	sx := x + int(mv[0]>>1)
 	sy := y + int(mv[1]>>1)
-	hx := int(mv[0] & 1)
-	hy := int(mv[1] & 1)
-	if !ref.Contains(sx, sy, 16+hx, 16+hy) {
+	if !ref.Contains(sx, sy, 16+int(mv[0]&1), 16+int(mv[1]&1)) {
 		return fmt.Errorf("%w: motion vector (%d,%d) at (%d,%d) leaves reference window [%d,%d %dx%d]",
 			errSyntax, mv[0], mv[1], x, y, ref.X0, ref.Y0, ref.W, ref.H)
 	}
-	samplePlane(py[:], 16, 16, ref.Y, ref.W, ref.lumaIndex(sx, sy), hx, hy)
+	if dst != nil && len(dst.Y) > 0 && &dst.Y[0] == &ref.Y[0] {
+		return errors.New("mpeg2: reconstruction target aliases its reference picture")
+	}
+	return nil
+}
+
+// predict writes the motion-compensated prediction of the macroblock at
+// luma position (x, y) from ref with vector mv (half-sample units): 16×16
+// luma into py (row stride ys), 8×8 chroma into pcb and pcr (row stride
+// cs). The caller has checked the vector with checkPrediction.
+func predict(ref *PixelBuf, x, y int, mv [2]int32, py []uint8, ys int, pcb, pcr []uint8, cs int) {
+	// Luma.
+	sx := x + int(mv[0]>>1)
+	sy := y + int(mv[1]>>1)
+	samplePlane(py, ys, 16, 16, ref.Y, ref.W, ref.lumaIndex(sx, sy), int(mv[0]&1), int(mv[1]&1))
 
 	// Chroma: vectors are halved with truncation toward zero (§7.6.3.7).
 	cmvx := mv[0] / 2
@@ -206,9 +192,8 @@ func (rc *Reconstructor) predict(ref *PixelBuf, x, y int, mv [2]int32, py *[256]
 	chy := int(cmvy & 1)
 	cw := ref.W / 2
 	ci := ref.chromaIndex(csx, csy)
-	samplePlane(pcb[:], 8, 8, ref.Cb, cw, ci, chx, chy)
-	samplePlane(pcr[:], 8, 8, ref.Cr, cw, ci, chx, chy)
-	return nil
+	samplePlane(pcb, cs, 8, 8, ref.Cb, cw, ci, chx, chy)
+	samplePlane(pcr, cs, 8, 8, ref.Cr, cw, ci, chx, chy)
 }
 
 // mv/2 truncation toward zero for negative values is what Go's integer

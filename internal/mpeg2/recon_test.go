@@ -1,6 +1,7 @@
 package mpeg2
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -222,5 +223,95 @@ func TestContains(t *testing.T) {
 	}
 	if b.Contains(15, 32, 2, 2) || b.Contains(79, 95, 2, 2) {
 		t.Error("out-of-window rect contained")
+	}
+}
+
+// snapshot returns a copy of every sample of b.
+func snapshot(b *PixelBuf) []uint8 {
+	s := append([]uint8(nil), b.Y...)
+	s = append(s, b.Cb...)
+	return append(s, b.Cr...)
+}
+
+// TestInterFailureLeavesDstUntouched: prediction is written straight into
+// the frame, so both reference windows must be checked before the first
+// write. A macroblock whose forward or backward vector (or reference) is
+// bad fails with dst byte-identical, coded residual or not.
+func TestInterFailureLeavesDstUntouched(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	fwd := randomBuf(rng, 0, 0, 64, 64)
+	bwd := randomBuf(rng, 0, 0, 64, 64)
+	dst := randomBuf(rng, 0, 0, 64, 64)
+	before := snapshot(dst)
+	rc := NewReconstructor(testPic(PictureB, false, false, false))
+	good, bad := [2]int32{3, -5}, [2]int32{-40, 0} // bad leaves the window at (16,16)
+	var blocks [6][64]int32
+	for i := range blocks {
+		blocks[i][0] = 200
+	}
+	cases := []struct {
+		name     string
+		fwd, bwd *PixelBuf
+		mb       Macroblock
+	}{
+		{"bad backward vector", fwd, bwd, Macroblock{Flags: MBMotionFwd | MBMotionBwd, MVFwd: good, MVBwd: bad}},
+		{"bad forward vector", fwd, bwd, Macroblock{Flags: MBMotionFwd | MBMotionBwd, MVFwd: bad, MVBwd: good}},
+		{"missing backward reference", fwd, nil, Macroblock{Flags: MBMotionFwd | MBMotionBwd, MVFwd: good, MVBwd: good}},
+		{"coded, bad backward vector", fwd, bwd, Macroblock{Flags: MBMotionFwd | MBMotionBwd | MBPattern, MVFwd: good, MVBwd: bad, CBP: 63}},
+		{"coded, bad forward-only vector", fwd, bwd, Macroblock{Flags: MBMotionFwd | MBPattern, MVFwd: bad, CBP: 63}},
+	}
+	for _, c := range cases {
+		mb := c.mb
+		mb.Addr = 1*4 + 1 // (1,1) on a 4-macroblock-wide picture
+		b := blocks
+		mb.Blocks = &b
+		if err := rc.Macroblock(dst, c.fwd, c.bwd, &mb, 4); err == nil {
+			t.Fatalf("%s: accepted", c.name)
+		}
+		if !bytes.Equal(snapshot(dst), before) {
+			t.Fatalf("%s: failing macroblock wrote into dst", c.name)
+		}
+	}
+	if err := rc.Skipped(dst, fwd, bwd, 1, 1, MotionInfo{Fwd: true, Bwd: true, MVFwd: good, MVBwd: bad}); err == nil {
+		t.Fatal("skipped B macroblock with a bad backward vector accepted")
+	}
+	if !bytes.Equal(snapshot(dst), before) {
+		t.Fatal("failing skipped macroblock wrote into dst")
+	}
+}
+
+// TestReconstructRejectsAliasedTarget: a destination sharing sample planes
+// with a reference would be read while it is written; reconstruction must
+// refuse it rather than predict from half-overwritten samples.
+func TestReconstructRejectsAliasedTarget(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	ref := randomBuf(rng, 0, 0, 64, 64)
+	other := randomBuf(rng, 0, 0, 64, 64)
+	view := *ref // a second PixelBuf over the same planes
+	before := snapshot(ref)
+	rcP := NewReconstructor(testPic(PictureP, false, false, false))
+	rcB := NewReconstructor(testPic(PictureB, false, false, false))
+	both := MotionInfo{Fwd: true, Bwd: true}
+	if err := rcP.Skipped(ref, ref, nil, 1, 1, MotionInfo{}); err == nil {
+		t.Error("skipped P macroblock into its own reference accepted")
+	}
+	if err := rcP.Skipped(&view, ref, nil, 1, 1, MotionInfo{}); err == nil {
+		t.Error("skipped P macroblock into a view of its reference accepted")
+	}
+	if err := rcB.Skipped(ref, other, ref, 1, 1, both); err == nil {
+		t.Error("B macroblock into its backward reference accepted")
+	}
+	if err := rcB.Skipped(ref, ref, other, 1, 1, both); err == nil {
+		t.Error("B macroblock into its forward reference accepted")
+	}
+	mb := Macroblock{Addr: 5, Flags: MBMotionFwd}
+	if err := rcP.Macroblock(ref, ref, nil, &mb, 4); err == nil {
+		t.Error("coded P macroblock into its own reference accepted")
+	}
+	if !bytes.Equal(snapshot(ref), before) {
+		t.Error("rejected reconstruction wrote into the reference")
+	}
+	if err := rcB.Skipped(other, ref, ref, 1, 1, both); err != nil {
+		t.Errorf("forward and backward sharing one reference rejected: %v", err)
 	}
 }

@@ -64,13 +64,17 @@ type Macroblock struct {
 	// PrevMotion is the motion summary of the previous coded macroblock,
 	// used to reconstruct skipped B macroblocks at a piece boundary.
 	PrevMotion MotionInfo
-	// Blocks holds dequantised coefficients in raster order; nil when the
-	// parser runs in parse-only (splitter) mode.
+	// Blocks holds dequantised coefficients in raster order (the VLD
+	// dequantises as it parses); nil when the parser runs in parse-only
+	// (splitter) mode.
 	Blocks *[6][64]int32
 	// ACMask holds, per block, the conservative nonzero-row mask driving the
 	// fast IDCT dispatch (see IDCTFast): bit r set when a coefficient at
 	// raster positions 8r..8r+7 — excluding the DC term at position 0 — may
-	// be nonzero. All zero in parse-only mode.
+	// be nonzero. Bit 7 is usually set by §7.4.4 mismatch control, which
+	// toggles coefficient 63 in about half of all coded blocks, not by a
+	// coded coefficient; IDCTFast gives such blocks a case of their own. All
+	// zero in parse-only mode.
 	ACMask [6]uint8
 }
 

@@ -452,8 +452,15 @@ func dctRunErr(intra bool) error {
 	return syntaxErrf("DCT run past block end")
 }
 
-// intraBlock parses and dequantises intra block i (0..3 luma, 4 Cb, 5 Cr).
-// The returned mask is the block's conservative AC occupancy (see ACMask).
+// Inverse quantisation (§7.4) is fused into the coefficient parse: each
+// coefficient is dequantised and saturated as it is stored, and the
+// mismatch-control sum accumulates alongside, so no pass over all 64
+// positions follows the parse. DequantIntra and DequantNonIntra are the
+// reference arithmetic this reproduces (TestGoldenFusedDequant).
+
+// intraBlock parses and dequantises intra block i (0..3 luma, 4 Cb, 5 Cr)
+// into blk, which must be zero. The returned mask is the block's
+// conservative AC occupancy (see ACMask).
 func (d *SliceDecoder) intraBlock(i int, blk *[64]int32) (uint8, error) {
 	r := d.r
 	pic := d.ctx.Pic
@@ -461,10 +468,13 @@ func (d *SliceDecoder) intraBlock(i int, blk *[64]int32) (uint8, error) {
 	if err != nil {
 		return 0, err
 	}
-	blk[0] = dc
+	sum := dc << pic.DCShift()
+	blk[0] = sum
 
 	var mask uint8
 	scan := d.ctx.scan
+	w := &d.ctx.Seq.IntraQ
+	qs2 := QuantiserScale(d.state.QuantCode, pic.QScaleType) * 2
 	n := 1
 	for {
 		run, level, eob, ok := d.ctx.intraDCT.decode(r)
@@ -479,24 +489,25 @@ func (d *SliceDecoder) intraBlock(i int, blk *[64]int32) (uint8, error) {
 			return 0, dctRunErr(true)
 		}
 		p := scan[n]
-		blk[p] = int32(level)
+		v := saturateCoeff(int32(level) * int32(w[p]) * qs2 / 32)
+		blk[p] = v
+		sum += v
 		mask |= 1 << uint(p>>3) // n >= 1, so p != 0 (scan is a permutation)
 		n++
 	}
-	DequantIntra(blk, &d.ctx.Seq.IntraQ, QuantiserScale(d.state.QuantCode, pic.QScaleType), pic.DCShift())
-	// Mismatch control may have toggled qf[63] from zero to one.
-	if blk[63] != 0 {
-		mask |= 0x80
-	}
-	return mask, streamErr(r.Err())
+	return mismatch(blk, sum, mask), streamErr(r.Err())
 }
 
-// nonIntraBlock parses and dequantises a non-intra block. The returned mask
-// is the block's conservative AC occupancy (see ACMask).
+// nonIntraBlock parses and dequantises a non-intra block into blk, which
+// must be zero. The returned mask is the block's conservative AC occupancy
+// (see ACMask).
 func (d *SliceDecoder) nonIntraBlock(blk *[64]int32) (uint8, error) {
 	r := d.r
 	scan := d.ctx.scan
+	w := &d.ctx.Seq.NonIntraQ
+	qs := QuantiserScale(d.state.QuantCode, d.ctx.Pic.QScaleType)
 	var mask uint8
+	var sum int32
 	n := 0
 	tab := dctTableB14First
 	for {
@@ -515,18 +526,31 @@ func (d *SliceDecoder) nonIntraBlock(blk *[64]int32) (uint8, error) {
 		// Position 0 is the DC term, carried by blk[0] itself rather than the
 		// AC mask (non-intra coefficient 0 lands there via scan[0]).
 		p := scan[n]
-		blk[p] = int32(level)
+		q := int32(level)
+		// 2q+sign(q): level is never zero, and q>>31|1 is its sign.
+		v := saturateCoeff((2*q + (q>>31 | 1)) * int32(w[p]) * qs / 32)
+		blk[p] = v
+		sum += v
 		if p != 0 {
 			mask |= 1 << uint(p>>3)
 		}
 		n++
 	}
-	DequantNonIntra(blk, &d.ctx.Seq.NonIntraQ, QuantiserScale(d.state.QuantCode, d.ctx.Pic.QScaleType))
-	// Mismatch control may have toggled qf[63] from zero to one.
+	return mismatch(blk, sum, mask), streamErr(r.Err())
+}
+
+// mismatch applies §7.4.4 mismatch control to a dequantised block whose
+// coefficients sum to sum — toggling the LSB of coefficient 63 when the sum
+// is even — and returns mask with bit 7 set when coefficient 63 is then
+// nonzero.
+func mismatch(blk *[64]int32, sum int32, mask uint8) uint8 {
+	if sum&1 == 0 {
+		blk[63] ^= 1
+	}
 	if blk[63] != 0 {
 		mask |= 0x80
 	}
-	return mask, streamErr(r.Err())
+	return mask
 }
 
 // skimBlocks advances past the coded blocks of a macroblock without
