@@ -39,10 +39,6 @@ const (
 	// MsgPixels carries decoded pixels redistributed to display nodes in
 	// the coarse-granularity baseline pipelines (Table 1).
 	MsgPixels
-	// MsgXport carries transport-level control traffic (cumulative acks and
-	// NACKs) for the recovery layer's retransmission protocol. It is never
-	// seen by the pipeline protocols.
-	MsgXport
 	numKinds
 )
 
@@ -60,8 +56,6 @@ func (k MsgKind) String() string {
 		return "halo"
 	case MsgPixels:
 		return "pixels"
-	case MsgXport:
-		return "xport"
 	}
 	return fmt.Sprintf("MsgKind(%d)", int(k))
 }
@@ -72,8 +66,10 @@ const messageHeaderBytes = 16
 
 // Message flag bits (recovery layer and resident-service control plane).
 const (
-	// FlagRetransmit marks a message re-sent by the retransmission layer;
-	// receivers deduplicate by XSeq, so the flag is informational.
+	// FlagRetransmit is unused: no layer retransmits messages any more (the
+	// transports are reliable and recovery replays at the picture level with
+	// FlagReplay). The bit stays reserved so the TCP frame format keeps its
+	// flag layout.
 	FlagRetransmit uint8 = 1 << iota
 	// FlagReplay marks a sub-picture or picture replayed from a retained
 	// window after a node restart. Replays must not generate protocol acks
@@ -134,19 +130,19 @@ type Message struct {
 	// their per-stream state off it, and the fabric accounts bytes per
 	// session under it.
 	Session int
-	// XSeq is the per-link transport sequence number assigned by the
-	// recovery layer's reliable endpoint (0 when reliability is off).
+	// XSeq is unused and always 0: it was a per-link sequence number for a
+	// retransmission layer that no longer exists. The TCP frame keeps its
+	// eight bytes so the wire format (and its fuzz corpus) is unchanged.
 	XSeq int64
-	// Flags carries FlagRetransmit/FlagReplay.
+	// Flags carries the Flag* bits: replay and the resident control plane.
 	Flags uint8
 	// Payload is handed over without copying.
 	Payload []byte
 }
 
 // Net is the messaging surface the pipeline nodes program against. It is
-// satisfied by *Node directly (raw GM-like fabric, PR 1 behaviour) and by
-// the recovery layer's reliable endpoint, which adds sequence tracking,
-// NACK/retransmission and dedup on top of the same methods.
+// satisfied by every transport's port (the in-process *Node and the TCP
+// port) and by the resident decoder's per-session view of its port.
 type Net interface {
 	ID() int
 	Send(to int, msg *Message)
@@ -157,6 +153,16 @@ type Net interface {
 	RecvTimeout(kind MsgKind, d time.Duration) (msg *Message, timedOut bool)
 	TryRecv(kind MsgKind) (*Message, bool)
 	Done() <-chan struct{}
+}
+
+// RecvWithin receives a message of kind, waiting at most d. A non-positive
+// d blocks in Recv and arms no timer — the fail-stop protocols' wait. A nil
+// message without timedOut means the transport aborted.
+func RecvWithin(n Net, kind MsgKind, d time.Duration) (msg *Message, timedOut bool) {
+	if d <= 0 {
+		return n.Recv(kind), false
+	}
+	return n.RecvTimeout(kind, d)
 }
 
 func (m *Message) wireBytes() int64 { return int64(len(m.Payload) + messageHeaderBytes) }
@@ -370,10 +376,8 @@ func (n *Node) Send(to int, msg *Message) {
 
 // TrySend is Send without backpressure: when the receiver's queue for this
 // kind is full (or the fabric is aborted) the message is discarded and false
-// is returned. Transport background traffic — retransmissions, control acks
-// — uses it so a dead or departed peer whose queue nobody drains can never
-// wedge the sender's transport loop; the caller's retry timer covers the
-// loss.
+// is returned, so a dead or departed peer whose queue nobody drains can
+// never wedge the sender; the caller must tolerate the loss.
 func (n *Node) TrySend(to int, msg *Message) bool {
 	f := n.fabric
 	msg.From = n.id

@@ -194,7 +194,7 @@ func TestPriorityNoStarvation(t *testing.T) {
 	var bulkAt []int
 	for i, p := range order {
 		if p == Bulk {
-			bulkAt = append(bulkAt, i + 1)
+			bulkAt = append(bulkAt, i+1)
 		}
 	}
 	t.Logf("grant order: %v (bulk at %v)", order, bulkAt)

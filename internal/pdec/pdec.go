@@ -42,12 +42,13 @@ type Config struct {
 	UnbatchedSends bool
 
 	// Recovery, when non-nil, switches the decoder from fail-stop to
-	// fault-masking behaviour: sub-pictures may arrive out of order (reorder
-	// stash), duplicated (dropped), or not at all (concealed after the
-	// per-picture deadline); a respawned incarnation resumes at its emission
-	// frontier (ResumeAt) in freeze-last-frame concealment until an I
-	// picture re-anchors its reference chain.
-	Recovery *recovery.DecoderHooks
+	// fault-masking behaviour on the same protocol path: sub-pictures may
+	// arrive out of order (reorder stash), duplicated (dropped), or not at
+	// all (concealed after the per-picture deadline); a respawned
+	// incarnation resumes at its emission frontier (ResumeAt) in
+	// freeze-last-frame concealment until an I picture re-anchors its
+	// reference chain.
+	Recovery *recovery.Hooks
 }
 
 // HaloForFCode returns a macroblock-aligned halo margin covering the reach
@@ -78,7 +79,7 @@ type Decoder struct {
 	node cluster.Net
 
 	bufs             []*mpeg2.PixelBuf // ring of 3 halo-extended windows
-	cur, refA, refB  int               // indices into bufs (-1 = none)
+	cur, refA, refB  int               // indices into bufs
 	display          *mpeg2.PixelBuf
 	pendingAnchor    bool
 	pendingAnchorIdx int
@@ -91,14 +92,16 @@ type Decoder struct {
 	// Out-of-order stash for block bundles from peers that run ahead.
 	stash []*subpic.BlockBundle
 
-	// Recovery mode state: out-of-order sub-pictures keyed by picture
-	// index, the stream total once a Final marker has been seen (-1
-	// before), and how many of refA/refB hold trustworthy pixels — a
-	// respawned incarnation starts at 0 and conceals until I (1 anchor,
-	// P decodable) then P (2, B decodable) restore the chain.
-	spStash      map[int]stashedSubPic
+	// The stream total once a Final marker has been seen (-1 before), and
+	// how many of refA/refB hold trustworthy pixels: 0 until the first
+	// anchor, 1 once P pictures are decodable, 2 once B pictures are. A
+	// respawned incarnation restarts at 0 and conceals until an I picture
+	// and then a P restore the chain.
 	finalTotal   int
 	validAnchors int
+	// spStash holds out-of-order sub-pictures keyed by picture index
+	// (fault-masking only).
+	spStash map[int]stashedSubPic
 	// finalsFrom tracks which splitter nodes delivered this session's final
 	// marker (resident recovery): only when every splitter's last message is
 	// in can a missing tail be declared lost and concealed.
@@ -156,7 +159,10 @@ func NewDecoder(node cluster.Net, cfg Config) *Decoder {
 	if y1 > cfg.Geo.PicH {
 		y1 = cfg.Geo.PicH
 	}
-	d := &Decoder{cfg: cfg, rect: rect, node: node, cur: 0, refA: -1, refB: -1, finalTotal: -1}
+	// All three windows are live from the start, so MEI SEND/RECV stays
+	// structurally valid even while the reference chain is untrusted;
+	// validAnchors gates what may actually be decoded.
+	d := &Decoder{cfg: cfg, rect: rect, node: node, cur: 0, refA: 1, refB: 2, finalTotal: -1}
 	d.rcScratch = mpeg2.NewReconstructor(nil)
 	for i := 0; i < 3; i++ {
 		d.bufs = append(d.bufs, mpeg2.NewPixelBuf(x0, y0, x1-x0, y1-y0))
@@ -165,10 +171,7 @@ func NewDecoder(node cluster.Net, cfg Config) *Decoder {
 	if rh := cfg.Recovery; rh != nil {
 		rh.Cfg = rh.Cfg.WithDefaults()
 		d.spStash = map[int]stashedSubPic{}
-		// Recovery mode keeps all three windows live from the start so MEI
-		// SEND/RECV stays structurally valid even while the reference chain
-		// is untrusted; validAnchors gates what may actually be decoded.
-		d.cur, d.refA, d.refB = 0, 1, 2
+		d.finalsFrom = map[int]bool{}
 	}
 	return d
 }
@@ -177,12 +180,7 @@ func NewDecoder(node cluster.Net, cfg Config) *Decoder {
 // returns the accumulated result. Run calls it after the Final marker; a
 // resident server calls it when the decoder's session completes.
 func (d *Decoder) Finish() *Result {
-	if d.pendingAnchor {
-		if d.pendingAnchorEmit {
-			d.emitFrame(d.pendingAnchorIdx, d.bufs[d.refB])
-		}
-		d.pendingAnchor = false
-	}
+	d.flushPending()
 	return &d.res
 }
 
@@ -191,61 +189,90 @@ func (d *Decoder) Finish() *Result {
 // the receive wait to the session that the arriving message belongs to.
 func (d *Decoder) Breakdown() *metrics.Breakdown { return &d.res.Breakdown }
 
-// HandleSubPicture runs the strict fail-stop protocol on one already-received
-// sub-picture message: ack to the ANID node, unmarshal, enforce ordering,
-// decode, display. done=true reports stream (or session) completion — a
-// Final marker with no pictures still owed.
-func (d *Decoder) HandleSubPicture(msg *cluster.Message) (bool, error) {
-	b := &d.res.Breakdown
-	// Ack to the ANID node: grants the splitter holding the next picture
-	// its go-ahead (credit) — the ordering protocol of §4.5. Session-final
-	// control messages are never acked: in a resident wall the splitters
-	// keep running, and a stray ack would inflate the go-ahead count of the
-	// next session's pictures. (Unflagged Final markers — standalone
-	// single-decoder tests — keep their harmless ack.)
-	if msg.Flags&cluster.FlagSessionFinal == 0 {
-		b.Timed(metrics.PhaseAck, func() {
+// fault is where fail-stop and fault-masking part ways. At each point where
+// the protocol finds something wrong, fail-stop returns err and the wall
+// aborts; fault-masking gets nil and the caller drops, stashes or conceals.
+func (d *Decoder) fault(err error) error {
+	if d.cfg.Recovery != nil {
+		return nil
+	}
+	return err
+}
+
+// HandleSubPicture runs the decoder's protocol on one already-received
+// sub-picture message: unmarshal, ack to the ANID node, enforce ordering,
+// decode, display. done=true reports stream (or session) completion.
+// numFinals is how many splitters send the session a final marker; only
+// fault masking reads it.
+func (d *Decoder) HandleSubPicture(msg *cluster.Message, numFinals int) (bool, error) {
+	d.cfg.Recovery.Renew()
+	sp := &d.spScratch
+	if err := subpic.UnmarshalInto(sp, msg.Payload); err != nil {
+		// Fault masking drops an undecodable sub-picture; the deadline path
+		// conceals its picture once later ones arrive.
+		cluster.PutSlab(msg.Payload)
+		return false, d.fault(fmt.Errorf("tile %d: %w", d.cfg.Tile, err))
+	}
+	if sp.Final {
+		// Finals are never acked: in a resident wall the splitters keep
+		// running, and a stray ack would inflate the go-ahead count of the
+		// next session's pictures. A splitter that ran out of pictures early
+		// may deliver its final before the other splitters' last pictures,
+		// so the stream is done only once every picture has been handled.
+		cluster.PutSlab(msg.Payload)
+		d.finalTotal = int(sp.Pic.Index)
+		if d.cfg.Recovery != nil {
+			// Under fault masking, once every splitter's final (its last
+			// message, by sender FIFO) is in, nothing more is coming: decode
+			// what the reorder stash holds and conceal the true holes.
+			d.finalsFrom[msg.From] = true
+			if len(d.finalsFrom) >= numFinals {
+				d.flushToTotal()
+			}
+		}
+		return d.doneByTotal(), nil
+	}
+	// Ack to the ANID node: grants the splitter holding the next picture its
+	// go-ahead (credit) — the ordering protocol of §4.5. Replays are not
+	// acked: the original ack (or the upstream credit timeout) already
+	// settled the flow-control ledger.
+	if msg.Flags&cluster.FlagReplay == 0 {
+		d.res.Breakdown.Timed(metrics.PhaseAck, func() {
 			d.node.Send(msg.Tag, &cluster.Message{Kind: cluster.MsgAck, Seq: msg.Seq, Session: msg.Session})
 		})
 	}
-	sp := &d.spScratch
-	if err := subpic.UnmarshalInto(sp, msg.Payload); err != nil {
-		return false, fmt.Errorf("tile %d: %w", d.cfg.Tile, err)
-	}
-	if sp.Final {
-		cluster.PutSlab(msg.Payload)
-		// A splitter that ran out of pictures early may deliver its end
-		// marker before the last pictures from the other splitters; only
-		// exit once every picture has been decoded.
-		if total := int(sp.Pic.Index); d.nextPic < total {
-			return false, nil
+	if idx := int(sp.Pic.Index); idx != d.nextPic {
+		if d.cfg.Recovery == nil {
+			return false, fmt.Errorf("tile %d: picture %d arrived, expected %d (ordering protocol violated)",
+				d.cfg.Tile, idx, d.nextPic)
 		}
-		return true, nil
-	}
-	if int(sp.Pic.Index) != d.nextPic {
-		return false, fmt.Errorf("tile %d: picture %d arrived, expected %d (ordering protocol violated)",
-			d.cfg.Tile, sp.Pic.Index, d.nextPic)
-	}
-	d.nextPic++
-	if sp.Skipped {
-		// Subscription skip marker: the ack above kept the go-ahead protocol
-		// whole and the sequence check kept ordering honest; there is nothing
-		// to decode, display, or rotate (the splitter only skips pictures
-		// that feed no reference this tile will ever need).
-		cluster.PutSlab(msg.Payload)
-		d.res.Skipped++
+		d.park(idx, msg.Payload)
 		return false, nil
 	}
-	if err := d.decodePicture(sp); err != nil {
+	if err := d.advance(sp, msg.Payload); err != nil {
 		return false, err
 	}
-	// Every piece payload (which aliases the message) has been decoded into
-	// pixels, so nothing references the slab anymore; a sender can only
-	// obtain it again through the pool, i.e. after this call.
-	cluster.PutSlab(msg.Payload)
-	d.res.Pictures++
-	b.Pictures++
-	return false, nil
+	d.drainStash()
+	// Fail-stop completes on a final that finds nothing owed (every
+	// splitter's final does come); fault masking completes as soon as the
+	// known total is reached, since a dead splitter's final may never come.
+	return d.cfg.Recovery != nil && d.doneByTotal(), nil
+}
+
+// doneByTotal reports whether every picture of the stream has been handled.
+func (d *Decoder) doneByTotal() bool {
+	return d.finalTotal >= 0 && d.nextPic >= d.finalTotal
+}
+
+// advance consumes sp, the frontier picture, whose pieces alias payload.
+func (d *Decoder) advance(sp *subpic.SubPicture, payload []byte) error {
+	d.nextPic++
+	err := d.decodePicture(sp)
+	// Every piece has been decoded into pixels (or concealed), so nothing
+	// references the slab any more; a sender can only obtain it again
+	// through the pool, i.e. after this call.
+	cluster.PutSlab(payload)
+	return err
 }
 
 // refFor maps a reference selector to a buffer index for the picture type.
@@ -256,34 +283,58 @@ func (d *Decoder) refFor(sel subpic.RefSel, picType mpeg2.PictureType) int {
 	return d.refB
 }
 
+// decodePicture runs one in-order sub-picture: exchange, decode, display
+// and reference rotation. A picture that cannot be decoded — an untrusted
+// or missing reference, a decode error — is an error under fail-stop and is
+// concealed under fault masking. The exchange halves still run before the
+// concealment: peers block on this tile's SENDs whether or not it can
+// decode, and expected RECVs must be drained to stay in step, so a
+// concealing tile ships its stale reference pixels and keeps the wall live.
 func (d *Decoder) decodePicture(sp *subpic.SubPicture) error {
+	if sp.Skipped {
+		// Subscription skip marker: the ack kept the go-ahead protocol whole
+		// and the sequence check kept ordering honest; there is nothing to
+		// decode, exchange, display or rotate (the splitter only skips
+		// pictures that feed no reference this tile will ever need).
+		d.res.Skipped++
+		return nil
+	}
 	b := &d.res.Breakdown
 	ph := &d.phScratch
 	sp.Pic.HeaderInto(ph)
+	idx := int(sp.Pic.Index)
 	ctx := &d.ctxScratch
-	if err := ctx.Init(d.cfg.Seq, ph); err != nil {
-		return err
+	bad := ctx.Init(d.cfg.Seq, ph)
+	if needed := anchorsFor(ph.PicType); bad == nil && d.validAnchors < needed {
+		bad = fmt.Errorf("tile %d: %s picture %d with %d of its %d reference anchors",
+			d.cfg.Tile, ph.PicType, idx, d.validAnchors, needed)
+	}
+	if bad != nil && d.cfg.Recovery == nil {
+		return bad
 	}
 
 	// Serve: execute SEND instructions, batched into one bundle per peer.
-	var serveErr error
-	b.Timed(metrics.PhaseServe, func() { serveErr = d.executeSends(sp, ph.PicType) })
-	if serveErr != nil {
-		return serveErr
-	}
+	b.Timed(metrics.PhaseServe, func() { d.executeSends(sp, ph.PicType) })
 
 	// Wait: drain expected RECVs into the halo of the reference windows.
 	var waitErr error
-	b.Timed(metrics.PhaseWaitMB, func() { waitErr = d.drainRecvs(sp, ph.PicType) })
+	b.Timed(metrics.PhaseWaitMB, func() { waitErr = d.drainRecvs(sp, ph.PicType, bad == nil) })
 	if waitErr != nil {
 		return waitErr
 	}
 
 	// Work: decode every piece, then display.
-	var workErr error
-	b.Timed(metrics.PhaseWork, func() { workErr = d.decodePieces(ctx, sp) })
-	if workErr != nil {
-		return workErr
+	if bad == nil {
+		b.Timed(metrics.PhaseWork, func() { bad = d.decodePieces(ctx, sp) })
+	}
+	d.res.Pictures++
+	b.Pictures++
+	if bad != nil {
+		if err := d.fault(bad); err != nil {
+			return err
+		}
+		d.concealKnown(idx, ph.PicType)
+		return nil
 	}
 
 	if !sp.NoEmit {
@@ -298,30 +349,48 @@ func (d *Decoder) decodePicture(sp *subpic.SubPicture) error {
 	// Reordering and reference management, as in the serial decoder.
 	if ph.PicType == mpeg2.PictureB {
 		if !sp.NoEmit {
-			d.emitFrame(int(sp.Pic.Index), d.bufs[d.cur])
+			d.emitFrame(idx, d.bufs[d.cur])
 		}
-	} else {
-		if d.pendingAnchor && d.pendingAnchorEmit {
-			d.emitFrame(d.pendingAnchorIdx, d.bufs[d.refB])
-		}
-		d.pendingAnchor = true
-		d.pendingAnchorEmit = !sp.NoEmit
-		d.pendingAnchorIdx = int(sp.Pic.Index)
-		// Rotate: the old refA buffer becomes the next current buffer.
-		old := d.refA
-		d.refA = d.refB
-		d.refB = d.cur
-		if old >= 0 {
-			d.cur = old
-		} else {
-			for i := 0; i < 3; i++ {
-				if i != d.refA && i != d.refB {
-					d.cur = i
-				}
-			}
-		}
+		return nil
+	}
+	d.flushPending()
+	d.pendingAnchor = true
+	d.pendingAnchorEmit = !sp.NoEmit
+	d.pendingAnchorIdx = idx
+	d.rotate()
+	if d.validAnchors < 2 {
+		d.validAnchors++
 	}
 	return nil
+}
+
+// anchorsFor is how many trustworthy reference anchors a picture type needs.
+func anchorsFor(t mpeg2.PictureType) int {
+	switch t {
+	case mpeg2.PictureP:
+		return 1
+	case mpeg2.PictureB:
+		return 2
+	}
+	return 0
+}
+
+// rotate advances the three-buffer ring after an anchor: the decoded picture
+// becomes the backward reference, the old forward reference is recycled.
+func (d *Decoder) rotate() {
+	d.cur, d.refA, d.refB = d.refA, d.refB, d.cur
+}
+
+// flushPending emits the held anchor, if any. A held NoEmit anchor —
+// decoded for reference exactness on an unwatched tile — is released
+// without display.
+func (d *Decoder) flushPending() {
+	if d.pendingAnchor {
+		if d.pendingAnchorEmit {
+			d.emitFrame(d.pendingAnchorIdx, d.bufs[d.refB])
+		}
+		d.pendingAnchor = false
+	}
 }
 
 // emitFrame hands a copy of the tile pixels to the collector. The copy comes
@@ -344,7 +413,7 @@ func marshalBundle(bb *subpic.BlockBundle) []byte {
 }
 
 // executeSends ships owed reference macroblocks, one bundle per peer.
-func (d *Decoder) executeSends(sp *subpic.SubPicture, picType mpeg2.PictureType) error {
+func (d *Decoder) executeSends(sp *subpic.SubPicture, picType mpeg2.PictureType) {
 	if d.sendBundles == nil {
 		d.sendBundles = map[int]*sendBundle{}
 	}
@@ -354,9 +423,6 @@ func (d *Decoder) executeSends(sp *subpic.SubPicture, picType mpeg2.PictureType)
 			continue
 		}
 		ref := d.refFor(in.Ref, picType)
-		if ref < 0 {
-			return fmt.Errorf("tile %d: SEND against missing reference (pic %d)", d.cfg.Tile, sp.Pic.Index)
-		}
 		if d.cfg.UnbatchedSends {
 			d.bufs[ref].ExtractMacroblock(int(in.MBX), int(in.MBY), d.xferPix[:])
 			bb := subpic.BlockBundle{
@@ -402,12 +468,16 @@ func (d *Decoder) executeSends(sp *subpic.SubPicture, picType mpeg2.PictureType)
 		bu.cells = bu.cells[:0]
 		bu.pixels = bu.pixels[:0]
 	}
-	return nil
 }
 
 // drainRecvs waits for every expected macroblock, stashing bundles from
-// decoders running one picture ahead.
-func (d *Decoder) drainRecvs(sp *subpic.SubPicture, picType mpeg2.PictureType) error {
+// decoders running ahead. Under fault masking the wait is bounded by the
+// picture deadline — or skipped when the picture is headed for concealment
+// anyway (willDecode=false: a respawned incarnation catching up through
+// replayed pictures whose peers have long moved on) — and halo macroblocks
+// that are malformed or do not arrive in time are concealed by
+// copy-from-reference: the window keeps the previous picture's pixels there.
+func (d *Decoder) drainRecvs(sp *subpic.SubPicture, picType mpeg2.PictureType, willDecode bool) error {
 	expected := 0
 	for _, in := range sp.MEI {
 		if in.Kind == subpic.MEIRecv {
@@ -417,61 +487,95 @@ func (d *Decoder) drainRecvs(sp *subpic.SubPicture, picType mpeg2.PictureType) e
 	if expected == 0 {
 		return nil
 	}
+	idx := int(sp.Pic.Index)
 	apply := func(bb *subpic.BlockBundle) error {
+		expected -= len(bb.Cells)
 		if len(bb.Pixels) != len(bb.Cells)*mpeg2.MacroblockBytes {
-			return fmt.Errorf("tile %d: malformed block bundle", d.cfg.Tile)
+			d.concealMBs(len(bb.Cells))
+			return d.fault(fmt.Errorf("tile %d: malformed block bundle", d.cfg.Tile))
 		}
 		for i, c := range bb.Cells {
-			ref := d.refFor(c.Ref, picType)
-			if ref < 0 {
-				return fmt.Errorf("tile %d: RECV into missing reference", d.cfg.Tile)
-			}
-			buf := d.bufs[ref]
+			buf := d.bufs[d.refFor(c.Ref, picType)]
 			if !buf.Contains(int(c.MBX)*16, int(c.MBY)*16, 16, 16) {
-				return fmt.Errorf("tile %d: RECV cell (%d,%d) outside halo window [%d,%d %dx%d] — increase HaloPx",
-					d.cfg.Tile, c.MBX, c.MBY, buf.X0, buf.Y0, buf.W, buf.H)
+				d.concealMBs(1)
+				if err := d.fault(fmt.Errorf("tile %d: RECV cell (%d,%d) outside halo window [%d,%d %dx%d] — increase HaloPx",
+					d.cfg.Tile, c.MBX, c.MBY, buf.X0, buf.Y0, buf.W, buf.H)); err != nil {
+					return err
+				}
+				continue
 			}
 			buf.InjectMacroblock(int(c.MBX), int(c.MBY), bb.Pixels[i*mpeg2.MacroblockBytes:(i+1)*mpeg2.MacroblockBytes])
 		}
-		expected -= len(bb.Cells)
 		return nil
 	}
-	// First serve the stash.
+	// First serve the stash; bundles of pictures already handled are stale.
 	keep := d.stash[:0]
 	for _, bb := range d.stash {
-		if int(bb.PicIndex) == int(sp.Pic.Index) {
+		switch {
+		case int(bb.PicIndex) == idx:
 			if err := apply(bb); err != nil {
 				return err
 			}
-		} else {
+		case int(bb.PicIndex) > idx:
 			keep = append(keep, bb)
 		}
 	}
 	d.stash = keep
+	var deadline time.Duration // zero: fail-stop blocks
+	if d.cfg.Recovery != nil {
+		deadline = d.cfg.Recovery.Cfg.PictureDeadline
+	}
 	for expected > 0 {
-		msg := d.node.Recv(cluster.MsgBlocks)
+		var msg *cluster.Message
+		if willDecode {
+			var timedOut bool
+			if msg, timedOut = cluster.RecvWithin(d.node, cluster.MsgBlocks, deadline); timedOut {
+				d.concealMBs(expected)
+				return nil
+			}
+		} else if m, got := d.node.TryRecv(cluster.MsgBlocks); got {
+			msg = m
+		} else {
+			d.concealMBs(expected)
+			return nil
+		}
 		if msg == nil {
-			return fmt.Errorf("tile %d: fabric aborted while waiting for reference macroblocks", d.cfg.Tile)
+			// Under fault masking the next sub-picture receive reports the
+			// abort.
+			return d.fault(fmt.Errorf("tile %d: fabric aborted while waiting for reference macroblocks", d.cfg.Tile))
 		}
 		bb := &d.bbScratch
 		if err := subpic.UnmarshalBlocksInto(bb, msg.Payload); err != nil {
-			return err
-		}
-		switch {
-		case int(bb.PicIndex) == int(sp.Pic.Index):
-			if err := apply(bb); err != nil {
+			cluster.PutSlab(msg.Payload)
+			if err := d.fault(err); err != nil {
 				return err
 			}
+			continue
+		}
+		switch bi := int(bb.PicIndex); {
+		case bi == idx:
+			err := apply(bb)
 			// Pixels were injected into the halo above; the payload they
 			// alias can go back to the pool.
 			cluster.PutSlab(msg.Payload)
-		case int(bb.PicIndex) == int(sp.Pic.Index)+1:
-			// The stash outlives this call, so detach it from the scratch
-			// bundle; its pixels keep aliasing the (unreleased) payload.
+			if err != nil {
+				return err
+			}
+		case bi == idx+1, bi > idx && d.cfg.Recovery != nil:
+			// A peer running ahead (by one picture under fail-stop; replays
+			// skew peers further under fault masking). The stash outlives
+			// this call, so detach it from the scratch bundle; its pixels
+			// keep aliasing the payload, which is left to the garbage
+			// collector once applied — ahead-bundles are rare.
 			d.stash = append(d.stash, detach(bb))
 		default:
-			return fmt.Errorf("tile %d: block bundle for picture %d while decoding %d (sync broken)",
-				d.cfg.Tile, bb.PicIndex, sp.Pic.Index)
+			// A stale bundle (a replayed picture's) or one too far ahead:
+			// this decoder is its only consumer, so the payload is done.
+			cluster.PutSlab(msg.Payload)
+			if err := d.fault(fmt.Errorf("tile %d: block bundle for picture %d while decoding %d (sync broken)",
+				d.cfg.Tile, bi, idx)); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -496,14 +600,8 @@ func (d *Decoder) decodePieces(ctx *mpeg2.PictureContext, sp *subpic.SubPicture)
 	var fwd, bwd *mpeg2.PixelBuf
 	switch picType {
 	case mpeg2.PictureP:
-		if d.refB < 0 {
-			return fmt.Errorf("tile %d: P picture before any anchor", d.cfg.Tile)
-		}
 		fwd = d.bufs[d.refB]
 	case mpeg2.PictureB:
-		if d.refA < 0 || d.refB < 0 {
-			return fmt.Errorf("tile %d: B picture without two anchors", d.cfg.Tile)
-		}
 		fwd, bwd = d.bufs[d.refA], d.bufs[d.refB]
 	}
 

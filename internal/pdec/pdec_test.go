@@ -9,12 +9,11 @@ import (
 	"tiledwall/internal/wall"
 )
 
-
-// step receives one sub-picture and dispatches it through the strict
-// protocol path, standing in for the deleted batch Step loop in these
-// single-decoder protocol tests.
+// step receives one sub-picture and dispatches it through the fail-stop
+// protocol (one splitter), standing in for the deleted batch Step loop in
+// these single-decoder protocol tests.
 func step(d *Decoder) (bool, error) {
-	return d.HandleSubPicture(d.node.Recv(cluster.MsgSubPicture))
+	return d.HandleSubPicture(d.node.Recv(cluster.MsgSubPicture), 1)
 }
 
 func TestHaloForFCode(t *testing.T) {

@@ -34,11 +34,11 @@ type ServeConfig struct {
 	// this tile, before the drain ack is sent to the root.
 	OnResult func(session, tile int, res *Result)
 
-	// Recovery, when non-nil, switches the server to the fault-masking
-	// protocol: per-session decoders run in recovery mode (gap and tail
-	// concealment instead of ordering aborts), leases are renewed per
-	// message, chaos kills surface as recovery.ErrKilled for the supervisor,
-	// and a respawned incarnation re-joins its sessions from Resume.
+	// Recovery, when non-nil, switches the server's protocol path to fault
+	// masking: per-session decoders conceal gaps and tails instead of
+	// aborting on ordering faults, leases are renewed per message, chaos
+	// kills surface as recovery.ErrKilled for the supervisor, and a
+	// respawned incarnation re-joins its sessions from Resume.
 	Recovery *ServeRecovery
 }
 
@@ -56,7 +56,7 @@ type ServeRecovery struct {
 	OnOpen func(session int, header []byte)
 	// NumSplitters is how many session-final markers a session needs before
 	// its tail can be concealed: one per second-level splitter (or one from
-	// the combined root when K=0).
+	// the root's own splitting stage when K=0).
 	NumSplitters int
 	// Resume lists the sessions a respawned incarnation must re-join.
 	Resume []ResumeSession
@@ -180,8 +180,11 @@ func (s *sessionNet) Done() <-chan struct{} { return s.srv.port.Done() }
 
 // Serve runs the resident tile-decoder loop until a FlagShutdown message
 // arrives (clean exit) or the transport aborts. Per-session protocol state is
-// exactly the batch decoder's — a fresh Decoder per session — so a single
-// session through Serve is byte-identical to a batch Run.
+// a fresh Decoder per session. With Recovery wired the same loop re-joins
+// resumed sessions, renews the incarnation's lease on every receive, honours
+// the chaos plan and sweeps reorder holes; unknown sessions and undecodable
+// opens are then skipped, never fatal — a broken session must not take the
+// wall down.
 func Serve(port cluster.Port, cfg ServeConfig) error {
 	srv := &server{
 		cfg:      cfg,
@@ -189,14 +192,37 @@ func Serve(port cluster.Port, cfg ServeConfig) error {
 		sessions: map[int]*Decoder{},
 		pending:  map[int][]*cluster.Message{},
 	}
-	if cfg.Recovery != nil {
-		srv.cfg.Recovery.Cfg = cfg.Recovery.Cfg.WithDefaults()
-		return srv.serveRecover()
+	rh := cfg.Recovery
+	// tick is zero under fail-stop, which blocks in Recv. Fault masking
+	// receives in deadline-granularity ticks so reorder holes are swept even
+	// while the port is idle (the hole's successors may be the only traffic
+	// a session will ever see again).
+	var tick time.Duration
+	numFinals := 0
+	if rh != nil {
+		srv.cfg.Recovery.Cfg = rh.Cfg.WithDefaults()
+		tick = max(srv.cfg.Recovery.Cfg.PictureDeadline/2, time.Millisecond)
+		numFinals = rh.NumSplitters
+		for _, rs := range rh.Resume {
+			if err := srv.open(&cluster.Message{Session: rs.ID, Payload: rs.Header}); err != nil {
+				continue // undecodable header: the session fails upstream
+			}
+			srv.sessions[rs.ID].ResumeAt(rs.NextPic, rs.Holes)
+		}
 	}
 	for {
+		if rh != nil {
+			srv.sweepDeadlines()
+		}
 		t0 := time.Now()
-		msg := port.Recv(cluster.MsgSubPicture)
+		msg, timedOut := cluster.RecvWithin(port, cluster.MsgSubPicture, tick)
 		wait := time.Since(t0)
+		if rh != nil && rh.Lease != nil {
+			rh.Lease.Renew()
+		}
+		if timedOut {
+			continue
+		}
 		if msg == nil {
 			return fmt.Errorf("tile %d: fabric aborted", cfg.Tile)
 		}
@@ -204,7 +230,7 @@ func Serve(port cluster.Port, cfg ServeConfig) error {
 		case msg.Flags&cluster.FlagShutdown != 0:
 			return nil
 		case msg.Flags&cluster.FlagSessionOpen != 0:
-			if err := srv.open(msg); err != nil {
+			if err := srv.open(msg); err != nil && rh == nil {
 				return err
 			}
 		default:
@@ -214,19 +240,27 @@ func Serve(port cluster.Port, cfg ServeConfig) error {
 				// pictures owed; the other splitters' Finals trail in after
 				// the state is gone. (A Final cannot precede its session's
 				// open: every splitter forwards the open before anything
-				// else, and sender order is preserved.)
-				if msg.Flags&cluster.FlagSessionFinal != 0 {
-					// Final markers are marshalled per destination; this
-					// tile is the payload's only consumer.
-					cluster.PutSlab(msg.Payload)
+				// else, and sender order is preserved.) Under fault masking
+				// the state may also be gone past the restart budget. Either
+				// way the payload — marshalled for this tile alone — has no
+				// consumer left.
+				cluster.PutSlab(msg.Payload)
+				if msg.Flags&cluster.FlagSessionFinal != 0 || rh != nil {
 					continue
 				}
 				return fmt.Errorf("tile %d: picture for unknown session %d", cfg.Tile, msg.Session)
 			}
+			// Injected crash before the dispatch (and thus before the ack):
+			// the sub-picture is consumed but unacknowledged, the hardest
+			// loss for the upstream credit ledger.
+			if rh != nil && msg.Flags&(cluster.FlagSessionFinal|cluster.FlagReplay) == 0 &&
+				rh.Chaos.DecoderDies(cfg.Tile, msg.Seq) {
+				return recovery.ErrKilled
+			}
 			// The receive wait belongs to the session whose message ended it
 			// (batch attribution, per stream).
 			d.Breakdown().Add(metrics.PhaseReceive, wait)
-			done, err := d.HandleSubPicture(msg)
+			done, err := d.HandleSubPicture(msg, numFinals)
 			if err != nil {
 				return err
 			}
@@ -275,79 +309,10 @@ func (srv *server) open(msg *cluster.Message) error {
 		// The chaos plan stays with the serve loop (kills are injected before
 		// dispatch); per-session decoders only need the tuning, the lease and
 		// the session's intervention counters.
-		dcfg.Recovery = &recovery.DecoderHooks{
-			Hooks: recovery.Hooks{Cfg: rh.Cfg, Lease: rh.Lease, Rec: rh.Rec(msg.Session)},
-		}
+		dcfg.Recovery = &recovery.Hooks{Cfg: rh.Cfg, Lease: rh.Lease, Rec: rh.Rec(msg.Session)}
 	}
 	srv.sessions[msg.Session] = NewDecoder(&sessionNet{srv: srv, session: msg.Session}, dcfg)
 	return nil
-}
-
-// serveRecover is the fault-masking serve loop: it re-joins resumed sessions,
-// renews the incarnation's lease on every message, honours the chaos plan,
-// and dispatches data through the tolerant HandleSubPictureRecover path.
-// Unknown sessions and undecodable opens are skipped, never fatal — a broken
-// session must not take the wall down.
-func (srv *server) serveRecover() error {
-	rh := srv.cfg.Recovery
-	for _, rs := range rh.Resume {
-		if err := srv.open(&cluster.Message{Session: rs.ID, Payload: rs.Header}); err != nil {
-			continue // undecodable header: the session fails upstream
-		}
-		srv.sessions[rs.ID].ResumeAt(rs.NextPic, rs.Holes)
-	}
-	// Receive in deadline-granularity ticks so reorder holes are swept even
-	// while the port is idle (the hole's successors may be the only traffic a
-	// session will ever see again).
-	tick := rh.Cfg.PictureDeadline / 2
-	if tick <= 0 {
-		tick = 50 * time.Millisecond
-	}
-	for {
-		srv.sweepDeadlines()
-		t0 := time.Now()
-		msg, timedOut := srv.port.RecvTimeout(cluster.MsgSubPicture, tick)
-		wait := time.Since(t0)
-		if rh.Lease != nil {
-			rh.Lease.Renew()
-		}
-		if timedOut {
-			continue
-		}
-		if msg == nil {
-			return fmt.Errorf("tile %d: fabric aborted", srv.cfg.Tile)
-		}
-		switch {
-		case msg.Flags&cluster.FlagShutdown != 0:
-			return nil
-		case msg.Flags&cluster.FlagSessionOpen != 0:
-			_ = srv.open(msg)
-		default:
-			d := srv.sessions[msg.Session]
-			if d == nil {
-				// Completed session's trailing finals, or state lost past the
-				// restart budget; either way the payload — marshalled for this
-				// tile alone — has no consumer left.
-				cluster.PutSlab(msg.Payload)
-				continue
-			}
-			// Injected crash before the dispatch (and thus before the ack):
-			// the sub-picture is consumed but unacknowledged, the hardest
-			// loss for the upstream credit ledger.
-			if msg.Flags&(cluster.FlagSessionFinal|cluster.FlagReplay) == 0 &&
-				rh.Chaos.DecoderDies(srv.cfg.Tile, msg.Seq) {
-				return recovery.ErrKilled
-			}
-			d.Breakdown().Add(metrics.PhaseReceive, wait)
-			done, err := d.HandleSubPictureRecover(msg, rh.NumSplitters)
-			if err != nil {
-				return err
-			}
-			if done {
-				srv.finish(msg.Session, d)
-			}
-		}
-	}
 }
 
 // sweepDeadlines runs the per-picture deadline over every session's reorder

@@ -4,15 +4,14 @@ import (
 	"tiledwall/internal/metrics"
 )
 
-// Hooks is the recovery wiring every supervised worker receives: its tuned
-// configuration, the lease it must renew, the run-wide counters, and the
-// chaos plan (inert for respawned incarnations — each injected kill fires
-// once).
+// Hooks is the recovery wiring of one tile decoder incarnation: its tuned
+// configuration, the lease it must renew, and the counters its
+// interventions are charged to. The chaos plan is not here: kills are
+// injected by the serve loops, which carry it on their serve configs.
 type Hooks struct {
 	Cfg   Config
 	Lease *Lease
 	Rec   *metrics.Recovery
-	Chaos ChaosPlan
 }
 
 // Renew renews the lease, if any (nil-safe for unsupervised use).
@@ -20,12 +19,4 @@ func (h *Hooks) Renew() {
 	if h != nil && h.Lease != nil {
 		h.Lease.Renew()
 	}
-}
-
-// DecoderHooks wires one tile decoder incarnation. A respawned incarnation
-// resumes at its emission frontier (pdec.Decoder.ResumeAt) and starts in
-// concealment until an I picture re-anchors it; the resume state rides on
-// the serve layer (pdec.ServeRecovery), not here.
-type DecoderHooks struct {
-	Hooks
 }

@@ -37,7 +37,8 @@ var ErrKilled = errors.New("recovery: node killed (injected fault)")
 // Config tunes the recovery layer. The zero value disables it entirely,
 // preserving PR 1's fail-stop behaviour.
 type Config struct {
-	// Enabled turns on the reliable endpoints, supervision and concealment.
+	// Enabled turns on supervision, picture retention and replay, bounded
+	// waits and concealment.
 	Enabled bool
 
 	// LeaseInterval is the heartbeat period: workers renew their lease at

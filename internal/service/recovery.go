@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"tiledwall/internal/cluster"
 	"tiledwall/internal/metrics"
 	"tiledwall/internal/pdec"
 	"tiledwall/internal/recovery"
@@ -294,40 +293,29 @@ func (w *Wall) NoteLink(node int, up bool) {
 	}
 }
 
-// runSplitterSupervised runs incarnations of one local splitter server until
-// clean shutdown, a fatal error, or an exhausted restart budget (the node
-// then stays dead and its sessions end through concealment and drain
-// timeouts — never a wall abort).
-func (w *Wall) runSplitterSupervised(i int) {
+// supervise runs incarnations of the local node server id until clean
+// shutdown or a fatal error, which aborts the wall. Without recovery that is
+// the one incarnation, with no lease and no respawn. With recovery an
+// injected kill parks the node until the supervisor sees its lease expire
+// and grants a respawn; respawned then prepares the next incarnation (false
+// when the wall is unwinding). An exhausted restart budget leaves the node
+// dead: its sessions end through concealment and drain timeouts — never a
+// wall abort.
+func (w *Wall) supervise(id int, serve func(lease *recovery.Lease, chaos recovery.ChaosPlan) error, respawned func() bool) {
 	rv := w.rv
-	id := w.splitterIDs[i]
-	lease := recovery.NewLease()
-	rv.sup.Watch(id, lease)
-	chaos := rv.chaos
-	var resume []splitter.ResumeSession
+	var lease *recovery.Lease
+	var chaos recovery.ChaosPlan
+	if rv != nil {
+		lease = recovery.NewLease()
+		rv.sup.Watch(id, lease)
+		chaos = rv.chaos
+	}
 	for {
-		err := splitter.ServeSecond(w.tr.Port(id), splitter.ServeConfig{
-			Index:        i,
-			M:            w.cfg.M,
-			N:            w.cfg.N,
-			Overlap:      w.cfg.Overlap,
-			DecoderNodes: w.decoderIDs,
-			RootNode:     0,
-			SplitWorkers: w.cfg.SplitWorkers,
-			OnResult:     w.onSecondResult,
-			Recovery: &splitter.ServeRecovery{
-				Cfg:    rv.cfg,
-				Lease:  lease,
-				Chaos:  chaos,
-				Rec:    rv.recFor,
-				OnOpen: rv.noteOpen,
-				Resume: resume,
-			},
-		})
+		err := serve(lease, chaos)
 		if err == nil {
 			return
 		}
-		if !errors.Is(err, recovery.ErrKilled) {
+		if rv == nil || !errors.Is(err, recovery.ErrKilled) {
 			w.tr.Abort(err)
 			return
 		}
@@ -336,33 +324,98 @@ func (w *Wall) runSplitterSupervised(i int) {
 			return // budget exhausted or wall unwinding; node stays down
 		}
 		chaos = recovery.ChaosPlan{} // each injected kill fires once
-		resume = rv.splitterResume()
-		if w.hasRoot {
-			// Ask the root to replay this splitter's unacked pictures; the
-			// new incarnation deduplicates overlap with its surviving queue.
-			select {
-			case rv.respawn <- i:
-			case <-w.tr.Done():
-				return
-			}
+		if !respawned() {
+			return
 		}
 		rv.nodeUp()
 	}
 }
 
-// runDecoderSupervised is runSplitterSupervised for one local tile decoder.
-// Respawned decoders are not replayed to: they resume at their emission
-// frontier and conceal forward until an I picture re-anchors the chain.
-func (w *Wall) runDecoderSupervised(t int) {
-	rv := w.rv
+// runSplitter runs local splitter i. A respawned incarnation re-joins the
+// registry's sessions, and the root replays its predecessor's unacked
+// pictures.
+func (w *Wall) runSplitter(i int) {
+	id := w.splitterIDs[i]
+	var resume []splitter.ResumeSession
+	w.supervise(id, func(lease *recovery.Lease, chaos recovery.ChaosPlan) error {
+		return splitter.ServeSecond(w.tr.Port(id), w.splitterServeCfg(i, lease, chaos, resume))
+	}, func() bool {
+		resume = w.rv.splitterResume()
+		if w.hasRoot {
+			// Ask the root to replay this splitter's unacked pictures; the
+			// new incarnation deduplicates overlap with its surviving queue.
+			select {
+			case w.rv.respawn <- i:
+			case <-w.tr.Done():
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// runDecoder runs local tile decoder t. Respawned decoders are not replayed
+// to: they resume at their emission frontier and conceal forward until an I
+// picture re-anchors the chain.
+func (w *Wall) runDecoder(t int) {
 	id := w.decoderIDs[t]
-	lease := recovery.NewLease()
-	rv.sup.Watch(id, lease)
-	chaos := rv.chaos
 	var resume []pdec.ResumeSession
-	for {
-		scfg := w.decoderServeCfg(t)
-		scfg.Recovery = &pdec.ServeRecovery{
+	w.supervise(id, func(lease *recovery.Lease, chaos recovery.ChaosPlan) error {
+		return pdec.Serve(w.tr.Port(id), w.decoderServeCfg(t, lease, chaos, resume))
+	}, func() bool {
+		resume = w.rv.decoderResume(t)
+		return true
+	})
+}
+
+// splitterServeCfg builds splitter i's serve configuration — also the
+// root's own splitting stage on a one-level wall. With recovery it carries
+// the incarnation's lease, chaos plan and resumed sessions.
+func (w *Wall) splitterServeCfg(i int, lease *recovery.Lease, chaos recovery.ChaosPlan, resume []splitter.ResumeSession) splitter.ServeConfig {
+	cfg := splitter.ServeConfig{
+		Index:        i,
+		M:            w.cfg.M,
+		N:            w.cfg.N,
+		Overlap:      w.cfg.Overlap,
+		DecoderNodes: w.decoderIDs,
+		RootNode:     0,
+		SplitWorkers: w.cfg.SplitWorkers,
+		OnResult:     w.onSecondResult,
+	}
+	if rv := w.rv; rv != nil {
+		cfg.Recovery = &splitter.ServeRecovery{
+			Cfg:    rv.cfg,
+			Lease:  lease,
+			Chaos:  chaos,
+			Rec:    rv.recFor,
+			OnOpen: rv.noteOpen,
+			Resume: resume,
+		}
+	}
+	return cfg
+}
+
+// decoderServeCfg builds tile decoder t's serve configuration, with the
+// incarnation's recovery wiring as for splitterServeCfg.
+func (w *Wall) decoderServeCfg(t int, lease *recovery.Lease, chaos recovery.ChaosPlan, resume []pdec.ResumeSession) pdec.ServeConfig {
+	cfg := pdec.ServeConfig{
+		Tile:           t,
+		M:              w.cfg.M,
+		N:              w.cfg.N,
+		Overlap:        w.cfg.Overlap,
+		MaxFCode:       w.cfg.MaxFCode,
+		TileNode:       func(tile int) int { return w.decoderIDs[tile] },
+		RootNode:       0,
+		UnbatchedSends: w.cfg.UnbatchedExchange,
+		OnResult:       w.onDecoderResult,
+	}
+	// Recovery always observes emissions: the registry's per-tile frontier
+	// is what a respawned decoder resumes from.
+	if w.cfg.CollectFrames || w.cfg.OnTileFrame != nil || w.rv != nil {
+		cfg.OnFrame = w.onFrame
+	}
+	if rv := w.rv; rv != nil {
+		cfg.Recovery = &pdec.ServeRecovery{
 			Cfg:          rv.cfg,
 			Lease:        lease,
 			Chaos:        chaos,
@@ -371,43 +424,20 @@ func (w *Wall) runDecoderSupervised(t int) {
 			NumSplitters: maxInt(1, w.cfg.K),
 			Resume:       resume,
 		}
-		err := pdec.Serve(w.tr.Port(id), scfg)
-		if err == nil {
-			return
-		}
-		if !errors.Is(err, recovery.ErrKilled) {
-			w.tr.Abort(err)
-			return
-		}
-		rv.nodeDown()
-		if _, ok := rv.sup.AwaitRespawn(id, w.tr.Done()); !ok {
-			return
-		}
-		chaos = recovery.ChaosPlan{}
-		resume = rv.decoderResume(t)
-		rv.nodeUp()
 	}
+	return cfg
 }
 
 // failSession fails one session in isolation (root goroutine only): the
-// feeder unblocks with a typed error, and a zero-total session final sweeps
-// the session's state out of every node server.
-func (w *Wall) failSession(byID map[int]*Session, port cluster.Port, session int, cause string) {
+// feeder unblocks with a typed error, and a zero-total session final (sent
+// with final, unretained) sweeps the session's state out of every node
+// server.
+func (w *Wall) failSession(byID map[int]*Session, session int, cause string, final func(session, total int, retain bool)) {
 	s := byID[session]
 	if s == nil {
 		return
 	}
 	delete(byID, session)
 	s.fail(fmt.Errorf("%w: session %q: %s", ErrSessionFailed, s.name, cause))
-	if w.cfg.K > 0 {
-		for _, id := range w.splitterIDs {
-			port.Send(id, &cluster.Message{
-				Kind:    cluster.MsgPicture,
-				Seq:     -1,
-				Tag:     0,
-				Flags:   cluster.FlagSessionFinal,
-				Session: session,
-			})
-		}
-	}
+	final(session, 0, false)
 }

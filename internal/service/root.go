@@ -5,10 +5,9 @@ import (
 	"time"
 
 	"tiledwall/internal/cluster"
-	"tiledwall/internal/metrics"
 	"tiledwall/internal/mpeg2"
+	"tiledwall/internal/recovery"
 	"tiledwall/internal/splitter"
-	"tiledwall/internal/subpic"
 )
 
 // picTypeOf peeks a picture unit's coding type without parsing: the unit
@@ -76,11 +75,11 @@ func hasSubState(s *Session) bool {
 // runRoot is the resident root: it serialises every session's pictures into
 // one global order on the batch credit protocol, so the ANID/NSID chain —
 // and its deadlock-freedom — is exactly the single-stream pipeline's. The
-// session id is routing state only.
+// session id is routing state only. A one-level wall (k = 0) runs the same
+// loop; it differs only in where opens, subscriptions, pictures and finals
+// go: into the root's own splitting stage, which splits for the decoders
+// and gates on their go-aheads, instead of out to the splitters.
 func (w *Wall) runRoot() error {
-	if w.cfg.K == 0 {
-		return w.runRootCombined()
-	}
 	port := w.tr.Port(0)
 	k := w.cfg.K
 	rv := w.rv
@@ -101,25 +100,57 @@ func (w *Wall) runRoot() error {
 			credits[i]++
 		}
 	}
-	onAck := func(m *cluster.Message) {
-		if m.Seq == cluster.DrainAckSeq {
-			w.drainAck(byID, m, drainTarget)
+	// local is the root's own splitting stage on a one-level wall, nil
+	// otherwise.
+	var local *splitter.Stage
+	// final ends a session downstream with its shipped-picture total.
+	// Finals to splitters are retained under recovery when retain is set: a
+	// splitter that dies between receiving and forwarding one would
+	// otherwise hang the session's drain.
+	final := func(session, total int, retain bool) {
+		if local != nil {
+			local.Final(session, total)
 			return
 		}
-		if rv != nil && m.Seq == cluster.SessionFailSeq {
+		for i, id := range w.splitterIDs {
+			if retain && rv != nil {
+				rv.picRet.Retain(session, i, -1, total, cluster.FlagSessionFinal, nil)
+			}
+			port.Send(id, &cluster.Message{
+				Kind:    cluster.MsgPicture,
+				Seq:     -1,
+				Tag:     total,
+				Flags:   cluster.FlagSessionFinal,
+				Session: session,
+			})
+		}
+	}
+	onAck := func(m *cluster.Message) {
+		switch {
+		case m.Seq == cluster.DrainAckSeq:
+			w.drainAck(byID, m, drainTarget)
+		case rv != nil && m.Seq == cluster.SessionFailSeq:
 			// A splitter declared this session's stream undecodable: fail it
 			// alone, keep the wall running.
-			w.failSession(byID, port, m.Session, string(m.Payload))
-			return
+			w.failSession(byID, m.Session, string(m.Payload), final)
+		case local != nil:
+			// A decoder's go-ahead, banked for the next gate.
+			local.Bank()
+		default:
+			credit(nodeIdx[m.From])
+			if rv != nil {
+				rv.picRet.Ack(m.Session, nodeIdx[m.From], m.Seq)
+			}
+			// A splitter's receipt ack frees one of the session's in-flight
+			// slots.
+			if s := byID[m.Session]; s != nil {
+				s.releaseToken()
+			}
 		}
-		credit(nodeIdx[m.From])
-		if rv != nil {
-			rv.picRet.Ack(m.Session, nodeIdx[m.From], m.Seq)
-		}
-		// A splitter's receipt ack frees one of the session's in-flight slots.
-		if s := byID[m.Session]; s != nil {
-			s.releaseToken()
-		}
+	}
+	if k == 0 {
+		local = splitter.NewStage(port, w.splitterServeCfg(0, nil, recovery.ChaosPlan{}, nil), onAck)
+		defer local.Close()
 	}
 	// takeAck waits for a splitter ack; under recovery the wait is bounded
 	// by the picture deadline — a dead splitter's receipt ack never comes —
@@ -127,25 +158,21 @@ func (w *Wall) runRoot() error {
 	// retained (unacked) picture's feed token is released so no feeder hangs
 	// on a dead node.
 	takeAck := func(a int) error {
+		var deadline time.Duration // zero: fail-stop blocks
 		if rv != nil {
-			m, timedOut := port.RecvTimeout(cluster.MsgAck, rv.cfg.PictureDeadline)
-			if timedOut {
-				rv.rec.AddAckTimeout()
-				credit(a)
-				if sess, ok := rv.picRet.OldestSession(a); ok {
-					if s := byID[sess]; s != nil {
-						s.releaseToken()
-					}
+			deadline = rv.cfg.PictureDeadline
+		}
+		m, timedOut := cluster.RecvWithin(port, cluster.MsgAck, deadline)
+		if timedOut {
+			rv.rec.AddAckTimeout()
+			credit(a)
+			if sess, ok := rv.picRet.OldestSession(a); ok {
+				if s := byID[sess]; s != nil {
+					s.releaseToken()
 				}
-				return nil
 			}
-			if m == nil {
-				return fmt.Errorf("service: root aborted while waiting for splitter ack")
-			}
-			onAck(m)
 			return nil
 		}
-		m := port.Recv(cluster.MsgAck)
 		if m == nil {
 			return fmt.Errorf("service: root aborted while waiting for splitter ack")
 		}
@@ -173,7 +200,10 @@ func (w *Wall) runRoot() error {
 	// The assignee of the next picture is fixed before the current one ships
 	// (NSID), and survives session boundaries: the global picture order does
 	// not restart per stream.
-	a := choose()
+	var a int
+	if k > 0 {
+		a = choose()
+	}
 	shipped := false
 	emit := func(it workItem) error {
 		s := it.sess
@@ -184,18 +214,22 @@ func (w *Wall) runRoot() error {
 		}
 		pt := picTypeOf(it.payload)
 		if pt == mpeg2.PictureI && activateSub(s) {
-			// Broadcast the new subscription to every splitter immediately
-			// before the activating I picture; per-sender FIFO makes every
-			// splitter switch at the same picture boundary. Control-only: no
-			// ack, no credit, no retention (respawn re-broadcasts instead).
-			payload := subControlPayload(s)
-			for _, id := range w.splitterIDs {
-				port.Send(id, &cluster.Message{
-					Kind:    cluster.MsgPicture,
-					Flags:   cluster.FlagSubscribe,
-					Session: s.id,
-					Payload: payload,
-				})
+			// Deliver the new subscription immediately before the activating
+			// I picture; per-sender FIFO makes every splitter switch at the
+			// same picture boundary. Control-only: no ack, no credit, no
+			// retention (respawn re-broadcasts instead).
+			if local != nil {
+				local.Subscribe(s.id, s.rootTrick, s.rootSub)
+			} else {
+				payload := subControlPayload(s)
+				for _, id := range w.splitterIDs {
+					port.Send(id, &cluster.Message{
+						Kind:    cluster.MsgPicture,
+						Flags:   cluster.FlagSubscribe,
+						Session: s.id,
+						Payload: payload,
+					})
+				}
 			}
 		}
 		if trickDrops(s.rootTrick, pt) {
@@ -210,7 +244,33 @@ func (w *Wall) runRoot() error {
 		// (per-session Seq, decoder index checks, the final's total) never
 		// sees gaps from trick-play drops.
 		sIdx := s.shippedPics
-		s.shippedPics++
+		var flags uint8
+		if !shipped {
+			// Only the wall's globally first picture exempts its splitter
+			// from the decoder-ack gate (the batch "very first picture").
+			flags = cluster.FlagFirstPicture
+		}
+		if local != nil {
+			// The root splits here; the picture's feed slot frees once its
+			// sub-pictures have shipped (or it failed to split).
+			err := local.Picture(&cluster.Message{
+				Seq:     sIdx,
+				Tag:     port.ID(),
+				Flags:   flags,
+				Session: s.id,
+				Payload: it.payload,
+			})
+			if _, corrupt := err.(*splitter.SplitError); corrupt && rv != nil {
+				w.failSession(byID, s.id, err.Error(), final)
+			} else if err != nil {
+				return err
+			} else {
+				shipped = true
+				s.shippedPics++
+			}
+			s.releaseToken()
+			return nil
+		}
 		t0 := time.Now()
 		for credits[a] == 0 {
 			if err := takeAck(a); err != nil {
@@ -231,13 +291,8 @@ func (w *Wall) runRoot() error {
 		next := choose()
 
 		t0 = time.Now()
-		var flags uint8
-		if !shipped {
-			// Only the wall's globally first picture exempts its splitter
-			// from the decoder-ack gate (the batch "very first picture").
-			flags = cluster.FlagFirstPicture
-			shipped = true
-		}
+		shipped = true
+		s.shippedPics++
 		if rv != nil {
 			// Retain until the assignee acks receipt; a respawned splitter
 			// gets everything its predecessor consumed without finishing.
@@ -304,6 +359,11 @@ func (w *Wall) runRoot() error {
 				return nil
 			case workOpen:
 				byID[it.sess.id] = it.sess
+				if local != nil {
+					if err := local.Open(it.sess.id, it.payload); err != nil {
+						return err
+					}
+				}
 				for _, id := range w.splitterIDs {
 					port.Send(id, &cluster.Message{
 						Kind:    cluster.MsgPicture,
@@ -323,22 +383,7 @@ func (w *Wall) runRoot() error {
 				// The total counts shipped pictures, not fed ones: trick-play
 				// drops must not make decoders wait for pictures that never
 				// existed downstream.
-				total := it.sess.shippedPics
-				for i, id := range w.splitterIDs {
-					if rv != nil {
-						// Finals are retained too: a splitter that dies
-						// between receiving and forwarding one would
-						// otherwise hang the session's drain.
-						rv.picRet.Retain(it.sess.id, i, -1, total, cluster.FlagSessionFinal, nil)
-					}
-					port.Send(id, &cluster.Message{
-						Kind:    cluster.MsgPicture,
-						Seq:     -1,
-						Tag:     total, // session shipped-picture total
-						Flags:   cluster.FlagSessionFinal,
-						Session: it.sess.id,
-					})
-				}
+				final(it.sess.id, it.sess.shippedPics, true)
 			}
 		case <-w.tr.Done():
 			return w.tr.AbortCause()
@@ -374,218 +419,5 @@ func (w *Wall) broadcastShutdown(port cluster.Port) {
 	}
 	for _, id := range w.decoderIDs {
 		port.Send(id, &cluster.Message{Kind: cluster.MsgSubPicture, Flags: cluster.FlagShutdown})
-	}
-}
-
-// combinedSession is a session's splitter-side state on a one-level wall,
-// where the root is also the (single) macroblock splitter.
-type combinedSession struct {
-	ms  *splitter.MBSplitter
-	res *splitter.SecondResult
-	roi splitter.ROIScratch
-}
-
-// runRootCombined is the K=0 root: the combined splitter of the batch
-// one-level pipeline, made session-aware. Decoder go-ahead acks arriving
-// between pictures are banked for the next gate.
-func (w *Wall) runRootCombined() error {
-	port := w.tr.Port(0)
-	nd := len(w.decoderIDs)
-	rv := w.rv
-	byID := map[int]*Session{}
-	sessions := map[int]*combinedSession{}
-	banked := 0
-	shipped := false
-
-	onAck := func(m *cluster.Message) {
-		if m.Seq == cluster.DrainAckSeq {
-			w.drainAck(byID, m, nd)
-			return
-		}
-		banked++
-	}
-	gate := func(b *metrics.Breakdown) error {
-		aborted := false
-		b.Timed(metrics.PhaseWaitMB, func() {
-			for banked < nd {
-				if rv != nil {
-					// A dead decoder's go-ahead never comes: bound the wait
-					// and move on — the respawned decoder catches up through
-					// its queue and gap concealment.
-					m, timedOut := port.RecvTimeout(cluster.MsgAck, rv.cfg.PictureDeadline)
-					if timedOut {
-						rv.rec.AddAckTimeout()
-						banked = nd
-						break
-					}
-					if m == nil {
-						aborted = true
-						return
-					}
-					onAck(m)
-					continue
-				}
-				m := port.Recv(cluster.MsgAck)
-				if m == nil {
-					aborted = true
-					return
-				}
-				onAck(m)
-			}
-		})
-		if aborted {
-			return fmt.Errorf("service: fabric aborted while waiting for decoder acks")
-		}
-		banked -= nd
-		return nil
-	}
-	// failCombined fails one session in isolation: the feeder gets a typed
-	// error, and a final sized to what already shipped lets every decoder
-	// finish and drop the session's state.
-	failCombined := func(s *Session, cs *combinedSession, shippedPics int, cause error) {
-		delete(byID, s.id)
-		delete(sessions, s.id)
-		s.fail(fmt.Errorf("%w: session %q: %v", ErrSessionFailed, s.name, cause))
-		for _, id := range w.decoderIDs {
-			sp := &subpic.SubPicture{Final: true}
-			sp.Pic.Index = int32(shippedPics)
-			port.Send(id, &cluster.Message{
-				Kind:    cluster.MsgSubPicture,
-				Seq:     -1,
-				Tag:     port.ID(),
-				Flags:   cluster.FlagSessionFinal,
-				Session: s.id,
-				Payload: cs.res.Marshal(sp),
-			})
-		}
-		cs.ms.Close()
-	}
-
-	for {
-		select {
-		case m := <-port.Queue(cluster.MsgAck):
-			onAck(m)
-		case it := <-w.work:
-			switch it.kind {
-			case workShutdown:
-				for _, cs := range sessions {
-					cs.ms.Close()
-				}
-				w.broadcastShutdown(port)
-				return nil
-			case workOpen:
-				s := it.sess
-				byID[s.id] = s
-				sessions[s.id] = &combinedSession{
-					ms: splitter.NewMBSplitterOpts(s.seq, s.geo, splitter.SplitOptions{
-						Workers: w.cfg.SplitWorkers,
-						Reuse:   true,
-					}),
-					res: &splitter.SecondResult{},
-				}
-				for _, id := range w.decoderIDs {
-					port.Send(id, &cluster.Message{
-						Kind:    cluster.MsgSubPicture,
-						Flags:   cluster.FlagSessionOpen,
-						Session: s.id,
-						Payload: it.payload,
-					})
-				}
-			case workSubscribe:
-				applySubscribe(it.sess, it.payload)
-			case workPicture:
-				w.loadBytes.Add(-int64(len(it.payload)))
-				s := it.sess
-				cs := sessions[s.id]
-				if cs == nil {
-					s.releaseToken() // session already failed in isolation
-					cluster.PutSlab(it.payload)
-					continue
-				}
-				// The root is the (single) splitter here, so subscription
-				// activation needs no broadcast: the state lives on s and the
-				// ROI rewrite happens right after the split below.
-				pt := picTypeOf(it.payload)
-				if pt == mpeg2.PictureI {
-					activateSub(s)
-				}
-				if trickDrops(s.rootTrick, pt) {
-					s.droppedPics++
-					s.releaseToken()
-					cluster.PutSlab(it.payload)
-					continue
-				}
-				sIdx := s.shippedPics
-				b := &cs.res.Breakdown
-				cs.res.InputBytes += int64(len(it.payload))
-				var sps []*subpic.SubPicture
-				var err error
-				b.Timed(metrics.PhaseWork, func() { sps, err = cs.ms.Split(it.payload, sIdx) })
-				if err != nil {
-					if rv != nil {
-						failCombined(s, cs, sIdx, err)
-						s.releaseToken()
-						cluster.PutSlab(it.payload)
-						continue
-					}
-					return err
-				}
-				if shipped {
-					if err := gate(b); err != nil {
-						return err
-					}
-				}
-				shipped = true
-				ship, nSkipped := cs.roi.Apply(sps, s.rootSub, s.rootTrick == splitter.TrickIOnly)
-				cs.res.SkippedSubPics += int64(nSkipped)
-				b.Timed(metrics.PhaseServe, func() {
-					for t := 0; t < nd; t++ {
-						payload := cs.res.Marshal(ship[t])
-						cs.res.SPBytes += int64(len(payload))
-						port.Send(w.decoderIDs[t], &cluster.Message{
-							Kind:    cluster.MsgSubPicture,
-							Seq:     sIdx,
-							Tag:     port.ID(),
-							Session: s.id,
-							Payload: payload,
-						})
-					}
-				})
-				s.shippedPics = sIdx + 1
-				cs.res.Pictures++
-				b.Pictures++
-				s.releaseToken()
-				// The sub-pictures aliased the picture payload until the
-				// serialisation above; there is no retainer on a one-level
-				// wall, so the root's release is the last.
-				cluster.PutSlab(it.payload)
-			case workFinal:
-				s := it.sess
-				cs := sessions[s.id]
-				if cs == nil {
-					continue // session already failed in isolation
-				}
-				for _, id := range w.decoderIDs {
-					sp := &subpic.SubPicture{Final: true}
-					sp.Pic.Index = int32(s.shippedPics)
-					port.Send(id, &cluster.Message{
-						Kind:    cluster.MsgSubPicture,
-						Seq:     -1,
-						Tag:     port.ID(),
-						Flags:   cluster.FlagSessionFinal,
-						Session: s.id,
-						Payload: cs.res.Marshal(sp),
-					})
-				}
-				cs.res.FoldSplit(cs.ms)
-				cs.ms.Close()
-				delete(sessions, s.id)
-				// Published before the last drain ack can close s.drained: this
-				// goroutine processes that ack only after finishing here.
-				s.splitters[0] = cs.res
-			}
-		case <-w.tr.Done():
-			return w.tr.AbortCause()
-		}
 	}
 }

@@ -245,49 +245,23 @@ func New(cfg Config) (*Wall, error) {
 		}
 	}()
 
-	for i := 0; i < cfg.K; i++ {
-		if !local(w.splitterIDs[i]) {
-			continue
+	for i, id := range w.splitterIDs {
+		if local(id) {
+			w.wg.Add(1)
+			go func(i int) {
+				defer w.wg.Done()
+				w.runSplitter(i)
+			}(i)
 		}
-		i := i
-		w.wg.Add(1)
-		go func() {
-			defer w.wg.Done()
-			if w.rv != nil {
-				w.runSplitterSupervised(i)
-				return
-			}
-			err := splitter.ServeSecond(tr.Port(w.splitterIDs[i]), splitter.ServeConfig{
-				Index:        i,
-				M:            cfg.M,
-				N:            cfg.N,
-				Overlap:      cfg.Overlap,
-				DecoderNodes: w.decoderIDs,
-				RootNode:     0,
-				SplitWorkers: cfg.SplitWorkers,
-				OnResult:     w.onSecondResult,
-			})
-			if err != nil {
-				tr.Abort(err)
-			}
-		}()
 	}
-	for t := 0; t < nTiles; t++ {
-		if !local(w.decoderIDs[t]) {
-			continue
+	for t, id := range w.decoderIDs {
+		if local(id) {
+			w.wg.Add(1)
+			go func(t int) {
+				defer w.wg.Done()
+				w.runDecoder(t)
+			}(t)
 		}
-		t := t
-		w.wg.Add(1)
-		go func() {
-			defer w.wg.Done()
-			if w.rv != nil {
-				w.runDecoderSupervised(t)
-				return
-			}
-			if err := pdec.Serve(tr.Port(w.decoderIDs[t]), w.decoderServeCfg(t)); err != nil {
-				tr.Abort(err)
-			}
-		}()
 	}
 	if w.hasRoot {
 		w.wg.Add(1)
@@ -299,28 +273,6 @@ func New(cfg Config) (*Wall, error) {
 		}()
 	}
 	return w, nil
-}
-
-// decoderServeCfg builds one local tile decoder's serve configuration;
-// supervised incarnations add their Recovery wiring on top.
-func (w *Wall) decoderServeCfg(t int) pdec.ServeConfig {
-	scfg := pdec.ServeConfig{
-		Tile:           t,
-		M:              w.cfg.M,
-		N:              w.cfg.N,
-		Overlap:        w.cfg.Overlap,
-		MaxFCode:       w.cfg.MaxFCode,
-		TileNode:       func(tile int) int { return w.decoderIDs[tile] },
-		RootNode:       0,
-		UnbatchedSends: w.cfg.UnbatchedExchange,
-		OnResult:       w.onDecoderResult,
-	}
-	// Recovery always observes emissions: the registry's per-tile frontier
-	// is what a respawned decoder resumes from.
-	if w.cfg.CollectFrames || w.cfg.OnTileFrame != nil || w.rv != nil {
-		scfg.OnFrame = w.onFrame
-	}
-	return scfg
 }
 
 // Wait blocks until this process's node loops exit — a clean shutdown

@@ -12,9 +12,10 @@ import (
 	"tiledwall/internal/wall"
 )
 
-// ServeConfig wires one resident second-level splitter node: a long-lived
-// server multiplexing sessions, each with its own sequence header, geometry
-// and macroblock splitter.
+// ServeConfig wires one splitter role — a resident second-level splitter
+// node, or the root's own Stage on a one-level wall: a long-lived server
+// multiplexing sessions, each with its own sequence header, geometry and
+// macroblock splitter.
 type ServeConfig struct {
 	// Index is this splitter's position among the k resident splitters.
 	Index int
@@ -32,8 +33,8 @@ type ServeConfig struct {
 	// marker has been forwarded.
 	OnResult func(session, index int, res *SecondResult)
 
-	// Recovery, when non-nil, switches the server to the fault-masking
-	// protocol: leases are renewed per message, chaos kills surface as
+	// Recovery, when non-nil, switches the server's protocol path to fault
+	// masking: leases are renewed per message, chaos kills surface as
 	// recovery.ErrKilled, root replays are deduplicated and shipped with
 	// FlagReplay, the decoder-ack gate is deadline-bounded, and a corrupt
 	// picture fails its session alone (SessionFailSeq notice to the root)
@@ -81,23 +82,66 @@ type splitSession struct {
 	roi   ROIScratch
 }
 
-// ServeSecond runs the resident splitter loop until a FlagShutdown message
-// arrives or the transport aborts. The data path per session is RunSecond's:
-// ack the root on receipt (credit), split, gate on nd decoder acks (skipped
-// only for the wall's globally first picture), ship with the ANID the root
-// announced. The control path adds session opens (forwarded to every decoder
-// before any of this splitter's sub-pictures, by sender FIFO) and session
-// finals (the batch end marker, per session).
-func ServeSecond(port cluster.Port, cfg ServeConfig) error {
-	sessions := map[int]*splitSession{}
-	nd := len(cfg.DecoderNodes)
-	rh := cfg.Recovery
-	if rh != nil {
+// Stage is one splitter role's per-session state and its per-picture
+// sequence: split, gate on the decoders' go-aheads, ROI rewrite, marshal,
+// send. A resident second-level splitter (ServeSecond) drives one from its
+// own port; the root of a one-level wall drives one in place of splitters.
+type Stage struct {
+	cfg      ServeConfig
+	port     cluster.Port
+	sessions map[int]*splitSession
+	// banked counts decoder go-aheads taken ahead of the gate.
+	banked int
+	// onAck, when set, is handed every ack the gate receives and banks the
+	// go-aheads among them (Bank): the root of a one-level wall shares its
+	// ack queue with drain acks. At a splitter node every ack is a go-ahead.
+	onAck func(*cluster.Message)
+}
+
+// NewStage returns a splitter stage sending from port. onAck may be nil; see
+// Stage.
+func NewStage(port cluster.Port, cfg ServeConfig, onAck func(*cluster.Message)) *Stage {
+	if rh := cfg.Recovery; rh != nil {
 		rh.Cfg = rh.Cfg.WithDefaults()
+	}
+	return &Stage{cfg: cfg, port: port, sessions: map[int]*splitSession{}, onAck: onAck}
+}
+
+// Bank credits one decoder go-ahead received outside the gate.
+func (st *Stage) Bank() { st.banked++ }
+
+// Close releases every open session's splitter.
+func (st *Stage) Close() {
+	for _, ss := range st.sessions {
+		ss.ms.Close()
+	}
+}
+
+// SplitError reports a picture that does not split: the session's stream
+// is corrupt, the node is fine.
+type SplitError struct{ Err error }
+
+func (e *SplitError) Error() string { return e.Err.Error() }
+func (e *SplitError) Unwrap() error { return e.Err }
+
+// ServeSecond runs the resident splitter loop until a FlagShutdown message
+// arrives or the transport aborts. Per data picture: ack the root on receipt
+// (credit), then the Stage sequence with the ANID the root announced. The
+// control path adds session opens (forwarded to every decoder before any of
+// this splitter's sub-pictures, by sender FIFO) and session finals (the
+// batch end marker, per session). With Recovery wired the same loop renews
+// the lease per message, honours the chaos plan, deduplicates root replays
+// and fails a session with a corrupt picture alone (SessionFailSeq notice to
+// the root) instead of killing the wall.
+func ServeSecond(port cluster.Port, cfg ServeConfig) error {
+	st := NewStage(port, cfg, nil)
+	defer st.Close()
+	rh := st.cfg.Recovery
+	if rh != nil {
 		for _, rs := range rh.Resume {
 			// Re-forward each resumed open: the decoders deduplicate, and a
 			// session whose open every splitter lost stays reachable.
-			_ = openSession(port, cfg, sessions, rs.ID, rs.Header)
+			_ = st.Open(rs.ID, rs.Header)
 		}
 	}
 	for {
@@ -112,58 +156,25 @@ func ServeSecond(port cluster.Port, cfg ServeConfig) error {
 		}
 		switch {
 		case msg.Flags&cluster.FlagShutdown != 0:
-			for _, ss := range sessions {
-				ss.ms.Close()
-			}
 			return nil
 		case msg.Flags&cluster.FlagSessionOpen != 0:
-			if sessions[msg.Session] != nil {
-				continue
-			}
-			if err := openSession(port, cfg, sessions, msg.Session, msg.Payload); err != nil {
-				if rh != nil {
-					continue // broken session, not a broken wall
-				}
-				return err
+			if err := st.Open(msg.Session, msg.Payload); err != nil && rh == nil {
+				return err // under recovery: a broken session, not a broken wall
 			}
 		case msg.Flags&cluster.FlagSubscribe != 0:
-			ss := sessions[msg.Session]
-			if ss == nil {
-				continue
-			}
 			trick, live, err := ParseSubscribe(msg.Payload)
 			if err != nil {
 				// A malformed control frame must not corrupt the session's
 				// materialization state; keep the previous subscription.
 				continue
 			}
-			ss.trick, ss.live = trick, live
+			st.Subscribe(msg.Session, trick, live)
 		case msg.Flags&cluster.FlagSessionFinal != 0:
-			ss := sessions[msg.Session]
-			if ss == nil {
+			if ss := st.sessions[msg.Session]; ss != nil {
+				ss.res.Breakdown.Add(metrics.PhaseReceive, wait)
+			}
+			if !st.Final(msg.Session, msg.Tag) {
 				continue
-			}
-			ss.res.Breakdown.Add(metrics.PhaseReceive, wait)
-			// Forward the end marker to every decoder; Tag carries the
-			// session's total picture count so a decoder that sees an early
-			// final keeps decoding until it has them all.
-			for t := 0; t < nd; t++ {
-				sp := &subpic.SubPicture{Final: true}
-				sp.Pic.Index = int32(msg.Tag)
-				port.Send(cfg.DecoderNodes[t], &cluster.Message{
-					Kind:    cluster.MsgSubPicture,
-					Seq:     -1,
-					Tag:     port.ID(),
-					Flags:   cluster.FlagSessionFinal,
-					Session: msg.Session,
-					Payload: ss.res.Marshal(sp),
-				})
-			}
-			ss.res.FoldSplit(ss.ms)
-			ss.ms.Close()
-			delete(sessions, msg.Session)
-			if cfg.OnResult != nil {
-				cfg.OnResult(msg.Session, cfg.Index, ss.res)
 			}
 			// The root closes the session only after a drain ack from every
 			// splitter and every decoder, so results are published before a
@@ -174,7 +185,7 @@ func ServeSecond(port cluster.Port, cfg ServeConfig) error {
 				Session: msg.Session,
 			})
 		default:
-			ss := sessions[msg.Session]
+			ss := st.sessions[msg.Session]
 			if ss == nil {
 				if rh != nil {
 					// Session failed or completed; drop quietly, releasing
@@ -184,20 +195,67 @@ func ServeSecond(port cluster.Port, cfg ServeConfig) error {
 				}
 				return fmt.Errorf("splitter %d: picture for unknown session %d", cfg.Index, msg.Session)
 			}
-			if err := splitOne(port, cfg, ss, msg, wait, nd); err != nil {
+			replay := msg.Flags&cluster.FlagReplay != 0
+			if rh != nil {
+				if ss.seen[msg.Seq] {
+					// Root replay overlapping the surviving node queue. Each
+					// delivery carries its own slab reference (the root
+					// acquires one per replay send), so the duplicate's
+					// reference is released here.
+					cluster.PutSlab(msg.Payload)
+					continue
+				}
+				ss.seen[msg.Seq] = true
+				// Injected crash before the receipt ack: the picture is
+				// consumed but unacknowledged, so the root must both time the
+				// credit out and replay it to the next incarnation.
+				if !replay && rh.Chaos.SplitterDies(cfg.Index, msg.Seq) {
+					return recovery.ErrKilled
+				}
+			}
+			b := &ss.res.Breakdown
+			b.Add(metrics.PhaseReceive, wait)
+			// Ack the root immediately: the posted buffer is recycled
+			// (flow-control credit) and the service releases one of the
+			// session's in-flight tokens. Replays are never acked — the
+			// original ack or the root's credit timeout already settled the
+			// ledger.
+			if !replay {
+				b.Timed(metrics.PhaseAck, func() {
+					port.Send(cfg.RootNode, &cluster.Message{Kind: cluster.MsgAck, Seq: msg.Seq, Session: msg.Session})
+				})
+			}
+			switch err := st.Picture(msg); err.(type) {
+			case nil:
+			case *SplitError:
+				if rh == nil {
+					return fmt.Errorf("splitter %d: %w", cfg.Index, err)
+				}
+				// A corrupt picture unit fails its session alone: notify the
+				// root (which surfaces a typed error to the feeder) and keep
+				// serving the other sessions. Nothing is shipped, so the
+				// decoders conceal the gap.
+				port.Send(cfg.RootNode, &cluster.Message{
+					Kind:    cluster.MsgAck,
+					Seq:     cluster.SessionFailSeq,
+					Session: msg.Session,
+					Payload: []byte(err.Error()),
+				})
+			default:
 				return err
 			}
 		}
 	}
 }
 
-// openSession creates one session's splitter state and forwards the open to
-// every decoder. The payload is shared and read-only on the receiving side,
-// so one copy serves all.
-func openSession(port cluster.Port, cfg ServeConfig, sessions map[int]*splitSession, session int, header []byte) error {
-	if sessions[session] != nil {
+// Open creates one session's splitter state and forwards the open to every
+// decoder. The payload is shared and read-only on the receiving side, so one
+// copy serves all. Opens of a session already open are skipped.
+func (st *Stage) Open(session int, header []byte) error {
+	if st.sessions[session] != nil {
 		return nil
 	}
+	cfg := &st.cfg
 	seq, err := mpeg2.ParseSequenceHeaderBytes(header)
 	if err != nil {
 		return fmt.Errorf("splitter %d: session %d open: %w", cfg.Index, session, err)
@@ -216,9 +274,9 @@ func openSession(port cluster.Port, cfg ServeConfig, sessions map[int]*splitSess
 			rh.OnOpen(session, header)
 		}
 	}
-	sessions[session] = ss
-	for t := 0; t < len(cfg.DecoderNodes); t++ {
-		port.Send(cfg.DecoderNodes[t], &cluster.Message{
+	st.sessions[session] = ss
+	for _, id := range cfg.DecoderNodes {
+		st.port.Send(id, &cluster.Message{
 			Kind:    cluster.MsgSubPicture,
 			Flags:   cluster.FlagSessionOpen,
 			Session: session,
@@ -228,38 +286,55 @@ func openSession(port cluster.Port, cfg ServeConfig, sessions map[int]*splitSess
 	return nil
 }
 
-// splitOne handles one data picture: the body of RunSecond's loop, keyed to
-// the message's session.
-func splitOne(port cluster.Port, cfg ServeConfig, ss *splitSession, msg *cluster.Message, wait time.Duration, nd int) error {
-	rh := cfg.Recovery
-	replay := msg.Flags&cluster.FlagReplay != 0
-	if rh != nil {
-		if ss.seen[msg.Seq] {
-			// Root replay overlapping the surviving node queue. Each delivery
-			// carries its own slab reference (the root acquires one per replay
-			// send), so the duplicate's reference is released here.
-			cluster.PutSlab(msg.Payload)
-			return nil
-		}
-		ss.seen[msg.Seq] = true
-		// Injected crash before the receipt ack: the picture is consumed but
-		// unacknowledged, so the root must both time the credit out and
-		// replay it to the next incarnation.
-		if !replay && rh.Chaos.SplitterDies(cfg.Index, msg.Seq) {
-			return recovery.ErrKilled
-		}
+// Subscribe applies a session's subscription and trick mode from the next
+// picture on.
+func (st *Stage) Subscribe(session int, trick TrickMode, live wall.TileSet) {
+	if ss := st.sessions[session]; ss != nil {
+		ss.trick, ss.live = trick, live
 	}
-	b := &ss.res.Breakdown
-	b.Add(metrics.PhaseReceive, wait)
-	// Ack the root immediately: the posted buffer is recycled (flow-control
-	// credit) and the service releases one of the session's in-flight tokens.
-	// Replays are never acked — the original ack or the root's credit timeout
-	// already settled the ledger.
-	if !replay {
-		b.Timed(metrics.PhaseAck, func() {
-			port.Send(cfg.RootNode, &cluster.Message{Kind: cluster.MsgAck, Seq: msg.Seq, Session: msg.Session})
+}
+
+// Final ends a session: the end marker goes to every decoder with the
+// session's shipped-picture total (so a decoder that sees an early final
+// keeps decoding until it has them all), the split statistics are folded
+// and the result published. Reports false for a session not open here.
+func (st *Stage) Final(session, total int) bool {
+	ss := st.sessions[session]
+	if ss == nil {
+		return false
+	}
+	for _, id := range st.cfg.DecoderNodes {
+		sp := &subpic.SubPicture{Final: true}
+		sp.Pic.Index = int32(total)
+		st.port.Send(id, &cluster.Message{
+			Kind:    cluster.MsgSubPicture,
+			Seq:     -1,
+			Tag:     st.port.ID(),
+			Flags:   cluster.FlagSessionFinal,
+			Session: session,
+			Payload: ss.res.Marshal(sp),
 		})
 	}
+	ss.res.FoldSplit(ss.ms)
+	ss.ms.Close()
+	delete(st.sessions, session)
+	if st.cfg.OnResult != nil {
+		st.cfg.OnResult(session, st.cfg.Index, ss.res)
+	}
+	return true
+}
+
+// Picture runs one data picture of an open session through the splitting
+// sequence and releases its payload. msg.Seq is the session's picture index
+// and msg.Tag the ANID, the node that handles the next picture. The gate
+// waits for one go-ahead per decoder, except for the wall's globally first
+// picture (FlagFirstPicture) and for replays (their go-aheads were consumed
+// by the dead incarnation, or will never be sent — replayed sub-pictures
+// are not acked). A picture that does not split returns a *SplitError.
+func (st *Stage) Picture(msg *cluster.Message) error {
+	ss := st.sessions[msg.Session]
+	replay := msg.Flags&cluster.FlagReplay != 0
+	b := &ss.res.Breakdown
 	ss.res.InputBytes += int64(len(msg.Payload))
 
 	var sps []*subpic.SubPicture
@@ -270,54 +345,13 @@ func splitOne(port cluster.Port, cfg ServeConfig, ss *splitSession, msg *cluster
 		// may still hold its own reference, in which case the release only
 		// drops this delivery's.
 		cluster.PutSlab(msg.Payload)
-		if rh != nil {
-			// A corrupt picture unit fails its session alone: notify the
-			// root (which surfaces a typed error to the feeder) and keep
-			// serving the other sessions. Nothing is shipped, so the
-			// decoders conceal the gap.
-			port.Send(cfg.RootNode, &cluster.Message{
-				Kind:    cluster.MsgAck,
-				Seq:     cluster.SessionFailSeq,
-				Session: msg.Session,
-				Payload: []byte(err.Error()),
-			})
-			return nil
-		}
-		return fmt.Errorf("splitter %d: %w", cfg.Index, err)
+		return &SplitError{Err: err}
 	}
-
-	// Wait for the go-ahead from every decoder (redirected acks), except for
-	// the wall's globally first picture. Every ack arriving at a splitter
-	// node is a go-ahead — drain acks go to the root only — so counting
-	// without inspecting the session is exactly the batch protocol. Under
-	// recovery the wait is deadline-bounded (a dead decoder's ack never
-	// comes) and skipped for replays (their go-aheads were consumed by the
-	// dead incarnation, or will never be sent — replayed sub-pictures are
-	// not acked).
 	if msg.Flags&cluster.FlagFirstPicture == 0 && !replay {
-		aborted := false
-		b.Timed(metrics.PhaseWaitMB, func() {
-			for i := 0; i < nd; i++ {
-				if rh != nil {
-					m, timedOut := port.RecvTimeout(cluster.MsgAck, rh.Cfg.PictureDeadline)
-					if timedOut {
-						rh.Rec(msg.Session).AddAckTimeout()
-						return
-					}
-					if m == nil {
-						aborted = true
-						return
-					}
-					continue
-				}
-				if port.Recv(cluster.MsgAck) == nil {
-					aborted = true
-					return
-				}
-			}
-		})
-		if aborted {
-			return fmt.Errorf("splitter %d: fabric aborted while waiting for decoder acks", cfg.Index)
+		var gateErr error
+		b.Timed(metrics.PhaseWaitMB, func() { gateErr = st.gate(msg.Session) })
+		if gateErr != nil {
+			return gateErr
 		}
 	}
 
@@ -327,19 +361,18 @@ func splitOne(port cluster.Port, cfg ServeConfig, ss *splitSession, msg *cluster
 	ship, nSkipped := ss.roi.Apply(sps, ss.live, ss.trick == TrickIOnly)
 	ss.res.SkippedSubPics += int64(nSkipped)
 
-	anid := msg.Tag // root told us who handles the next picture
 	var spFlags uint8
 	if replay {
 		spFlags = cluster.FlagReplay // decoders deduplicate and do not ack
 	}
 	b.Timed(metrics.PhaseServe, func() {
-		for t := 0; t < nd; t++ {
+		for t, id := range st.cfg.DecoderNodes {
 			payload := ss.res.Marshal(ship[t])
 			ss.res.SPBytes += int64(len(payload))
-			port.Send(cfg.DecoderNodes[t], &cluster.Message{
+			st.port.Send(id, &cluster.Message{
 				Kind:    cluster.MsgSubPicture,
 				Seq:     msg.Seq,
-				Tag:     anid,
+				Tag:     msg.Tag,
 				Flags:   spFlags,
 				Session: msg.Session,
 				Payload: payload,
@@ -349,8 +382,38 @@ func splitOne(port cluster.Port, cfg ServeConfig, ss *splitSession, msg *cluster
 	ss.res.Pictures++
 	b.Pictures++
 	// The sub-pictures aliased the picture payload until serialisation; this
-	// delivery's reference can now be released (the root's retainer still
-	// holds its own until the receipt ack above lands).
+	// delivery's reference can now be released (a root retainer still holds
+	// its own until the receipt ack lands).
 	cluster.PutSlab(msg.Payload)
+	return nil
+}
+
+// gate waits for one go-ahead (redirected ack) per decoder. Under recovery
+// the wait is deadline-bounded: a dead decoder's go-ahead never comes, so
+// the gate moves on and the respawned decoder catches up through its queue
+// and gap concealment.
+func (st *Stage) gate(session int) error {
+	nd := len(st.cfg.DecoderNodes)
+	var deadline time.Duration // zero: fail-stop blocks
+	if rh := st.cfg.Recovery; rh != nil {
+		deadline = rh.Cfg.PictureDeadline
+	}
+	for st.banked < nd {
+		m, timedOut := cluster.RecvWithin(st.port, cluster.MsgAck, deadline)
+		if timedOut {
+			st.cfg.Recovery.Rec(session).AddAckTimeout()
+			st.banked = nd
+			break
+		}
+		if m == nil {
+			return fmt.Errorf("splitter %d: fabric aborted while waiting for decoder acks", st.cfg.Index)
+		}
+		if st.onAck != nil {
+			st.onAck(m)
+		} else {
+			st.banked++
+		}
+	}
+	st.banked -= nd
 	return nil
 }
