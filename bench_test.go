@@ -81,18 +81,18 @@ func BenchmarkTable1Granularity(b *testing.B) {
 	}
 	levels := []struct {
 		name  string
-		level system.BaselineLevel
+		level experiments.BaselineLevel
 		data  []byte
 	}{
-		{"gop", system.LevelGOP, closed},
-		{"picture", system.LevelPicture, open},
-		{"slice", system.LevelSlice, open},
+		{"gop", experiments.LevelGOP, closed},
+		{"picture", experiments.LevelPicture, open},
+		{"slice", experiments.LevelSlice, open},
 	}
 	for _, lv := range levels {
 		lv := lv
 		b.Run(lv.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := system.RunBaseline(lv.data, system.BaselineConfig{Level: lv.level, M: 2, N: 2})
+				res, err := experiments.RunBaseline(lv.data, experiments.BaselineConfig{Level: lv.level, M: 2, N: 2})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -10,6 +10,10 @@
 //     bounded depth;
 //   - per-link byte accounting for the bandwidth experiments (Fig. 9) and
 //     optional bandwidth/latency throttling.
+//
+// It carries the wall's four message kinds and nothing else: pictures,
+// sub-pictures, exchanged reference macroblocks and acks. The Table 1
+// baselines never touch a transport (internal/experiments models them).
 package cluster
 
 import (
@@ -33,12 +37,6 @@ const (
 	MsgBlocks
 	// MsgAck is the credit/go-ahead message of the flow-control protocol.
 	MsgAck
-	// MsgHalo carries band-edge reference strips between neighbours in the
-	// slice-level baseline pipeline.
-	MsgHalo
-	// MsgPixels carries decoded pixels redistributed to display nodes in
-	// the coarse-granularity baseline pipelines (Table 1).
-	MsgPixels
 	numKinds
 )
 
@@ -52,10 +50,6 @@ func (k MsgKind) String() string {
 		return "blocks"
 	case MsgAck:
 		return "ack"
-	case MsgHalo:
-		return "halo"
-	case MsgPixels:
-		return "pixels"
 	}
 	return fmt.Sprintf("MsgKind(%d)", int(k))
 }
@@ -374,40 +368,6 @@ func (n *Node) Send(to int, msg *Message) {
 	}
 }
 
-// TrySend is Send without backpressure: when the receiver's queue for this
-// kind is full (or the fabric is aborted) the message is discarded and false
-// is returned, so a dead or departed peer whose queue nobody drains can
-// never wedge the sender; the caller must tolerate the loss.
-func (n *Node) TrySend(to int, msg *Message) bool {
-	f := n.fabric
-	msg.From = n.id
-	msg.To = to
-	if f.cfg.Drop != nil && f.cfg.Drop(msg) {
-		return true // lost on the wire, same as Send
-	}
-	select {
-	case <-f.done:
-		return false
-	default:
-	}
-	select {
-	case f.nodes[to].queues[msg.Kind] <- msg:
-	default:
-		return false
-	}
-	atomic.AddInt64(&f.activity, 1)
-	bytes := msg.wireBytes()
-	atomic.AddInt64(&f.stats[n.id].BytesSent, bytes)
-	atomic.AddInt64(&f.stats[n.id].MsgsSent, 1)
-	atomic.AddInt64(&f.stats[to].BytesRecv, bytes)
-	atomic.AddInt64(&f.stats[to].MsgsRecv, 1)
-	atomic.AddInt64(&f.pair[n.id*len(f.nodes)+to], bytes)
-	if msg.Session != 0 {
-		f.addSessionBytes(msg.Session, bytes)
-	}
-	return true
-}
-
 // Abort unblocks every pending Recv/Send with a nil result so node loops
 // can unwind after a peer failed. The first recorded cause wins.
 func (f *Fabric) Abort(cause error) {
@@ -440,8 +400,8 @@ func (n *Node) Recv(kind MsgKind) *Message {
 }
 
 // Queue exposes the receive channel for one kind so a node process can
-// select across kinds (e.g. a display goroutine multiplexing fabric traffic
-// with local hand-offs). Combine with Done for abort handling.
+// select across kinds and local work (the service root multiplexes acks
+// with session hand-offs this way). Combine with Done for abort handling.
 func (n *Node) Queue(kind MsgKind) <-chan *Message { return n.queues[kind] }
 
 // Done is closed when the fabric aborts.

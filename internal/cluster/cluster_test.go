@@ -85,30 +85,6 @@ func TestTryRecv(t *testing.T) {
 	}
 }
 
-func TestTrySend(t *testing.T) {
-	f := New(2, Config{QueueDepth: 1})
-	if !f.Node(0).TrySend(1, &Message{Kind: MsgAck, Seq: 1}) {
-		t.Fatal("TrySend to empty queue failed")
-	}
-	if f.Node(0).TrySend(1, &Message{Kind: MsgAck, Seq: 2}) {
-		t.Fatal("TrySend to full queue succeeded")
-	}
-	if m, ok := f.Node(1).TryRecv(MsgAck); !ok || m.Seq != 1 {
-		t.Fatalf("delivered message: %+v ok=%v", m, ok)
-	}
-	if !f.Node(0).TrySend(1, &Message{Kind: MsgAck, Seq: 3}) {
-		t.Fatal("TrySend after drain failed")
-	}
-	st := f.Stats()
-	if st[0].MsgsSent != 2 {
-		t.Fatalf("accounting counted %d sends, want 2 (rejected send must not count)", st[0].MsgsSent)
-	}
-	f.Abort(errors.New("stop"))
-	if f.Node(0).TrySend(1, &Message{Kind: MsgAck, Seq: 4}) {
-		t.Fatal("TrySend on aborted fabric succeeded")
-	}
-}
-
 func TestAbortUnblocksRecv(t *testing.T) {
 	f := New(2, Config{})
 	done := make(chan *Message)

@@ -329,11 +329,11 @@ func TestTCPCleanShutdownDeliversTail(t *testing.T) {
 	defer worker.Shutdown()
 	const tail = 200
 	for i := 0; i < tail; i++ {
-		hub.Port(0).Send(1, &Message{Kind: MsgPixels, Seq: i, Payload: make([]byte, 512)})
+		hub.Port(0).Send(1, &Message{Kind: MsgBlocks, Seq: i, Payload: make([]byte, 512)})
 	}
 	hub.Shutdown()
 	for i := 0; i < tail; i++ {
-		m := worker.Port(1).Recv(MsgPixels)
+		m := worker.Port(1).Recv(MsgBlocks)
 		if m == nil {
 			t.Fatalf("tail message %d lost: %v", i, worker.AbortCause())
 		}

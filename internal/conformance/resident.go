@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"time"
 
@@ -234,7 +235,10 @@ func recoveryForIsolation(base system.Config, transport string, sessions int) sy
 // RunCorruptIsolation plays one corrupt stream concurrently with good
 // sessions on a recovery-enabled resident wall, and reports (corruptErr,
 // per-good-session divergences, wall close error). The corrupt session must
-// fail typed — or at worst degrade — without touching its siblings.
+// fail typed — or at worst degrade — without touching its siblings. A good
+// session that comes back degraded gets an error carrying the wall's
+// recovery counters and health, the corrupt session's outcome and a dump of
+// every goroutine's stack, all taken before the wall closes.
 func RunCorruptIsolation(stream []byte, base system.Config, transport string, kind CorruptionKind, seed int64) (corruptErr error, goodErrs []error, divs []*Divergence, closeErr error, err error) {
 	dec, derr := mpeg2.NewDecoder(stream)
 	if derr != nil {
@@ -281,7 +285,7 @@ func RunCorruptIsolation(stream []byte, base system.Config, transport string, ki
 				return
 			}
 			if !sres.Recovery.Clean() {
-				goodErrs[i] = fmt.Errorf("good session degraded by sibling corruption: %+v", sres.Recovery)
+				goodErrs[i] = fmt.Errorf("%w: %+v", errSiblingDegraded, sres.Recovery)
 				return
 			}
 			geo, gerr := wall.NewGeometry(picW, picH, cfg.M, cfg.N, cfg.Overlap)
@@ -292,6 +296,36 @@ func RunCorruptIsolation(stream []byte, base system.Config, transport string, ki
 		}()
 	}
 	wg.Wait()
+	var diag string
+	for i, gerr := range goodErrs {
+		if errors.Is(gerr, errSiblingDegraded) {
+			if diag == "" {
+				diag = isolationDiagnostics(w, corruptErr)
+			}
+			goodErrs[i] = fmt.Errorf("%w\n%s", gerr, diag)
+		}
+	}
 	closeErr = w.Close()
 	return corruptErr, goodErrs, divs, closeErr, nil
+}
+
+// errSiblingDegraded marks a good session that came back with concealment
+// or timeouts while a corrupt sibling shared its wall.
+var errSiblingDegraded = errors.New("good session degraded by sibling corruption")
+
+// isolationDiagnostics captures, while the wall is still open, what one
+// failed isolation run needs for diagnosis: the wall's recovery counters
+// and health, the corrupt session's outcome and every goroutine's stack.
+func isolationDiagnostics(w *system.ResidentWall, corruptErr error) string {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) || len(buf) >= 64<<20 {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	return fmt.Sprintf("wall recovery: %+v\nwall health: %v\ncorrupt session outcome: %v\ngoroutines:\n%s",
+		w.Service().Recovery(), w.Health(), corruptErr, buf)
 }

@@ -11,7 +11,9 @@ import (
 
 // Table1Row is the measured version of the paper's Table 1 comparison of
 // parallelisation granularities. The paper's table is qualitative
-// ("very low" ... "very high"); here every cost is measured on a real run.
+// ("very low" ... "very high"); here every cost is measured: the
+// macroblock level on a real run of the wall, the three rejected levels on
+// the sequential cost model of baselines.go.
 type Table1Row struct {
 	Level string
 
@@ -21,8 +23,8 @@ type Table1Row struct {
 	InterDecoderKBPerPicture float64
 	// RedistributionKBPerPicture is decoded-pixel traffic to display nodes.
 	RedistributionKBPerPicture float64
-	// FPS is the achieved frame rate (informational; the baselines are
-	// synchronisation-light simulations of schemes the paper rejects).
+	// FPS is the modeled frame rate (informational: pictures divided by the
+	// busiest node's timed work, DESIGN.md §7).
 	FPS float64
 }
 
@@ -41,28 +43,18 @@ func Table1(streamID int, m, n int, o Options) ([]Table1Row, error) {
 		return nil, err
 	}
 
-	runBase := func(level system.BaselineLevel, data []byte) (*system.BaselineResult, error) {
-		fmt.Fprintf(o.Log, "table1: %v level\n", level)
-		return system.RunBaseline(data, system.BaselineConfig{Level: level, M: m, N: n})
+	for _, lv := range []struct {
+		name  string
+		level BaselineLevel
+		data  []byte
+	}{{"GOP", LevelGOP, closed}, {"picture", LevelPicture, open}, {"slice", LevelSlice, open}} {
+		fmt.Fprintf(o.Log, "table1: %s level\n", lv.name)
+		r, err := RunBaseline(lv.data, BaselineConfig{Level: lv.level, M: m, N: n})
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, baselineRow(lv.name, r))
 	}
-
-	gop, err := runBase(system.LevelGOP, closed)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, baselineRow("GOP", gop))
-
-	pic, err := runBase(system.LevelPicture, open)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, baselineRow("picture", pic))
-
-	slc, err := runBase(system.LevelSlice, open)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, baselineRow("slice", slc))
 
 	// Macroblock level: the paper's own scheme. Splitting cost is the
 	// second-level splitter's Work time; communication is decoder-to-decoder
@@ -90,7 +82,7 @@ func Table1(streamID int, m, n int, o Options) ([]Table1Row, error) {
 	return rows, nil
 }
 
-func baselineRow(name string, r *system.BaselineResult) Table1Row {
+func baselineRow(name string, r *BaselineResult) Table1Row {
 	pics := float64(r.Throughput.Pictures)
 	return Table1Row{
 		Level:                      name,

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"time"
 
-	"tiledwall/internal/bits"
 	"tiledwall/internal/cluster"
 	"tiledwall/internal/metrics"
 	"tiledwall/internal/mpeg2"
@@ -114,15 +113,13 @@ type Decoder struct {
 	res     Result
 	nextPic int
 
-	// Reusable per-picture state: the picture context, reconstructor, slice
-	// decoder and bit reader are reset in place, so steady-state decoding
-	// allocates nothing per macroblock.
+	// Reusable per-picture state: the picture context and the piece
+	// decoder are reset in place, so steady-state decoding allocates nothing
+	// per macroblock.
 	spScratch  subpic.SubPicture
 	phScratch  mpeg2.PictureHeader
 	ctxScratch mpeg2.PictureContext
-	rcScratch  *mpeg2.Reconstructor
-	sdScratch  mpeg2.SliceDecoder
-	brScratch  bits.Reader
+	pieces     PieceDecoder
 	bbScratch  subpic.BlockBundle
 	xferPix    [mpeg2.MacroblockBytes]byte
 
@@ -163,7 +160,7 @@ func NewDecoder(node cluster.Net, cfg Config) *Decoder {
 	// structurally valid even while the reference chain is untrusted;
 	// validAnchors gates what may actually be decoded.
 	d := &Decoder{cfg: cfg, rect: rect, node: node, cur: 0, refA: 1, refB: 2, finalTotal: -1}
-	d.rcScratch = mpeg2.NewReconstructor(nil)
+	d.pieces.Tile = cfg.Tile
 	for i := 0; i < 3; i++ {
 		d.bufs = append(d.bufs, mpeg2.NewPixelBuf(x0, y0, x1-x0, y1-y0))
 	}
@@ -591,88 +588,15 @@ func detach(bb *subpic.BlockBundle) *subpic.BlockBundle {
 	}
 }
 
-// decodePieces decodes every partial slice of the sub-picture.
+// decodePieces decodes every partial slice of the sub-picture into the
+// current window of the ring.
 func (d *Decoder) decodePieces(ctx *mpeg2.PictureContext, sp *subpic.SubPicture) error {
-	picType := ctx.Pic.PicType
-	rc := d.rcScratch
-	rc.Reset(ctx.Pic)
-	cur := d.bufs[d.cur]
 	var fwd, bwd *mpeg2.PixelBuf
-	switch picType {
+	switch ctx.Pic.PicType {
 	case mpeg2.PictureP:
 		fwd = d.bufs[d.refB]
 	case mpeg2.PictureB:
 		fwd, bwd = d.bufs[d.refA], d.bufs[d.refB]
 	}
-
-	// Reconstruction writes into the window unchecked (the splitter only
-	// routes owned macroblocks here), so a malformed SPH must be rejected
-	// before its addresses index the tile buffer.
-	inWindow := func(addr int) bool {
-		if addr < 0 || addr >= ctx.MBW*ctx.MBH {
-			return false
-		}
-		return cur.Contains(addr%ctx.MBW*16, addr/ctx.MBW*16, 16, 16)
-	}
-	skipped := func(addr int, prev mpeg2.MotionInfo) error {
-		if !inWindow(addr) {
-			return fmt.Errorf("tile %d: skipped macroblock %d outside tile window (corrupt SPH)", d.cfg.Tile, addr)
-		}
-		return rc.Skipped(cur, fwd, bwd, addr%ctx.MBW, addr/ctx.MBW, prev)
-	}
-
-	for pi := range sp.Pieces {
-		p := &sp.Pieces[pi]
-		if p.FirstAddr < 0 || int(p.LeadingSkip) > int(p.FirstAddr) || p.CodedCount < 0 {
-			return fmt.Errorf("tile %d pic %d piece %d: malformed SPH (first %d, lead %d, coded %d)",
-				d.cfg.Tile, sp.Pic.Index, pi, p.FirstAddr, p.LeadingSkip, p.CodedCount)
-		}
-		// Leading skipped macroblocks inherit the SPH's previous-macroblock
-		// motion (the predecessor may live on another tile).
-		for k := int(p.LeadingSkip); k > 0; k-- {
-			if err := skipped(int(p.FirstAddr)-k, p.Prev); err != nil {
-				return fmt.Errorf("tile %d pic %d: leading skip: %w", d.cfg.Tile, sp.Pic.Index, err)
-			}
-		}
-		if p.CodedCount == 0 {
-			continue
-		}
-		r := &d.brScratch
-		r.Reset(p.Payload)
-		r.Skip(int(p.SkipBits))
-		sd := &d.sdScratch
-		sd.ResetPartial(ctx, r, p.State(), p.Prev, int(p.FirstAddr), int(p.CodedCount))
-		var mb mpeg2.Macroblock
-		lastAddr := int(p.FirstAddr)
-		for {
-			ok, err := sd.Next(&mb)
-			if err != nil {
-				return fmt.Errorf("tile %d pic %d piece %d: %w", d.cfg.Tile, sp.Pic.Index, pi, err)
-			}
-			if !ok {
-				break
-			}
-			for k := mb.Addr - mb.SkippedBefore; k < mb.Addr; k++ {
-				if err := skipped(k, mb.PrevMotion); err != nil {
-					return fmt.Errorf("tile %d pic %d: interior skip: %w", d.cfg.Tile, sp.Pic.Index, err)
-				}
-			}
-			if !inWindow(mb.Addr) {
-				return fmt.Errorf("tile %d pic %d: macroblock %d outside tile window (corrupt SPH)",
-					d.cfg.Tile, sp.Pic.Index, mb.Addr)
-			}
-			if err := rc.Macroblock(cur, fwd, bwd, &mb, ctx.MBW); err != nil {
-				return fmt.Errorf("tile %d pic %d addr %d: %w", d.cfg.Tile, sp.Pic.Index, mb.Addr, err)
-			}
-			lastAddr = mb.Addr
-		}
-		// Trailing skipped macroblocks inherit the last coded macroblock's
-		// motion, which this decoder just parsed.
-		for k := 1; k <= int(p.TrailingSkip); k++ {
-			if err := skipped(lastAddr+k, sd.PrevMotion()); err != nil {
-				return fmt.Errorf("tile %d pic %d: trailing skip: %w", d.cfg.Tile, sp.Pic.Index, err)
-			}
-		}
-	}
-	return nil
+	return d.pieces.Decode(ctx, sp, d.bufs[d.cur], fwd, bwd)
 }

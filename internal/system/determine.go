@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"tiledwall/internal/bits"
-
 	"tiledwall/internal/mpeg2"
 	"tiledwall/internal/pdec"
 	"tiledwall/internal/splitter"
@@ -119,39 +117,28 @@ func Calibrate(stream []byte, m, n, overlap, maxPics int) (*Calibration, error) 
 	return cal, nil
 }
 
-// offlineTileDecoder decodes a tile's sub-pictures outside any fabric by
-// satisfying MEI RECVs directly from the peer decoders' windows. It exists
-// for calibration and for splitter unit tests.
+// offlineTileDecoder decodes a tile's sub-pictures outside any fabric,
+// through the same piece decoder as pdec's tile decoder. It exists for
+// calibration.
 type offlineTileDecoder struct {
-	seq  *mpeg2.SequenceHeader
-	geo  *wall.Geometry
-	tile int
-	rect wall.Rect
-
-	bufs            []*mpeg2.PixelBuf
+	seq             *mpeg2.SequenceHeader
+	bufs            [3]*mpeg2.PixelBuf
 	cur, refA, refB int
+	anchors         int // decoded anchors, up to 2
+
+	ph     mpeg2.PictureHeader
+	ctx    mpeg2.PictureContext
+	pieces pdec.PieceDecoder
 }
 
 func newOfflineTileDecoder(seq *mpeg2.SequenceHeader, geo *wall.Geometry, tile int) *offlineTileDecoder {
 	rect := geo.Tile(tile)
 	halo := pdec.HaloForFCode(3)
-	x0, y0 := rect.X0-halo, rect.Y0-halo
-	x1, y1 := rect.X1+halo, rect.Y1+halo
-	if x0 < 0 {
-		x0 = 0
-	}
-	if y0 < 0 {
-		y0 = 0
-	}
-	if x1 > geo.PicW {
-		x1 = geo.PicW
-	}
-	if y1 > geo.PicH {
-		y1 = geo.PicH
-	}
-	d := &offlineTileDecoder{seq: seq, geo: geo, tile: tile, rect: rect, cur: 0, refA: -1, refB: -1}
-	for i := 0; i < 3; i++ {
-		d.bufs = append(d.bufs, mpeg2.NewPixelBuf(x0, y0, x1-x0, y1-y0))
+	x0, y0 := max(rect.X0-halo, 0), max(rect.Y0-halo, 0)
+	x1, y1 := min(rect.X1+halo, geo.PicW), min(rect.Y1+halo, geo.PicH)
+	d := &offlineTileDecoder{seq: seq, cur: 0, refA: 1, refB: 2, pieces: pdec.PieceDecoder{Tile: tile}}
+	for i := range d.bufs {
+		d.bufs[i] = mpeg2.NewPixelBuf(x0, y0, x1-x0, y1-y0)
 	}
 	return d
 }
@@ -162,95 +149,25 @@ func newOfflineTileDecoder(seq *mpeg2.SequenceHeader, geo *wall.Geometry, tile i
 // window geometry guarantees every access stays in bounds). The fabric
 // pipeline in pdec is authoritative for pixel correctness.
 func (d *offlineTileDecoder) decode(sp *subpic.SubPicture) error {
-	ph := sp.Pic.Header()
-	ctx, err := mpeg2.NewPictureContext(d.seq, ph)
-	if err != nil {
+	sp.Pic.HeaderInto(&d.ph)
+	if err := d.ctx.Init(d.seq, &d.ph); err != nil {
 		return err
 	}
-	rc := mpeg2.NewReconstructor(ph)
-	cur := d.bufs[d.cur]
 	var fwd, bwd *mpeg2.PixelBuf
-	switch ph.PicType {
-	case mpeg2.PictureP:
-		if d.refB < 0 {
-			return fmt.Errorf("system: calibration P picture before anchor")
-		}
+	switch t := d.ph.PicType; {
+	case t == mpeg2.PictureP && d.anchors >= 1:
 		fwd = d.bufs[d.refB]
-	case mpeg2.PictureB:
-		if d.refA < 0 || d.refB < 0 {
-			return fmt.Errorf("system: calibration B picture without two anchors")
-		}
+	case t == mpeg2.PictureB && d.anchors >= 2:
 		fwd, bwd = d.bufs[d.refA], d.bufs[d.refB]
+	case t != mpeg2.PictureI:
+		return fmt.Errorf("system: calibration %s picture before its reference anchors", t)
 	}
-	if err := decodeSubPicture(ctx, rc, sp, cur, fwd, bwd); err != nil {
+	if err := d.pieces.Decode(&d.ctx, sp, d.bufs[d.cur], fwd, bwd); err != nil {
 		return err
 	}
-	if ph.PicType != mpeg2.PictureB {
-		old := d.refA
-		d.refA, d.refB = d.refB, d.cur
-		if old >= 0 {
-			d.cur = old
-		} else {
-			for i := 0; i < 3; i++ {
-				if i != d.refA && i != d.refB {
-					d.cur = i
-				}
-			}
-		}
+	if d.ph.PicType != mpeg2.PictureB {
+		d.cur, d.refA, d.refB = d.refA, d.refB, d.cur
+		d.anchors = min(d.anchors+1, 2)
 	}
 	return nil
-}
-
-// decodeSubPicture runs the piece decode loop shared with pdec (duplicated
-// here in simplified form for offline use).
-func decodeSubPicture(ctx *mpeg2.PictureContext, rc *mpeg2.Reconstructor, sp *subpic.SubPicture, cur, fwd, bwd *mpeg2.PixelBuf) error {
-	skipped := func(addr int, prev mpeg2.MotionInfo) error {
-		return rc.Skipped(cur, fwd, bwd, addr%ctx.MBW, addr/ctx.MBW, prev)
-	}
-	for pi := range sp.Pieces {
-		p := &sp.Pieces[pi]
-		for k := int(p.LeadingSkip); k > 0; k-- {
-			if err := skipped(int(p.FirstAddr)-k, p.Prev); err != nil {
-				return err
-			}
-		}
-		if p.CodedCount == 0 {
-			continue
-		}
-		r := newPieceReader(p)
-		sd := mpeg2.NewPartialSliceDecoder(ctx, r, p.State(), p.Prev, int(p.FirstAddr), int(p.CodedCount))
-		var mb mpeg2.Macroblock
-		lastAddr := int(p.FirstAddr)
-		for {
-			ok, err := sd.Next(&mb)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			for k := mb.Addr - mb.SkippedBefore; k < mb.Addr; k++ {
-				if err := skipped(k, mb.PrevMotion); err != nil {
-					return err
-				}
-			}
-			if err := rc.Macroblock(cur, fwd, bwd, &mb, ctx.MBW); err != nil {
-				return err
-			}
-			lastAddr = mb.Addr
-		}
-		for k := 1; k <= int(p.TrailingSkip); k++ {
-			if err := skipped(lastAddr+k, sd.PrevMotion()); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// newPieceReader positions a bit reader at a piece's first macroblock.
-func newPieceReader(p *subpic.Piece) *bits.Reader {
-	r := bits.NewReader(p.Payload)
-	r.Skip(int(p.SkipBits))
-	return r
 }

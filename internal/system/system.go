@@ -224,38 +224,6 @@ func (fc *frameCollector) onFrame(_ int, tile int, buf *mpeg2.PixelBuf) {
 	fc.mu.Unlock()
 }
 
-// onIndexedFrame stores a tile frame at an explicit display index, for
-// pipelines whose display servers receive frames out of order.
-func (fc *frameCollector) onIndexedFrame(displayIdx, tile int, buf *mpeg2.PixelBuf) {
-	fc.mu.Lock()
-	for len(fc.tiles[tile]) <= displayIdx {
-		fc.tiles[tile] = append(fc.tiles[tile], nil)
-	}
-	fc.tiles[tile][displayIdx] = buf
-	fc.mu.Unlock()
-}
-
-// assembleIndexed assembles exactly total frames, requiring every slot to be
-// filled.
-func (fc *frameCollector) assembleIndexed(total int) ([]*mpeg2.PixelBuf, error) {
-	row := make([]*mpeg2.PixelBuf, len(fc.tiles))
-	var frames []*mpeg2.PixelBuf
-	for i := 0; i < total; i++ {
-		for t := range fc.tiles {
-			if i >= len(fc.tiles[t]) || fc.tiles[t][i] == nil {
-				return nil, fmt.Errorf("system: tile %d missing display frame %d", t, i)
-			}
-			row[t] = fc.tiles[t][i]
-		}
-		f, err := fc.geo.Assemble(row)
-		if err != nil {
-			return nil, err
-		}
-		frames = append(frames, f)
-	}
-	return frames, nil
-}
-
 func (fc *frameCollector) assemble() ([]*mpeg2.PixelBuf, error) {
 	n := -1
 	for t, list := range fc.tiles {

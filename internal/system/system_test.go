@@ -245,3 +245,26 @@ func TestUnbatchedExchangeBitExact(t *testing.T) {
 		}
 	}
 }
+
+func TestMacroblockLevelHasNoRedistribution(t *testing.T) {
+	// The contrast Table 1 draws: the hierarchical system sends no decoded
+	// pixels at all between nodes except MEI reference macroblocks.
+	stream := makeStream(t, video.SceneFilm, 192, 128, 9)
+	res, err := Run(stream, Config{K: 1, M: 2, N: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Decoder-to-decoder traffic exists (MEI) but is far below one frame per
+	// picture.
+	var interDecoder int64
+	for _, a := range res.DecoderNodeIDs {
+		for _, b := range res.DecoderNodeIDs {
+			interDecoder += res.PairBytes(a, b)
+		}
+	}
+	frameBytes := int64(192*128) * 3 / 2
+	if interDecoder > frameBytes*int64(res.Throughput.Pictures)/2 {
+		t.Errorf("macroblock-level inter-decoder traffic %d too high vs frames %d",
+			interDecoder, frameBytes*int64(res.Throughput.Pictures))
+	}
+}
