@@ -118,8 +118,8 @@ func runNode(role, listen, connect string, cfg system.Config, stall time.Duratio
 		Grid:         cluster.Grid{K: cfg.K, M: cfg.M, N: cfg.N, Overlap: cfg.Overlap},
 		StallTimeout: stall,
 	}
-	// The service is built after the transport, so link-state events route
-	// through an indirection armed once the wall exists (cf. NewResidentWall).
+	// The service is built after the transport it is wired to, so link-state
+	// events route through an indirection armed once the wall exists.
 	var linkSink struct {
 		mu sync.Mutex
 		w  *service.Wall
@@ -155,15 +155,10 @@ func runNode(role, listen, connect string, cfg system.Config, stall time.Duratio
 		log.Fatal(err)
 	}
 
-	scfg := service.Config{
-		K: cfg.K, M: cfg.M, N: cfg.N, Overlap: cfg.Overlap,
-		SplitWorkers: cfg.SplitWorkers,
-		Transport:    tr,
-		LocalNodes:   local,
-		MaxSessions:  sessions,
-		Recovery:     cfg.Recovery,
-		Chaos:        cfg.Chaos,
-	}
+	scfg := cfg
+	scfg.Wired = tr
+	scfg.LocalNodes = local
+	scfg.MaxSessions = sessions
 	var dig *tileDigest
 	if digest && hostsDecoders {
 		dig = newTileDigest()

@@ -19,8 +19,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -202,21 +200,9 @@ var ErrStalled = errors.New("cluster: fabric stalled (no traffic within StallTim
 
 // Fabric connects a fixed set of nodes.
 type Fabric struct {
+	core
 	cfg   Config
 	nodes []*Node
-	stats []LinkStats // indexed by node id; atomic access
-	pair  []int64     // bytes sent per (from*n + to), atomic
-
-	sessMu    sync.Mutex
-	sessBytes map[int]int64 // bytes sent per session id (session != 0 only)
-
-	done     chan struct{}
-	abortErr error
-	abort1   sync.Once
-
-	activity int64 // bumped on every send/receive; watchdog food
-	stop     chan struct{}
-	stop1    sync.Once
 }
 
 // New creates a fabric with n nodes.
@@ -227,11 +213,8 @@ func New(n int, cfg Config) *Fabric {
 	f := &Fabric{
 		cfg:   cfg,
 		nodes: make([]*Node, n),
-		stats: make([]LinkStats, n),
-		pair:  make([]int64, n*n),
-		done:  make(chan struct{}),
-		stop:  make(chan struct{}),
 	}
+	f.core.init(n)
 	for i := range f.nodes {
 		node := &Node{id: i, fabric: f}
 		for k := range node.queues {
@@ -239,93 +222,17 @@ func New(n int, cfg Config) *Fabric {
 		}
 		f.nodes[i] = node
 	}
-	if cfg.StallTimeout > 0 {
-		go f.watchdog(cfg.StallTimeout)
-	}
+	f.watch(cfg.StallTimeout, f.Abort)
 	return f
-}
-
-// watchdog aborts the fabric when a full timeout period passes with no
-// traffic. One quiet period can be an artefact of tick phase, so it requires
-// two consecutive quiet checks at half the timeout each.
-func (f *Fabric) watchdog(timeout time.Duration) {
-	tick := time.NewTicker(timeout / 2)
-	defer tick.Stop()
-	last := atomic.LoadInt64(&f.activity)
-	quiet := 0
-	for {
-		select {
-		case <-tick.C:
-			now := atomic.LoadInt64(&f.activity)
-			if now == last {
-				quiet++
-				if quiet >= 2 {
-					f.Abort(ErrStalled)
-					return
-				}
-			} else {
-				quiet = 0
-				last = now
-			}
-		case <-f.done:
-			return
-		case <-f.stop:
-			return
-		}
-	}
 }
 
 // Shutdown stops the watchdog goroutine, if one is armed. It is safe to call
 // multiple times and on fabrics without a watchdog; pipeline drivers call it
 // when their run completes so an idle-but-finished fabric is not aborted.
-func (f *Fabric) Shutdown() {
-	f.stop1.Do(func() { close(f.stop) })
-}
+func (f *Fabric) Shutdown() { f.stopWatch() }
 
 // Node returns node id.
 func (f *Fabric) Node(id int) *Node { return f.nodes[id] }
-
-// NumNodes returns the node count.
-func (f *Fabric) NumNodes() int { return len(f.nodes) }
-
-// Stats returns a snapshot of per-node traffic counters.
-func (f *Fabric) Stats() []LinkStats {
-	out := make([]LinkStats, len(f.stats))
-	for i := range f.stats {
-		out[i] = LinkStats{
-			BytesSent: atomic.LoadInt64(&f.stats[i].BytesSent),
-			BytesRecv: atomic.LoadInt64(&f.stats[i].BytesRecv),
-			MsgsSent:  atomic.LoadInt64(&f.stats[i].MsgsSent),
-			MsgsRecv:  atomic.LoadInt64(&f.stats[i].MsgsRecv),
-		}
-	}
-	return out
-}
-
-// PairBytes returns bytes sent from node a to node b.
-func (f *Fabric) PairBytes(a, b int) int64 {
-	return atomic.LoadInt64(&f.pair[a*len(f.nodes)+b])
-}
-
-// addSessionBytes accounts wire bytes to a resident-service session. Batch
-// traffic (session 0) skips the lock entirely, so the hot path of one-shot
-// runs is unchanged.
-func (f *Fabric) addSessionBytes(session int, n int64) {
-	f.sessMu.Lock()
-	if f.sessBytes == nil {
-		f.sessBytes = map[int]int64{}
-	}
-	f.sessBytes[session] += n
-	f.sessMu.Unlock()
-}
-
-// SessionBytes returns the wire bytes sent so far on behalf of one session
-// (0 for unknown sessions and for batch traffic, which is not keyed).
-func (f *Fabric) SessionBytes(session int) int64 {
-	f.sessMu.Lock()
-	defer f.sessMu.Unlock()
-	return f.sessBytes[session]
-}
 
 // Node is one cluster endpoint. A node's receive methods must be called from
 // a single goroutine (the node's process), matching one PC per role.
@@ -333,6 +240,7 @@ type Node struct {
 	id     int
 	fabric *Fabric
 	queues [numKinds]chan *Message
+	timer  recvTimer
 }
 
 // ID returns the node id.
@@ -348,20 +256,12 @@ func (n *Node) Send(to int, msg *Message) {
 	if f.cfg.Drop != nil && f.cfg.Drop(msg) {
 		return // lost on the wire: no delivery, no accounting
 	}
-	atomic.AddInt64(&f.activity, 1)
-	bytes := msg.wireBytes()
+	f.touch()
 	if f.cfg.BandwidthBps > 0 {
-		d := time.Duration(float64(bytes)/f.cfg.BandwidthBps*1e9) + f.cfg.Latency
+		d := time.Duration(float64(msg.wireBytes())/f.cfg.BandwidthBps*1e9) + f.cfg.Latency
 		time.Sleep(d)
 	}
-	atomic.AddInt64(&f.stats[n.id].BytesSent, bytes)
-	atomic.AddInt64(&f.stats[n.id].MsgsSent, 1)
-	atomic.AddInt64(&f.stats[to].BytesRecv, bytes)
-	atomic.AddInt64(&f.stats[to].MsgsRecv, 1)
-	atomic.AddInt64(&f.pair[n.id*len(f.nodes)+to], bytes)
-	if msg.Session != 0 {
-		f.addSessionBytes(msg.Session, bytes)
-	}
+	f.account(n.id, to, msg)
 	select {
 	case f.nodes[to].queues[msg.Kind] <- msg:
 	case <-f.done:
@@ -370,33 +270,12 @@ func (n *Node) Send(to int, msg *Message) {
 
 // Abort unblocks every pending Recv/Send with a nil result so node loops
 // can unwind after a peer failed. The first recorded cause wins.
-func (f *Fabric) Abort(cause error) {
-	f.abort1.Do(func() {
-		f.abortErr = cause
-		close(f.done)
-	})
-}
-
-// AbortCause returns the error passed to Abort, if any.
-func (f *Fabric) AbortCause() error {
-	select {
-	case <-f.done:
-		return f.abortErr
-	default:
-		return nil
-	}
-}
+func (f *Fabric) Abort(cause error) { f.abort(cause) }
 
 // Recv blocks until a message of the given kind arrives. It returns nil
 // when the fabric has been aborted.
 func (n *Node) Recv(kind MsgKind) *Message {
-	select {
-	case m := <-n.queues[kind]:
-		atomic.AddInt64(&n.fabric.activity, 1)
-		return m
-	case <-n.fabric.done:
-		return nil
-	}
+	return n.fabric.recv(n.queues[kind])
 }
 
 // Queue exposes the receive channel for one kind so a node process can
@@ -419,20 +298,5 @@ func (n *Node) TryRecv(kind MsgKind) (*Message, bool) {
 
 // RecvTimeout waits up to d for a message of the given kind; see Net.
 func (n *Node) RecvTimeout(kind MsgKind, d time.Duration) (*Message, bool) {
-	// Fast path avoids a timer allocation when a message is already queued.
-	if m, ok := n.TryRecv(kind); ok {
-		atomic.AddInt64(&n.fabric.activity, 1)
-		return m, false
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case m := <-n.queues[kind]:
-		atomic.AddInt64(&n.fabric.activity, 1)
-		return m, false
-	case <-t.C:
-		return nil, true
-	case <-n.fabric.done:
-		return nil, false
-	}
+	return n.fabric.recvTimeout(n.queues[kind], &n.timer, d)
 }

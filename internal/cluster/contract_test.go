@@ -195,6 +195,44 @@ func TestTransportContractRecvTimeout(t *testing.T) {
 	})
 }
 
+// TestTransportContractRecvTimeoutReuse: a port reuses one timer across
+// timed receives, so neither a timeout nor a deadline that expires after a
+// message was delivered may leak into the next receive as a stale timeout.
+func TestTransportContractRecvTimeoutReuse(t *testing.T) {
+	forEachTransport(t, 2, 0, func(t *testing.T, tr Transport) {
+		port := tr.Port(0)
+		sendAfter := func(d time.Duration, seq int) {
+			go func() {
+				time.Sleep(d)
+				tr.Port(1).Send(0, &Message{Kind: MsgAck, Seq: seq})
+			}()
+		}
+		if m, timedOut := port.RecvTimeout(MsgAck, 20*time.Millisecond); m != nil || !timedOut {
+			t.Fatalf("empty RecvTimeout = (%v, %v), want (nil, true)", m, timedOut)
+		}
+		// A receive that waits and gets its message before the deadline:
+		// the deadline then passes with the timer still armed unless the
+		// message path disarmed it.
+		const short = 100 * time.Millisecond
+		sendAfter(5*time.Millisecond, 1)
+		for {
+			m, timedOut := port.RecvTimeout(MsgAck, short)
+			if m != nil {
+				break
+			}
+			if !timedOut {
+				t.Fatalf("transport aborted: %v", tr.AbortCause())
+			}
+		}
+		time.Sleep(short + 50*time.Millisecond)
+		sendAfter(20*time.Millisecond, 2)
+		m, timedOut := port.RecvTimeout(MsgAck, 5*time.Second)
+		if timedOut || m == nil || m.Seq != 2 {
+			t.Fatalf("RecvTimeout after an expired deadline = (%+v, %v), want seq 2 delivered", m, timedOut)
+		}
+	})
+}
+
 // accountingScript drives identical traffic over any transport: a mix of
 // payload sizes, sessions and kinds with every send strictly ordered, so the
 // resulting counters are deterministic.

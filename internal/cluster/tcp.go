@@ -107,6 +107,7 @@ func (c *TCPConfig) defaults() {
 
 // TCPTransport implements Transport over TCP links through a hub.
 type TCPTransport struct {
+	core
 	cfg  TCPConfig
 	addr string // hub address every local port dialed (redial target)
 	hub  *hub   // non-nil on the listening process
@@ -118,20 +119,6 @@ type TCPTransport struct {
 	// and reads the ports through localPorts.
 	portsMu sync.Mutex
 	ports   []*tcpPort
-
-	stats []LinkStats
-	pair  []int64
-
-	sessMu    sync.Mutex
-	sessBytes map[int]int64
-
-	done     chan struct{}
-	abortErr error
-	abort1   sync.Once
-
-	activity int64
-	stop     chan struct{}
-	stop1    sync.Once
 
 	closing atomic.Bool
 	shut1   sync.Once
@@ -158,7 +145,7 @@ func ListenTCP(addr string, cfg TCPConfig) (*TCPTransport, error) {
 		t.Abort(err)
 		return nil, err
 	}
-	t.armWatchdog()
+	t.watch(t.cfg.StallTimeout, t.Abort)
 	return t, nil
 }
 
@@ -177,7 +164,7 @@ func DialTCP(addr string, cfg TCPConfig) (*TCPTransport, error) {
 		t.Abort(err)
 		return nil, err
 	}
-	t.armWatchdog()
+	t.watch(t.cfg.StallTimeout, t.Abort)
 	return t, nil
 }
 
@@ -199,14 +186,12 @@ func (c TCPConfig) check() error {
 }
 
 func newTCPTransport(cfg TCPConfig) *TCPTransport {
-	return &TCPTransport{
+	t := &TCPTransport{
 		cfg:   cfg,
 		ports: make([]*tcpPort, cfg.NumNodes),
-		stats: make([]LinkStats, cfg.NumNodes),
-		pair:  make([]int64, cfg.NumNodes*cfg.NumNodes),
-		done:  make(chan struct{}),
-		stop:  make(chan struct{}),
 	}
+	t.core.init(cfg.NumNodes)
+	return t
 }
 
 func (t *TCPTransport) connectLocal(addr string) error {
@@ -256,41 +241,6 @@ func (t *TCPTransport) localPorts() []*tcpPort {
 	return out
 }
 
-func (t *TCPTransport) armWatchdog() {
-	if t.cfg.StallTimeout > 0 {
-		go t.watchdog(t.cfg.StallTimeout)
-	}
-}
-
-// watchdog mirrors Fabric.watchdog: two consecutive quiet half-timeout
-// checks abort the transport with ErrStalled.
-func (t *TCPTransport) watchdog(timeout time.Duration) {
-	tick := time.NewTicker(timeout / 2)
-	defer tick.Stop()
-	last := atomic.LoadInt64(&t.activity)
-	quiet := 0
-	for {
-		select {
-		case <-tick.C:
-			now := atomic.LoadInt64(&t.activity)
-			if now == last {
-				quiet++
-				if quiet >= 2 {
-					t.Abort(ErrStalled)
-					return
-				}
-			} else {
-				quiet = 0
-				last = now
-			}
-		case <-t.done:
-			return
-		case <-t.stop:
-			return
-		}
-	}
-}
-
 // Addr returns the hub's listen address ("" on a dialing transport); use it
 // to recover the concrete port after ListenTCP(":0", ...).
 func (t *TCPTransport) Addr() string {
@@ -299,9 +249,6 @@ func (t *TCPTransport) Addr() string {
 	}
 	return ""
 }
-
-// NumNodes returns the wall's total port count.
-func (t *TCPTransport) NumNodes() int { return t.cfg.NumNodes }
 
 // Port returns the local port of node id; it panics for nodes that live in
 // another process, which would be a wiring bug.
@@ -312,83 +259,18 @@ func (t *TCPTransport) Port(id int) Port {
 	return t.ports[id]
 }
 
-// Stats snapshots per-node traffic counters. Each process accounts every
-// message exactly once: at send when the sender is local, at receive
-// otherwise, so a single-process wall matches the in-process fabric counter
-// for counter and a multi-process wall reports the traffic this process
-// participated in.
-func (t *TCPTransport) Stats() []LinkStats {
-	out := make([]LinkStats, len(t.stats))
-	for i := range t.stats {
-		out[i] = LinkStats{
-			BytesSent: atomic.LoadInt64(&t.stats[i].BytesSent),
-			BytesRecv: atomic.LoadInt64(&t.stats[i].BytesRecv),
-			MsgsSent:  atomic.LoadInt64(&t.stats[i].MsgsSent),
-			MsgsRecv:  atomic.LoadInt64(&t.stats[i].MsgsRecv),
-		}
-	}
-	return out
-}
-
-// PairBytes returns bytes sent from node a to node b, as seen by this
-// process.
-func (t *TCPTransport) PairBytes(a, b int) int64 {
-	return atomic.LoadInt64(&t.pair[a*t.cfg.NumNodes+b])
-}
-
-func (t *TCPTransport) addSessionBytes(session int, n int64) {
-	t.sessMu.Lock()
-	if t.sessBytes == nil {
-		t.sessBytes = map[int]int64{}
-	}
-	t.sessBytes[session] += n
-	t.sessMu.Unlock()
-}
-
-// SessionBytes returns wire bytes accounted to one resident session by this
-// process.
-func (t *TCPTransport) SessionBytes(session int) int64 {
-	t.sessMu.Lock()
-	defer t.sessMu.Unlock()
-	return t.sessBytes[session]
-}
-
-// Done is closed when the transport aborts.
-func (t *TCPTransport) Done() <-chan struct{} { return t.done }
-
 // Abort records the first cause, unblocks every pending operation, and
 // broadcasts an abort frame so remote processes observe the same cause.
 func (t *TCPTransport) Abort(cause error) {
-	t.abort1.Do(func() {
-		t.abortErr = cause
-		close(t.done)
+	if t.abort(cause) {
 		go t.abortTeardown(cause)
-	})
-}
-
-// AbortCause returns the error passed to Abort, if any.
-func (t *TCPTransport) AbortCause() error {
-	select {
-	case <-t.done:
-		return t.abortErr
-	default:
-		return nil
-	}
-}
-
-func (t *TCPTransport) aborted() bool {
-	select {
-	case <-t.done:
-		return true
-	default:
-		return false
 	}
 }
 
 // abortTeardown pushes an abort frame down every link, gives writers a
 // bounded window to flush it, then force-closes every connection.
 func (t *TCPTransport) abortTeardown(cause error) {
-	t.stop1.Do(func() { close(t.stop) })
+	t.stopWatch()
 	frame := AppendAbortFrame(nil, cause)
 	ports := t.localPorts()
 	for _, p := range ports {
@@ -444,7 +326,7 @@ func closePumps(ports []*tcpPort) {
 // times; after an abort it is a no-op because the abort teardown owns the
 // connections.
 func (t *TCPTransport) Shutdown() {
-	t.stop1.Do(func() { close(t.stop) })
+	t.stopWatch()
 	t.shut1.Do(func() {
 		if t.aborted() {
 			return
@@ -508,6 +390,7 @@ type tcpPort struct {
 	wq         *outQueue
 	writerDone chan struct{}
 	pumps      [numKinds]*pump
+	timer      recvTimer
 }
 
 var _ Port = (*tcpPort)(nil)
@@ -645,7 +528,7 @@ func (p *tcpPort) reconnect(old *net.TCPConn) (*net.TCPConn, *bufio.Reader) {
 				return nil, nil
 			}
 			p.conn, p.br = conn.(*net.TCPConn), br
-			atomic.AddInt64(&t.activity, 1)
+			t.touch()
 			if t.cfg.OnLinkState != nil {
 				t.cfg.OnLinkState(p.id, true)
 			}
@@ -655,7 +538,7 @@ func (p *tcpPort) reconnect(old *net.TCPConn) (*net.TCPConn, *bufio.Reader) {
 			t.linkError("redial", p.id, err)
 			return nil, nil
 		}
-		atomic.AddInt64(&t.activity, 1) // redialing counts as liveness
+		t.touch() // redialing counts as liveness
 		backoffSleep(attempt, t.cfg.DialRetryBase, t.cfg.DialRetryMax)
 	}
 }
@@ -674,28 +557,14 @@ func (p *tcpPort) Send(to int, msg *Message) {
 	if t.aborted() {
 		return
 	}
-	atomic.AddInt64(&t.activity, 1)
-	bytes := msg.wireBytes()
-	atomic.AddInt64(&t.stats[p.id].BytesSent, bytes)
-	atomic.AddInt64(&t.stats[p.id].MsgsSent, 1)
-	atomic.AddInt64(&t.stats[to].BytesRecv, bytes)
-	atomic.AddInt64(&t.stats[to].MsgsRecv, 1)
-	atomic.AddInt64(&t.pair[p.id*t.cfg.NumNodes+to], bytes)
-	if msg.Session != 0 {
-		t.addSessionBytes(msg.Session, bytes)
-	}
+	t.touch()
+	t.account(p.id, to, msg)
 	p.wq.put(outItem{msg: msg})
 }
 
 // Recv blocks until a message of the given kind arrives; nil after abort.
 func (p *tcpPort) Recv(kind MsgKind) *Message {
-	select {
-	case m := <-p.pumps[kind].ch:
-		atomic.AddInt64(&p.t.activity, 1)
-		return m
-	case <-p.t.done:
-		return nil
-	}
+	return p.t.recv(p.pumps[kind].ch)
 }
 
 // TryRecv returns a dispatched message of the given kind, if any.
@@ -710,21 +579,7 @@ func (p *tcpPort) TryRecv(kind MsgKind) (*Message, bool) {
 
 // RecvTimeout waits up to d for a message of the given kind; see Net.
 func (p *tcpPort) RecvTimeout(kind MsgKind, d time.Duration) (*Message, bool) {
-	if m, ok := p.TryRecv(kind); ok {
-		atomic.AddInt64(&p.t.activity, 1)
-		return m, false
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case m := <-p.pumps[kind].ch:
-		atomic.AddInt64(&p.t.activity, 1)
-		return m, false
-	case <-timer.C:
-		return nil, true
-	case <-p.t.done:
-		return nil, false
-	}
+	return p.t.recvTimeout(p.pumps[kind].ch, &p.timer, d)
 }
 
 // Queue exposes the dispatch channel for one kind; combine with Done.
@@ -849,19 +704,11 @@ func (p *tcpPort) reader() {
 				t.Abort(fmt.Errorf("%w: misrouted frame %d->%d at port %d", ErrFrameCorrupt, m.From, m.To, p.id))
 				return
 			}
-			atomic.AddInt64(&t.activity, 1)
+			t.touch()
 			if t.ports[m.From] == nil {
 				// Remote sender: this process's only sight of the message,
 				// so account it here (local senders were accounted in Send).
-				bytes := m.wireBytes()
-				atomic.AddInt64(&t.stats[m.From].BytesSent, bytes)
-				atomic.AddInt64(&t.stats[m.From].MsgsSent, 1)
-				atomic.AddInt64(&t.stats[p.id].BytesRecv, bytes)
-				atomic.AddInt64(&t.stats[p.id].MsgsRecv, 1)
-				atomic.AddInt64(&t.pair[m.From*t.cfg.NumNodes+p.id], bytes)
-				if m.Session != 0 {
-					t.addSessionBytes(m.Session, bytes)
-				}
+				t.account(m.From, p.id, m)
 			}
 			p.pumps[m.Kind].put(m)
 		case frameAbort:
@@ -1084,7 +931,7 @@ func (h *hub) linkReader(l *hubLink, br *bufio.Reader) {
 				t.Abort(fmt.Errorf("%w: frame from node %d to unknown node %d", ErrFrameCorrupt, l.node, dest))
 				return
 			}
-			atomic.AddInt64(&t.activity, 1)
+			t.touch()
 			if !h.dests[dest].q.put(outItem{raw: raw, slab: true}) {
 				PutSlab(raw)
 			}

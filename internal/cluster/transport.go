@@ -44,8 +44,5 @@ type Transport interface {
 // Queue).
 func (f *Fabric) Port(id int) Port { return f.nodes[id] }
 
-// Done is closed when the fabric aborts.
-func (f *Fabric) Done() <-chan struct{} { return f.done }
-
 var _ Transport = (*Fabric)(nil)
 var _ Port = (*Node)(nil)

@@ -84,7 +84,7 @@ type Tenant struct {
 // Config configures a fleet.
 type Config struct {
 	// Walls are the wall shapes to spawn, one warm service.Wall each.
-	// Transport and LocalNodes must be unset: the fleet owns its walls'
+	// Wired and LocalNodes must be unset: the fleet owns its walls'
 	// transports (it needs Abort/Done for recycling).
 	Walls []service.Config
 
@@ -276,7 +276,7 @@ func New(cfg Config) (*Fleet, error) {
 	capacity := 0
 	for i := range cfg.Walls {
 		wc := cfg.Walls[i]
-		if wc.Transport != nil || wc.LocalNodes != nil {
+		if wc.Wired != nil || wc.LocalNodes != nil {
 			return nil, fmt.Errorf("fleet: wall %d: the fleet owns its walls' transports", i)
 		}
 		if wc.M <= 0 {

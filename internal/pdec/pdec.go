@@ -165,8 +165,7 @@ func NewDecoder(node cluster.Net, cfg Config) *Decoder {
 		d.bufs = append(d.bufs, mpeg2.NewPixelBuf(x0, y0, x1-x0, y1-y0))
 	}
 	d.display = mpeg2.NewPixelBuf(rect.X0, rect.Y0, rect.W(), rect.H())
-	if rh := cfg.Recovery; rh != nil {
-		rh.Cfg = rh.Cfg.WithDefaults()
+	if cfg.Recovery != nil {
 		d.spStash = map[int]stashedSubPic{}
 		d.finalsFrom = map[int]bool{}
 	}

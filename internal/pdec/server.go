@@ -34,46 +34,17 @@ type ServeConfig struct {
 	// this tile, before the drain ack is sent to the root.
 	OnResult func(session, tile int, res *Result)
 
+	// NumSplitters is how many session-final markers a session needs before
+	// its tail can be concealed: one per second-level splitter (or one from
+	// the root's own splitting stage when K=0). Only fault masking reads it.
+	NumSplitters int
+
 	// Recovery, when non-nil, switches the server's protocol path to fault
 	// masking: per-session decoders conceal gaps and tails instead of
 	// aborting on ordering faults, leases are renewed per message, chaos
 	// kills surface as recovery.ErrKilled for the supervisor, and a
 	// respawned incarnation re-joins its sessions from Resume.
-	Recovery *ServeRecovery
-}
-
-// ServeRecovery wires fault masking into one resident decoder server
-// incarnation.
-type ServeRecovery struct {
-	Cfg   recovery.Config
-	Lease *recovery.Lease
-	Chaos recovery.ChaosPlan
-	// Rec returns the recovery counters to charge for a session's
-	// interventions (must not return nil).
-	Rec func(session int) *metrics.Recovery
-	// OnOpen reports every session open this server sees, so the service
-	// registry can snapshot it for future respawns.
-	OnOpen func(session int, header []byte)
-	// NumSplitters is how many session-final markers a session needs before
-	// its tail can be concealed: one per second-level splitter (or one from
-	// the root's own splitting stage when K=0).
-	NumSplitters int
-	// Resume lists the sessions a respawned incarnation must re-join.
-	Resume []ResumeSession
-}
-
-// ResumeSession re-opens one session on a respawned node server. NextPic is
-// the emission frontier the dead incarnation reached (one past the highest
-// emitted decode index): pictures below it were already displayed and stay
-// displayed; the reference chain restarts untrusted and conceals until an I
-// picture re-anchors it. Holes lists the decode indices below NextPic the
-// dead incarnation never emitted — its held anchor, lost with it — which the
-// respawned incarnation conceal-emits once so no tile skips a frame.
-type ResumeSession struct {
-	ID      int
-	Header  []byte
-	NextPic int
-	Holes   []int
+	Recovery *recovery.Incarnation
 }
 
 // server holds the node-level state shared by every session on one tile.
@@ -109,68 +80,48 @@ func (s *sessionNet) Recv(kind cluster.MsgKind) *cluster.Message {
 		// through the shim; recovery kinds are unsupported in resident mode.
 		return s.srv.port.Recv(kind)
 	}
-	if q := s.srv.pending[s.session]; len(q) > 0 {
-		m := q[0]
-		s.srv.pending[s.session] = q[1:]
-		return m
-	}
-	for {
-		m := s.srv.port.Recv(kind)
-		if m == nil {
-			return nil
-		}
-		if m.Session == s.session {
-			return m
-		}
-		s.srv.pending[m.Session] = append(s.srv.pending[m.Session], m)
-	}
+	m, _ := s.next(true, func() (*cluster.Message, bool) { return s.srv.port.Recv(kind), false })
+	return m
 }
 
 func (s *sessionNet) TryRecv(kind cluster.MsgKind) (*cluster.Message, bool) {
 	if kind != cluster.MsgBlocks {
 		return s.srv.port.TryRecv(kind)
 	}
-	if q := s.srv.pending[s.session]; len(q) > 0 {
-		m := q[0]
-		s.srv.pending[s.session] = q[1:]
-		return m, true
-	}
-	for {
-		m, ok := s.srv.port.TryRecv(kind)
-		if !ok || m == nil {
-			return m, ok
-		}
-		if m.Session == s.session {
-			return m, true
-		}
-		s.srv.pending[m.Session] = append(s.srv.pending[m.Session], m)
-	}
+	return s.next(true, func() (*cluster.Message, bool) { return s.srv.port.TryRecv(kind) })
 }
 
 func (s *sessionNet) RecvTimeout(kind cluster.MsgKind, d time.Duration) (*cluster.Message, bool) {
 	if kind != cluster.MsgBlocks {
 		return s.srv.port.RecvTimeout(kind, d)
 	}
-	if q := s.srv.pending[s.session]; len(q) > 0 {
-		m := q[0]
-		s.srv.pending[s.session] = q[1:]
-		return m, false
-	}
 	deadline := time.Now().Add(d)
-	for {
+	return s.next(false, func() (*cluster.Message, bool) {
 		remain := time.Until(deadline)
 		if remain <= 0 {
 			return nil, true
 		}
-		m, timedOut := s.srv.port.RecvTimeout(kind, remain)
-		if timedOut {
-			return nil, true
-		}
+		return s.srv.port.RecvTimeout(kind, remain)
+	})
+}
+
+// next returns this session's next MsgBlocks bundle: the oldest one parked
+// for it, else the first one recv delivers for it, parking other sessions'
+// bundles (per-session FIFO) on the way. recv is one port receive; its nil
+// message ends the wait with recv's flag. A delivered bundle comes with
+// delivered, the flag value that means success for the calling receive.
+func (s *sessionNet) next(delivered bool, recv func() (*cluster.Message, bool)) (*cluster.Message, bool) {
+	if q := s.srv.pending[s.session]; len(q) > 0 {
+		s.srv.pending[s.session] = q[1:]
+		return q[0], delivered
+	}
+	for {
+		m, flag := recv()
 		if m == nil {
-			return nil, false
+			return nil, flag
 		}
 		if m.Session == s.session {
-			return m, false
+			return m, delivered
 		}
 		s.srv.pending[m.Session] = append(s.srv.pending[m.Session], m)
 	}
@@ -198,11 +149,8 @@ func Serve(port cluster.Port, cfg ServeConfig) error {
 	// while the port is idle (the hole's successors may be the only traffic
 	// a session will ever see again).
 	var tick time.Duration
-	numFinals := 0
 	if rh != nil {
-		srv.cfg.Recovery.Cfg = rh.Cfg.WithDefaults()
-		tick = max(srv.cfg.Recovery.Cfg.PictureDeadline/2, time.Millisecond)
-		numFinals = rh.NumSplitters
+		tick = max(rh.Cfg.PictureDeadline/2, time.Millisecond)
 		for _, rs := range rh.Resume {
 			if err := srv.open(&cluster.Message{Session: rs.ID, Payload: rs.Header}); err != nil {
 				continue // undecodable header: the session fails upstream
@@ -260,7 +208,7 @@ func Serve(port cluster.Port, cfg ServeConfig) error {
 			// The receive wait belongs to the session whose message ended it
 			// (batch attribution, per stream).
 			d.Breakdown().Add(metrics.PhaseReceive, wait)
-			done, err := d.HandleSubPicture(msg, numFinals)
+			done, err := d.HandleSubPicture(msg, cfg.NumSplitters)
 			if err != nil {
 				return err
 			}

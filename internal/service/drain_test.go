@@ -17,7 +17,7 @@ import (
 func TestDrainCountsEachNodeOnce(t *testing.T) {
 	fab := cluster.New(3, cluster.Config{StallTimeout: 10 * time.Second})
 	defer fab.Shutdown()
-	w, err := New(Config{K: 1, M: 1, N: 1, Transport: fab, LocalNodes: []int{0}})
+	w, err := New(Config{K: 1, M: 1, N: 1, Wired: fab, LocalNodes: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,30 +174,18 @@ func (rv *wallRecovery) dropSession(session int) (metrics.RecoverySnapshot, [][]
 	return st.rec.Snapshot(), st.emitted
 }
 
-// splitterResume snapshots the sessions a respawned splitter must re-join.
-func (rv *wallRecovery) splitterResume() []splitter.ResumeSession {
+// resume snapshots the sessions a respawned incarnation must re-join. A
+// splitter (tile < 0) needs only their headers; a decoder also gets each
+// session's emission frontier on its tile. B-picture reordering means the
+// emitted indices are not contiguous: the dead incarnation's held anchor may
+// be missing below indices it already emitted. The frontier is therefore one
+// past the highest emitted index, and every hole below it — the lost held
+// anchor — is listed for the respawned decoder to conceal-emit once,
+// preserving exactly-once delivery.
+func (rv *wallRecovery) resume(tile int) []recovery.ResumeSession {
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
-	var out []splitter.ResumeSession
-	for id, st := range rv.sessions {
-		if st.header != nil {
-			out = append(out, splitter.ResumeSession{ID: id, Header: st.header})
-		}
-	}
-	return out
-}
-
-// decoderResume snapshots the sessions a respawned decoder must re-join,
-// with each session's emission frontier on that tile. B-picture reordering
-// means the emitted indices are not contiguous: the dead incarnation's held
-// anchor may be missing below indices it already emitted. The frontier is
-// therefore one past the highest emitted index, and every hole below it —
-// the lost held anchor — is listed for the respawned decoder to conceal-emit
-// once, preserving exactly-once delivery.
-func (rv *wallRecovery) decoderResume(tile int) []pdec.ResumeSession {
-	rv.mu.Lock()
-	defer rv.mu.Unlock()
-	var out []pdec.ResumeSession
+	var out []recovery.ResumeSession
 	for id, st := range rv.sessions {
 		if st.header == nil {
 			continue
@@ -218,24 +206,52 @@ func (rv *wallRecovery) decoderResume(tile int) []pdec.ResumeSession {
 				}
 			}
 		}
-		out = append(out, pdec.ResumeSession{ID: id, Header: st.header, NextPic: next, Holes: holes})
+		out = append(out, recovery.ResumeSession{ID: id, Header: st.header, NextPic: next, Holes: holes})
 	}
 	return out
 }
 
-func (rv *wallRecovery) nodeDown() {
+// incarnation builds one node-server incarnation's recovery wiring; nil on a
+// wall without recovery.
+func (rv *wallRecovery) incarnation(lease *recovery.Lease, chaos recovery.ChaosPlan, resume []recovery.ResumeSession) *recovery.Incarnation {
+	if rv == nil {
+		return nil
+	}
+	return &recovery.Incarnation{
+		Cfg:    rv.cfg,
+		Lease:  lease,
+		Chaos:  chaos,
+		Rec:    rv.recFor,
+		OnOpen: rv.noteOpen,
+		Resume: resume,
+	}
+}
+
+// noteDown and noteUp track node loops and transport links that are down.
+func (rv *wallRecovery) noteDown() {
 	rv.mu.Lock()
 	rv.down++
 	rv.degraded = true
 	rv.mu.Unlock()
 }
 
-func (rv *wallRecovery) nodeUp() {
+func (rv *wallRecovery) noteUp() {
 	rv.mu.Lock()
 	if rv.down > 0 {
 		rv.down--
 	}
 	rv.mu.Unlock()
+}
+
+// noteLink is the wall's cluster.TCPConfig.OnLinkState: a lost socket marks
+// the wall Recovering until the redial lands. It must not block (it does
+// not).
+func (rv *wallRecovery) noteLink(_ int, up bool) {
+	if up {
+		rv.noteUp()
+	} else {
+		rv.noteDown()
+	}
 }
 
 // noteSessionClose feeds the health state machine: a clean close clears the
@@ -279,17 +295,12 @@ func (w *Wall) Recovery() metrics.RecoverySnapshot {
 }
 
 // NoteLink feeds transport link state into the wall's health — wire it to
-// cluster.TCPConfig.OnLinkState so a lost socket marks the wall Recovering
-// until the redial lands. No-op without recovery enabled; safe from any
-// goroutine and must not block (it does not).
+// the cluster.TCPConfig.OnLinkState of a transport passed in as Wired (New
+// wires the loopback transport it builds itself). No-op without recovery
+// enabled; safe from any goroutine and must not block (it does not).
 func (w *Wall) NoteLink(node int, up bool) {
-	if w.rv == nil {
-		return
-	}
-	if up {
-		w.rv.nodeUp()
-	} else {
-		w.rv.nodeDown()
+	if w.rv != nil {
+		w.rv.noteLink(node, up)
 	}
 }
 
@@ -297,11 +308,12 @@ func (w *Wall) NoteLink(node int, up bool) {
 // shutdown or a fatal error, which aborts the wall. Without recovery that is
 // the one incarnation, with no lease and no respawn. With recovery an
 // injected kill parks the node until the supervisor sees its lease expire
-// and grants a respawn; respawned then prepares the next incarnation (false
-// when the wall is unwinding). An exhausted restart budget leaves the node
-// dead: its sessions end through concealment and drain timeouts — never a
-// wall abort.
-func (w *Wall) supervise(id int, serve func(lease *recovery.Lease, chaos recovery.ChaosPlan) error, respawned func() bool) {
+// and grants a respawn; the next incarnation re-joins the registry's
+// sessions (tile < 0 for a splitter, see resume), after onRespawn, if set,
+// has prepared it (false when the wall is unwinding). An exhausted restart
+// budget leaves the node dead: its sessions end through concealment and
+// drain timeouts — never a wall abort.
+func (w *Wall) supervise(id, tile int, serve func(inc *recovery.Incarnation) error, onRespawn func() bool) {
 	rv := w.rv
 	var lease *recovery.Lease
 	var chaos recovery.ChaosPlan
@@ -310,8 +322,9 @@ func (w *Wall) supervise(id int, serve func(lease *recovery.Lease, chaos recover
 		rv.sup.Watch(id, lease)
 		chaos = rv.chaos
 	}
+	inc := rv.incarnation(lease, chaos, nil)
 	for {
-		err := serve(lease, chaos)
+		err := serve(inc)
 		if err == nil {
 			return
 		}
@@ -319,15 +332,16 @@ func (w *Wall) supervise(id int, serve func(lease *recovery.Lease, chaos recover
 			w.tr.Abort(err)
 			return
 		}
-		rv.nodeDown()
+		rv.noteDown()
 		if _, ok := rv.sup.AwaitRespawn(id, w.tr.Done()); !ok {
 			return // budget exhausted or wall unwinding; node stays down
 		}
-		chaos = recovery.ChaosPlan{} // each injected kill fires once
-		if !respawned() {
+		// Each injected kill fires once: later incarnations run no chaos.
+		inc = rv.incarnation(lease, recovery.ChaosPlan{}, rv.resume(tile))
+		if onRespawn != nil && !onRespawn() {
 			return
 		}
-		rv.nodeUp()
+		rv.noteUp()
 	}
 }
 
@@ -336,11 +350,9 @@ func (w *Wall) supervise(id int, serve func(lease *recovery.Lease, chaos recover
 // pictures.
 func (w *Wall) runSplitter(i int) {
 	id := w.splitterIDs[i]
-	var resume []splitter.ResumeSession
-	w.supervise(id, func(lease *recovery.Lease, chaos recovery.ChaosPlan) error {
-		return splitter.ServeSecond(w.tr.Port(id), w.splitterServeCfg(i, lease, chaos, resume))
+	w.supervise(id, -1, func(inc *recovery.Incarnation) error {
+		return splitter.ServeSecond(w.tr.Port(id), w.splitterServeCfg(i, inc))
 	}, func() bool {
-		resume = w.rv.splitterResume()
 		if w.hasRoot {
 			// Ask the root to replay this splitter's unacked pictures; the
 			// new incarnation deduplicates overlap with its surviving queue.
@@ -359,20 +371,16 @@ func (w *Wall) runSplitter(i int) {
 // picture re-anchors the chain.
 func (w *Wall) runDecoder(t int) {
 	id := w.decoderIDs[t]
-	var resume []pdec.ResumeSession
-	w.supervise(id, func(lease *recovery.Lease, chaos recovery.ChaosPlan) error {
-		return pdec.Serve(w.tr.Port(id), w.decoderServeCfg(t, lease, chaos, resume))
-	}, func() bool {
-		resume = w.rv.decoderResume(t)
-		return true
-	})
+	w.supervise(id, t, func(inc *recovery.Incarnation) error {
+		return pdec.Serve(w.tr.Port(id), w.decoderServeCfg(t, inc))
+	}, nil)
 }
 
 // splitterServeCfg builds splitter i's serve configuration — also the
-// root's own splitting stage on a one-level wall. With recovery it carries
-// the incarnation's lease, chaos plan and resumed sessions.
-func (w *Wall) splitterServeCfg(i int, lease *recovery.Lease, chaos recovery.ChaosPlan, resume []splitter.ResumeSession) splitter.ServeConfig {
-	cfg := splitter.ServeConfig{
+// root's own splitting stage on a one-level wall — with the incarnation's
+// recovery wiring (nil without recovery).
+func (w *Wall) splitterServeCfg(i int, inc *recovery.Incarnation) splitter.ServeConfig {
+	return splitter.ServeConfig{
 		Index:        i,
 		M:            w.cfg.M,
 		N:            w.cfg.N,
@@ -381,23 +389,13 @@ func (w *Wall) splitterServeCfg(i int, lease *recovery.Lease, chaos recovery.Cha
 		RootNode:     0,
 		SplitWorkers: w.cfg.SplitWorkers,
 		OnResult:     w.onSecondResult,
+		Recovery:     inc,
 	}
-	if rv := w.rv; rv != nil {
-		cfg.Recovery = &splitter.ServeRecovery{
-			Cfg:    rv.cfg,
-			Lease:  lease,
-			Chaos:  chaos,
-			Rec:    rv.recFor,
-			OnOpen: rv.noteOpen,
-			Resume: resume,
-		}
-	}
-	return cfg
 }
 
 // decoderServeCfg builds tile decoder t's serve configuration, with the
 // incarnation's recovery wiring as for splitterServeCfg.
-func (w *Wall) decoderServeCfg(t int, lease *recovery.Lease, chaos recovery.ChaosPlan, resume []pdec.ResumeSession) pdec.ServeConfig {
+func (w *Wall) decoderServeCfg(t int, inc *recovery.Incarnation) pdec.ServeConfig {
 	cfg := pdec.ServeConfig{
 		Tile:           t,
 		M:              w.cfg.M,
@@ -408,22 +406,13 @@ func (w *Wall) decoderServeCfg(t int, lease *recovery.Lease, chaos recovery.Chao
 		RootNode:       0,
 		UnbatchedSends: w.cfg.UnbatchedExchange,
 		OnResult:       w.onDecoderResult,
+		NumSplitters:   maxInt(1, w.cfg.K),
+		Recovery:       inc,
 	}
 	// Recovery always observes emissions: the registry's per-tile frontier
 	// is what a respawned decoder resumes from.
 	if w.cfg.CollectFrames || w.cfg.OnTileFrame != nil || w.rv != nil {
 		cfg.OnFrame = w.onFrame
-	}
-	if rv := w.rv; rv != nil {
-		cfg.Recovery = &pdec.ServeRecovery{
-			Cfg:          rv.cfg,
-			Lease:        lease,
-			Chaos:        chaos,
-			Rec:          rv.recFor,
-			OnOpen:       rv.noteOpen,
-			NumSplitters: maxInt(1, w.cfg.K),
-			Resume:       resume,
-		}
 	}
 	return cfg
 }

@@ -149,7 +149,7 @@ func (w *Wall) runRoot() error {
 		}
 	}
 	if k == 0 {
-		local = splitter.NewStage(port, w.splitterServeCfg(0, nil, recovery.ChaosPlan{}, nil), onAck)
+		local = splitter.NewStage(port, w.splitterServeCfg(0, w.rv.incarnation(nil, recovery.ChaosPlan{}, nil)), onAck)
 		defer local.Close()
 	}
 	// takeAck waits for a splitter ack; under recovery the wait is bounded

@@ -52,7 +52,7 @@ func runRootWithStubs(t *testing.T, sizes []int, k int, dynamic bool) [][]stubRe
 	t.Helper()
 	fab := cluster.New(1+k+1, cluster.Config{StallTimeout: 10 * time.Second})
 	defer fab.Shutdown()
-	w, err := New(Config{K: k, M: 1, N: 1, DynamicBalance: dynamic, Transport: fab, LocalNodes: []int{0}})
+	w, err := New(Config{K: k, M: 1, N: 1, DynamicBalance: dynamic, Wired: fab, LocalNodes: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,40 +14,89 @@ import (
 	"tiledwall/internal/splitter"
 )
 
-// Config describes a resident wall. The grid fields mirror the batch
-// system.Config; the service-only fields bound admission.
+// Config describes a 1-k-(m,n) wall: the one configuration of the resident
+// service, the batch system.Run and tiledwall.WallConfig (system.Config is
+// an alias of it). The wall builds and owns its transport unless the caller
+// brings one in Wired.
 type Config struct {
-	// K is the number of second-level splitters (0 = combined root+splitter).
+	// K is the number of second-level splitters; 0 selects the one-level
+	// 1-(m,n) wall in which the root itself splits at macroblock level.
 	K int
-	// M, N is the decoder grid; Overlap the projector blend band in pixels.
+	// M, N is the decoder/tile grid; Overlap the projector blend band in
+	// pixels.
 	M, N, Overlap int
-	// MaxFCode sizes decoder halos for the whole wall lifetime (default 3);
-	// every session's motion vectors must fit it.
+	// MaxFCode bounds the streams' motion vector range and sizes the
+	// decoders' halo windows for the whole wall lifetime; every session's
+	// motion vectors must fit it. 0 defaults to 3 (±32 px), the encoder
+	// default.
 	MaxFCode int
 
-	DynamicBalance    bool
-	SplitWorkers      int
-	UnbatchedExchange bool
-	CollectFrames     bool
+	// DynamicBalance makes the root assign pictures to the least-loaded
+	// splitter instead of round-robin (the paper's §6 future work).
+	DynamicBalance bool
 
-	// Fabric configures the in-process transport built by New when Transport
-	// is nil.
+	// SplitWorkers is the slice-parallel fan-out inside every macroblock
+	// splitter (second-level and one-level combined): each picture's slices
+	// are parsed concurrently by this many goroutines, shrinking the paper's
+	// ts term on multicore hosts — parallelism the paper's single-CPU nodes
+	// could only buy by adding splitter PCs. 0 selects GOMAXPROCS, 1 the
+	// serial path; sub-pictures are byte-identical for every value (the
+	// conformance matrix runs a split-workers axis to prove it).
+	SplitWorkers int
+
+	// UnbatchedExchange disables per-peer batching of MEI block messages
+	// (ablation; see pdec.Config.UnbatchedSends).
+	UnbatchedExchange bool
+
+	// Fabric configures the in-process fabric New builds for Transport ""
+	// or "fabric"; of its options only StallTimeout also applies to the
+	// loopback TCP transport.
 	Fabric cluster.Config
-	// Transport, when set, supplies the wiring instead (e.g. a
+	// Transport selects the transport New builds: "" or "fabric" for the
+	// in-process fabric, "tcp" for the socket transport over loopback
+	// (every node still lives in this process, but all traffic crosses
+	// real TCP connections through a hub — the single-process form of the
+	// multi-process wall). With Recovery the loopback links are recoverable
+	// (they redial after a loss) and their state feeds Health. The wall
+	// owns the transport it builds and shuts it down on Close. Ignored when
+	// Wired is set.
+	Transport string
+	// Wired, when set, is a transport the caller built (e.g. a
 	// cluster.TCPTransport spanning processes). It must have exactly
 	// NumNodes() nodes and is not shut down by Wall.Close.
-	Transport cluster.Transport
+	Wired cluster.Transport
 	// LocalNodes restricts which node loops this process runs (nil = all).
 	// A multi-process wall gives each process the same grid and transport
 	// topology but a disjoint LocalNodes subset; only the process hosting
 	// node 0 (the root) can open sessions, the others Wait.
 	LocalNodes []int
 
+	// CollectFrames assembles full output frames per session for
+	// verification (adds memory traffic outside the measured path).
+	CollectFrames bool
 	// OnTileFrame, when set, receives every decoded tile frame hosted by
-	// this process — the display-server hook of a multi-process wall,
-	// independent of CollectFrames. picIdx is the picture's decode-order
-	// index; frames arrive in display order per tile (per session).
+	// this process — the display-server hook, independent of CollectFrames,
+	// and the only per-tile output a partially subscribed session produces.
+	// picIdx is the picture's decode-order index; frames arrive in display
+	// order per tile (per session).
 	OnTileFrame func(session, picIdx, tile int, buf *mpeg2.PixelBuf)
+
+	// Deprecated: buffers are always pooled; ignored.
+	Pooled bool
+
+	// Recovery, when Enabled, makes the wall fault-tolerant (DESIGN.md §6):
+	// the local splitter and decoder loops run supervised (heartbeat
+	// leases, respawn with in-band session re-join), the root retains and
+	// replays unacked pictures, credit waits are deadline-bounded, decoders
+	// conceal lost pictures, and a broken session fails alone with a typed
+	// error — the same model over the in-process fabric and TCP. Retained
+	// payloads carry slab references, so replay and recycling share buffers
+	// safely (DESIGN.md §9). Disabled (the zero value), the wall is
+	// fail-stop.
+	Recovery recovery.Config
+	// Chaos injects crashes for tests and soaks; each kill fires on the
+	// named node's first incarnation only. Ignored without Recovery.
+	Chaos recovery.ChaosPlan
 
 	// MaxSessions bounds concurrently open sessions (default 8); Open fails
 	// with a *TooManySessionsError (wrapping ErrTooManySessions) beyond it.
@@ -56,18 +105,6 @@ type Config struct {
 	// splitter's receipt ack; Feed blocks when the bound is reached
 	// (default 8).
 	MaxInFlightPictures int
-
-	// Recovery, when Enabled, makes the resident wall fault-tolerant: the
-	// local splitter and decoder loops run supervised (heartbeat leases,
-	// respawn with in-band session re-join), the root retains and replays
-	// unacked pictures, credit waits are deadline-bounded, decoders conceal
-	// lost pictures, and a broken session fails alone with a typed error.
-	// Retained payloads carry slab references, so replay and recycling
-	// share buffers safely (DESIGN.md §9).
-	Recovery recovery.Config
-	// Chaos injects crashes for tests and soaks; each kill fires on the
-	// named node's first incarnation only.
-	Chaos recovery.ChaosPlan
 }
 
 func (c *Config) defaults() {
@@ -82,9 +119,48 @@ func (c *Config) defaults() {
 	}
 }
 
-// NumNodes returns the node count the wall's transport must provide:
-// root, k splitters, m×n decoders.
+// NumNodes returns the node count the wall's transport must provide — root,
+// k splitters, m×n decoders — the PC count on the x-axis of the paper's
+// Figures 6 and 8.
 func (c Config) NumNodes() int { return 1 + c.K + c.M*c.N }
+
+// transport returns the wall's transport and whether the wall owns it: the
+// caller's Wired transport, else the one Transport selects. The link events
+// of a recoverable loopback TCP transport feed rv.
+func (c *Config) transport(rv *wallRecovery) (cluster.Transport, bool, error) {
+	if c.Wired != nil {
+		if c.Wired.NumNodes() != c.NumNodes() {
+			return nil, false, fmt.Errorf("service: transport has %d nodes, grid 1-%d-(%d,%d) needs %d",
+				c.Wired.NumNodes(), c.K, c.M, c.N, c.NumNodes())
+		}
+		return c.Wired, false, nil
+	}
+	switch c.Transport {
+	case "", "fabric":
+		return cluster.New(c.NumNodes(), c.Fabric), true, nil
+	case "tcp":
+		ids := make([]int, c.NumNodes())
+		for i := range ids {
+			ids[i] = i
+		}
+		tcfg := cluster.TCPConfig{
+			NumNodes:     c.NumNodes(),
+			LocalNodes:   ids,
+			Grid:         cluster.Grid{K: c.K, M: c.M, N: c.N, Overlap: c.Overlap},
+			StallTimeout: c.Fabric.StallTimeout,
+		}
+		if rv != nil {
+			tcfg.Recoverable = true
+			tcfg.OnLinkState = rv.noteLink
+		}
+		tcp, err := cluster.ListenTCP("127.0.0.1:0", tcfg)
+		if err != nil {
+			return nil, false, err
+		}
+		return tcp, true, nil
+	}
+	return nil, false, fmt.Errorf("service: unknown transport %q (want \"fabric\" or \"tcp\")", c.Transport)
+}
 
 var (
 	// ErrTooManySessions is returned by Open when MaxSessions sessions are
@@ -193,15 +269,6 @@ func New(cfg Config) (*Wall, error) {
 	if cfg.M < 1 || cfg.N < 1 || cfg.K < 0 {
 		return nil, fmt.Errorf("service: invalid grid 1-%d-(%d,%d)", cfg.K, cfg.M, cfg.N)
 	}
-	tr := cfg.Transport
-	own := false
-	if tr == nil {
-		tr = cluster.New(cfg.NumNodes(), cfg.Fabric)
-		own = true
-	} else if tr.NumNodes() != cfg.NumNodes() {
-		return nil, fmt.Errorf("service: transport has %d nodes, grid 1-%d-(%d,%d) needs %d",
-			tr.NumNodes(), cfg.K, cfg.M, cfg.N, cfg.NumNodes())
-	}
 	local := func(int) bool { return true }
 	if cfg.LocalNodes != nil {
 		set := map[int]bool{}
@@ -214,6 +281,17 @@ func New(cfg Config) (*Wall, error) {
 		local = func(id int) bool { return set[id] }
 	}
 	nTiles := cfg.M * cfg.N
+	var rv *wallRecovery
+	if cfg.Recovery.Enabled {
+		rv = newWallRecovery(cfg.Recovery, cfg.Chaos, cfg.K, nTiles)
+	}
+	tr, own, err := cfg.transport(rv)
+	if err != nil {
+		if rv != nil {
+			rv.sup.Close()
+		}
+		return nil, err
+	}
 	w := &Wall{
 		cfg:      cfg,
 		tr:       tr,
@@ -222,6 +300,7 @@ func New(cfg Config) (*Wall, error) {
 		work:     make(chan workItem, cfg.MaxSessions*cfg.MaxInFlightPictures),
 		quit:     make(chan struct{}),
 		sessions: map[int]*Session{},
+		rv:       rv,
 	}
 	w.idle = sync.NewCond(&w.mu)
 	for i := 0; i < cfg.K; i++ {
@@ -229,9 +308,6 @@ func New(cfg Config) (*Wall, error) {
 	}
 	for t := 0; t < nTiles; t++ {
 		w.decoderIDs = append(w.decoderIDs, 1+cfg.K+t)
-	}
-	if cfg.Recovery.Enabled {
-		w.rv = newWallRecovery(cfg.Recovery, cfg.Chaos, cfg.K, nTiles)
 	}
 
 	// Wake a Close blocked on active sessions if the transport aborts.

@@ -221,7 +221,7 @@ func TestSoakTCPPeerKill(t *testing.T) {
 				t.Fatal(err)
 			}
 			scfg := cfg
-			scfg.Transport = tr
+			scfg.Wired = tr
 			w, err := service.New(scfg)
 			if err != nil {
 				tr.Abort(err)

@@ -39,30 +39,7 @@ type ServeConfig struct {
 	// FlagReplay, the decoder-ack gate is deadline-bounded, and a corrupt
 	// picture fails its session alone (SessionFailSeq notice to the root)
 	// instead of killing the wall.
-	Recovery *ServeRecovery
-}
-
-// ServeRecovery wires fault masking into one resident splitter server
-// incarnation.
-type ServeRecovery struct {
-	Cfg   recovery.Config
-	Lease *recovery.Lease
-	Chaos recovery.ChaosPlan
-	// Rec returns the recovery counters to charge for a session's
-	// interventions (must not return nil).
-	Rec func(session int) *metrics.Recovery
-	// OnOpen reports session opens for the service registry.
-	OnOpen func(session int, header []byte)
-	// Resume lists the sessions a respawned incarnation must re-join. Their
-	// opens are re-forwarded to the decoders (deduplicated there) so the
-	// session survives even if every splitter died before forwarding it.
-	Resume []ResumeSession
-}
-
-// ResumeSession re-opens one session on a respawned splitter server.
-type ResumeSession struct {
-	ID     int
-	Header []byte
+	Recovery *recovery.Incarnation
 }
 
 // splitSession is one session's splitter-side state.
@@ -101,9 +78,6 @@ type Stage struct {
 // NewStage returns a splitter stage sending from port. onAck may be nil; see
 // Stage.
 func NewStage(port cluster.Port, cfg ServeConfig, onAck func(*cluster.Message)) *Stage {
-	if rh := cfg.Recovery; rh != nil {
-		rh.Cfg = rh.Cfg.WithDefaults()
-	}
 	return &Stage{cfg: cfg, port: port, sessions: map[int]*splitSession{}, onAck: onAck}
 }
 
