@@ -9,7 +9,7 @@
 //   - receive into posted buffers, modelled by per-kind receive queues with
 //     bounded depth;
 //   - per-link byte accounting for the bandwidth experiments (Fig. 9) and
-//     optional bandwidth/latency throttling.
+//     optional bandwidth throttling.
 //
 // It carries the wall's four message kinds and nothing else: pictures,
 // sub-pictures, exchanged reference macroblocks and acks. The Table 1
@@ -171,21 +171,6 @@ type Config struct {
 	// 0 disables throttling. The paper's Myrinet delivered on the order of
 	// 100 MB/s per link.
 	BandwidthBps float64
-	// Latency is added per message when throttling is enabled.
-	Latency time.Duration
-	// QueueDepth bounds each node's receive queue (posted buffers per
-	// sender-role); sends block when the receiver's queue for that kind is
-	// full. Defaults to 64: deep enough that the paper's credit protocol,
-	// not the transport, is what limits the pipeline.
-	QueueDepth int
-
-	// Drop, when non-nil, is consulted on every Send; returning true
-	// silently discards the message before delivery or accounting. Fault
-	// injection for protocol tests (GM itself is reliable, so the protocols
-	// have no retransmit path — a dropped credit message stalls the
-	// pipeline, which the StallTimeout watchdog must then catch). Drop is
-	// called concurrently from every sending node and must be thread-safe.
-	Drop func(m *Message) bool
 	// StallTimeout, when positive, arms a watchdog that aborts the fabric
 	// with ErrStalled if no message is sent or received for the given
 	// duration. It turns a protocol deadlock into a clean, attributable
@@ -193,6 +178,12 @@ type Config struct {
 	// call Fabric.Shutdown when the run completes.
 	StallTimeout time.Duration
 }
+
+// queueDepth bounds each node's receive queue per kind (posted buffers per
+// sender-role); sends block when the receiver's queue for that kind is
+// full. It is deep enough that the paper's credit protocol, not the
+// transport, is what limits the pipeline.
+const queueDepth = 64
 
 // ErrStalled is the abort cause recorded by the StallTimeout watchdog when
 // fabric traffic dries up while nodes are still blocked.
@@ -207,9 +198,6 @@ type Fabric struct {
 
 // New creates a fabric with n nodes.
 func New(n int, cfg Config) *Fabric {
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
-	}
 	f := &Fabric{
 		cfg:   cfg,
 		nodes: make([]*Node, n),
@@ -218,7 +206,7 @@ func New(n int, cfg Config) *Fabric {
 	for i := range f.nodes {
 		node := &Node{id: i, fabric: f}
 		for k := range node.queues {
-			node.queues[k] = make(chan *Message, cfg.QueueDepth)
+			node.queues[k] = make(chan *Message, queueDepth)
 		}
 		f.nodes[i] = node
 	}
@@ -253,13 +241,9 @@ func (n *Node) Send(to int, msg *Message) {
 	f := n.fabric
 	msg.From = n.id
 	msg.To = to
-	if f.cfg.Drop != nil && f.cfg.Drop(msg) {
-		return // lost on the wire: no delivery, no accounting
-	}
 	f.touch()
 	if f.cfg.BandwidthBps > 0 {
-		d := time.Duration(float64(msg.wireBytes())/f.cfg.BandwidthBps*1e9) + f.cfg.Latency
-		time.Sleep(d)
+		time.Sleep(time.Duration(float64(msg.wireBytes()) / f.cfg.BandwidthBps * 1e9))
 	}
 	f.account(n.id, to, msg)
 	select {

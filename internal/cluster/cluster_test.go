@@ -110,8 +110,10 @@ func TestAbortUnblocksRecv(t *testing.T) {
 }
 
 func TestAbortUnblocksSend(t *testing.T) {
-	f := New(2, Config{QueueDepth: 1})
-	f.Node(0).Send(1, &Message{Kind: MsgPicture}) // fills the queue
+	f := New(2, Config{})
+	for i := 0; i < queueDepth; i++ {
+		f.Node(0).Send(1, &Message{Kind: MsgPicture}) // fills the queue
+	}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {

@@ -198,7 +198,7 @@ func TestTCPDuplicateNode(t *testing.T) {
 // TestTCPHandshakeTimeout: a connection that never completes the handshake
 // is cut by the hub's deadline instead of holding a slot forever.
 func TestTCPHandshakeTimeout(t *testing.T) {
-	tr, err := ListenTCP("127.0.0.1:0", TCPConfig{NumNodes: 2, LocalNodes: []int{0}, HandshakeTimeout: 200 * time.Millisecond})
+	tr, err := listenTCP("127.0.0.1:0", TCPConfig{NumNodes: 2, LocalNodes: []int{0}}, 200*time.Millisecond)
 	if err != nil {
 		t.Fatalf("ListenTCP: %v", err)
 	}
@@ -256,7 +256,7 @@ func TestTCPHubAbortAfterListen(t *testing.T) {
 		t.Fatalf("ListenTCP: %v", err)
 	}
 	defer tr.Shutdown()
-	c := tr.ports[0].currentConn()
+	c, _ := tr.ports[0].current()
 	c.SetLinger(0)
 	c.CloseRead()
 	if cause := waitAbort(t, tr, 10*time.Second); !errors.Is(cause, ErrLinkLost) {
@@ -264,7 +264,7 @@ func TestTCPHubAbortAfterListen(t *testing.T) {
 	}
 	for _, id := range []int{0, 1} {
 		select {
-		case <-tr.ports[id].writerDone:
+		case <-tr.ports[id].done:
 		case <-time.After(10 * time.Second):
 			t.Fatalf("port %d writer still running after the abort teardown", id)
 		}
@@ -276,7 +276,7 @@ func TestTCPHubAbortAfterListen(t *testing.T) {
 // with an orderly close when the new one takes over. The reader then reads
 // EOF on a connection the port no longer uses; that is not the hub shutting
 // down, so the reader must carry on with the current link. The redial is
-// driven by hand here, exactly as reconnect does it minus closing the old
+// driven by hand here, exactly as redial does it minus closing the old
 // connection first — the reader's view of the race.
 func TestTCPRecoverableStaleEOF(t *testing.T) {
 	tr, err := ListenTCP("127.0.0.1:0", TCPConfig{NumNodes: 2, LocalNodes: []int{0, 1}, Recoverable: true})
@@ -348,7 +348,8 @@ func TestTCPCleanShutdownDeliversTail(t *testing.T) {
 
 // TestTCPDialRetryLateRoot: a worker process often races the root process to
 // the rendezvous address. The capped-exponential dial retry must keep trying
-// until the root's listener appears, and join well within DialTimeout.
+// until the root's listener appears, and join well within the 15s dial
+// window.
 func TestTCPDialRetryLateRoot(t *testing.T) {
 	// Reserve an address, then free it so the first dial attempts miss.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -365,12 +366,7 @@ func TestTCPDialRetryLateRoot(t *testing.T) {
 	ch := make(chan dialRes, 1)
 	start := time.Now()
 	go func() {
-		tr, err := DialTCP(addr, TCPConfig{
-			NumNodes: 2, LocalNodes: []int{1},
-			DialTimeout:   5 * time.Second,
-			DialRetryBase: 10 * time.Millisecond,
-			DialRetryMax:  100 * time.Millisecond,
-		})
+		tr, err := DialTCP(addr, TCPConfig{NumNodes: 2, LocalNodes: []int{1}})
 		ch <- dialRes{tr, err}
 	}()
 	time.Sleep(300 * time.Millisecond)
@@ -385,7 +381,7 @@ func TestTCPDialRetryLateRoot(t *testing.T) {
 	}
 	defer res.tr.Shutdown()
 	if took := time.Since(start); took >= 5*time.Second {
-		t.Fatalf("late join took %v, want well under the 5s DialTimeout", took)
+		t.Fatalf("late join took %v, want well under the 15s dial window", took)
 	}
 	res.tr.Port(1).Send(0, &Message{Kind: MsgAck, Seq: 7})
 	if m := hub.Port(0).Recv(MsgAck); m == nil || m.Seq != 7 {
@@ -409,8 +405,6 @@ func TestTCPRecoverableReconnect(t *testing.T) {
 	defer hub.Shutdown()
 	w1, err := DialTCP(hub.Addr(), TCPConfig{
 		NumNodes: 2, LocalNodes: []int{1}, Recoverable: true,
-		RedialTimeout: 5 * time.Second,
-		DialRetryBase: 5 * time.Millisecond,
 		OnLinkState: func(node int, up bool) {
 			mu.Lock()
 			transitions = append(transitions, up)
@@ -457,5 +451,91 @@ func TestTCPRecoverableReconnect(t *testing.T) {
 	}
 	if !sawDown || !sawUpAfterDown {
 		t.Fatalf("link-state transitions %v, want down followed by up", got)
+	}
+}
+
+// TestTCPRecoverableHubBacklog: the hub's half of a recoverable redial.
+// Frames the hub queues for a node while that node's link is down must reach
+// the node after its redial, in order. The node's redial is held at the
+// link-down hook until the hub has dropped the dead connection and its
+// writer has taken from the backlog, so the writer is parked on the empty
+// slot with a batch when the redial attaches. The whole-batch re-send may
+// repeat leading frames.
+func TestTCPRecoverableHubBacklog(t *testing.T) {
+	hub, err := ListenTCP("127.0.0.1:0", TCPConfig{NumNodes: 2, LocalNodes: []int{0}, Recoverable: true})
+	if err != nil {
+		t.Fatalf("ListenTCP: %v", err)
+	}
+	defer hub.Shutdown()
+	down, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	w1, err := DialTCP(hub.Addr(), TCPConfig{
+		NumNodes: 2, LocalNodes: []int{1}, Recoverable: true,
+		OnLinkState: func(node int, up bool) {
+			if !up {
+				once.Do(func() { close(down) })
+				<-release
+			}
+		},
+	})
+	if err != nil {
+		t.Fatalf("DialTCP: %v", err)
+	}
+	defer w1.Shutdown()
+
+	hub.Port(0).Send(1, &Message{Kind: MsgBlocks, Seq: 0})
+	if m := w1.Port(1).Recv(MsgBlocks); m == nil || m.Seq != 0 {
+		t.Fatalf("pre-failure message lost: %+v (cause %v)", m, w1.AbortCause())
+	}
+
+	w1.InjectLinkFailure(1)
+	select {
+	case <-down:
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("node 1 never reported its link down")
+	}
+	// The node's redial is held. Once the hub has dropped the dead
+	// connection, queue the backlog and let the writer take it.
+	slot := hub.hub.nodes[1]
+	waitFor := func(what string, cond func() bool) {
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				close(release)
+				t.Fatal(what)
+			}
+		}
+	}
+	waitFor("hub kept node 1's dead connection", func() bool { c, _ := slot.current(); return c == nil })
+	const backlog = 100
+	for i := 1; i <= backlog; i++ {
+		frame, err := AppendMessageFrame(nil, &Message{From: 0, To: 1, Kind: MsgBlocks, Seq: i, Payload: []byte{byte(i)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		slot.q.put(outItem{raw: frame})
+	}
+	waitFor("hub writer never took from the backlog", func() bool {
+		slot.q.mu.Lock()
+		defer slot.q.mu.Unlock()
+		return len(slot.q.items) < backlog
+	})
+	close(release)
+
+	for next := 1; next <= backlog; {
+		m, timedOut := w1.Port(1).RecvTimeout(MsgBlocks, 5*time.Second)
+		if timedOut || m == nil {
+			t.Fatalf("backlog frame %d never arrived after the redial (timed out %v, cause %v)", next, timedOut, w1.AbortCause())
+		}
+		if m.Seq < next {
+			continue // a leading frame repeated by the whole-batch re-send
+		}
+		if m.Seq != next || m.Payload[0] != byte(next) {
+			t.Fatalf("backlog out of order: got seq %d payload %v, want %d", m.Seq, m.Payload, next)
+		}
+		next++
+	}
+	if hub.AbortCause() != nil || w1.AbortCause() != nil {
+		t.Fatalf("redial aborted: hub %v, node %v", hub.AbortCause(), w1.AbortCause())
 	}
 }

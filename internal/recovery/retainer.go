@@ -20,7 +20,7 @@ type RetainedPicture struct {
 }
 
 // pictureKey scopes the root's replay window per session: one session's
-// retransmits never disturb another's.
+// replays never disturb another's.
 type pictureKey struct {
 	session int
 	seq     int

@@ -228,10 +228,13 @@ func (rv *wallRecovery) incarnation(lease *recovery.Lease, chaos recovery.ChaosP
 }
 
 // noteDown and noteUp track node loops and transport links that are down.
-func (rv *wallRecovery) noteDown() {
+// A node death also degrades the wall: what the dead incarnation held is
+// lost. A link loss alone does not, because the redial re-sends the queued
+// window; whatever it did lose surfaces as an unclean session close.
+func (rv *wallRecovery) noteDown(nodeDeath bool) {
 	rv.mu.Lock()
 	rv.down++
-	rv.degraded = true
+	rv.degraded = rv.degraded || nodeDeath
 	rv.mu.Unlock()
 }
 
@@ -244,13 +247,13 @@ func (rv *wallRecovery) noteUp() {
 }
 
 // noteLink is the wall's cluster.TCPConfig.OnLinkState: a lost socket marks
-// the wall Recovering until the redial lands. It must not block (it does
-// not).
+// the wall Recovering until the redial lands, and no longer. It must not
+// block (it does not).
 func (rv *wallRecovery) noteLink(_ int, up bool) {
 	if up {
 		rv.noteUp()
 	} else {
-		rv.noteDown()
+		rv.noteDown(false)
 	}
 }
 
@@ -332,7 +335,7 @@ func (w *Wall) supervise(id, tile int, serve func(inc *recovery.Incarnation) err
 			w.tr.Abort(err)
 			return
 		}
-		rv.noteDown()
+		rv.noteDown(true)
 		if _, ok := rv.sup.AwaitRespawn(id, w.tr.Done()); !ok {
 			return // budget exhausted or wall unwinding; node stays down
 		}

@@ -11,6 +11,7 @@ import (
 
 	"tiledwall/internal/bits"
 	"tiledwall/internal/cluster"
+	"tiledwall/internal/cluster/clustertest"
 	"tiledwall/internal/video"
 )
 
@@ -207,18 +208,14 @@ func TestPropertyDroppedAcks(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		dropAt := int64(1 + rng.Intn(40)) // which ack (1-based) to start losing
 		var acks int64
-		cfg := Config{
-			K: 1 + rng.Intn(3), M: 2, N: 1 + rng.Intn(2),
-			CollectFrames: true,
-			Fabric: cluster.Config{
-				StallTimeout: 500 * time.Millisecond,
-				Drop: func(m *cluster.Message) bool {
-					return m.Kind == cluster.MsgAck && atomic.AddInt64(&acks, 1) >= dropAt
-				},
-			},
-		}
+		cfg := Config{K: 1 + rng.Intn(3), M: 2, N: 1 + rng.Intn(2), CollectFrames: true}
+		fabric := cluster.New(cfg.NumNodes(), cluster.Config{StallTimeout: 500 * time.Millisecond})
+		cfg.Wired = clustertest.Dropping(fabric, func(m *cluster.Message) bool {
+			return m.Kind == cluster.MsgAck && atomic.AddInt64(&acks, 1) >= dropAt
+		})
 		name := fmt.Sprintf("trial %d: seed %d, 1-%d-(%d,%d), drop acks from #%d", trial, propertySeed, cfg.K, cfg.M, cfg.N, dropAt)
 		res, err := Run(stream, cfg)
+		fabric.Shutdown()
 		if err != nil {
 			if !errors.Is(err, cluster.ErrStalled) {
 				t.Fatalf("%s: stall expected, got: %v", name, err)

@@ -26,18 +26,10 @@ type Config = service.Config
 // behaviour, so they are explicit instead of silent. They are recorded on
 // Result.Warnings.
 func warnings(c Config) []string {
-	var warns []string
-	if c.Transport == "tcp" {
-		if c.Fabric.BandwidthBps > 0 || c.Fabric.Latency > 0 {
-			warns = append(warns,
-				"Fabric bandwidth/latency throttling is not applied by the TCP transport; loopback speed is what you measure")
-		}
-		if c.Fabric.Drop != nil {
-			warns = append(warns,
-				"Fabric.Drop is not applied by the TCP transport (TCP is reliable); use TCPTransport.InjectLinkFailure for fault tests")
-		}
+	if c.Transport == "tcp" && c.Fabric.BandwidthBps > 0 {
+		return []string{"Fabric bandwidth throttling is not applied by the TCP transport; loopback speed is what you measure"}
 	}
-	return warns
+	return nil
 }
 
 // Result reports one pipeline run.

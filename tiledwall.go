@@ -57,13 +57,14 @@ var (
 )
 
 // RecoveryConfig tunes the fault-tolerance layer (WallConfig.Recovery):
-// heartbeat leases, retransmission backoff, the per-picture concealment
-// deadline, and the restart budget. The zero value leaves recovery off;
-// setting Enabled with zero fields picks sensible defaults.
+// heartbeat leases, the per-picture concealment deadline, and the restart
+// budget. The zero value leaves recovery off; setting Enabled with zero
+// fields picks sensible defaults.
 type RecoveryConfig = recovery.Config
 
 // RecoverySnapshot reports the fault-tolerance interventions of a run
-// (WallResult.Recovery): retransmits, restarts, replays, concealments.
+// (WallResult.Recovery): restarts, replayed pictures, concealed frames and
+// macroblocks, and ack timeouts.
 type RecoverySnapshot = metrics.RecoverySnapshot
 
 // WallConfig selects a 1-k-(m,n) configuration (K = 0 for one-level).

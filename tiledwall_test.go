@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tiledwall/internal/cluster"
+	"tiledwall/internal/cluster/clustertest"
 	"tiledwall/internal/mpegps"
 	"tiledwall/internal/video"
 )
@@ -24,10 +25,9 @@ func TestTypedErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := WallConfig{K: 1, M: 2, N: 1}
-	cfg.Fabric = cluster.Config{
-		StallTimeout: 500 * time.Millisecond,
-		Drop:         func(m *cluster.Message) bool { return m.Kind == cluster.MsgAck },
-	}
+	fabric := cluster.New(cfg.NumNodes(), cluster.Config{StallTimeout: 500 * time.Millisecond})
+	defer fabric.Shutdown()
+	cfg.Wired = clustertest.Dropping(fabric, func(m *cluster.Message) bool { return m.Kind == cluster.MsgAck })
 	if _, err := Play(stream, cfg); !errors.Is(err, ErrStalled) {
 		t.Fatalf("stalled pipeline error %v is not ErrStalled", err)
 	}
