@@ -78,25 +78,16 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestPooledRecoveryWallAllocs pins the composition the refcounted slab
-// ownership buys (DESIGN.md §9): a warm resident wall with recovery armed
-// must hold a bounded per-picture allocation rate in steady state. Retention
-// shares the pooled payload slabs by reference, so arming the retainer must
-// not clone pictures or bleed slabs out of the pool — a regression on either
-// shows up here as a per-picture alloc jump.
-func TestPooledRecoveryWallAllocs(t *testing.T) {
-	data, _, err := experiments.Stream(8, experiments.Options{Frames: 36, Scale: 4, Seed: 1}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := system.Config{K: 1, M: 2, N: 1, SplitWorkers: 1}
-	cfg.Recovery.Enabled = true
+// wallAllocsPerPicture plays a stream once on a warm wall to warm the slab
+// classes and the session machinery, then returns the steady-state heap
+// allocations per picture of playing it again.
+func wallAllocsPerPicture(t *testing.T, cfg system.Config, data []byte) float64 {
+	t.Helper()
 	w, err := system.NewResidentWall(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	// Warm the slab classes and the session machinery before measuring.
 	res, err := w.Play(data)
 	if err != nil {
 		t.Fatal(err)
@@ -112,13 +103,48 @@ func TestPooledRecoveryWallAllocs(t *testing.T) {
 	})
 	perPicture := allocs / float64(pics)
 	t.Logf("%d pictures, %.1f allocs per session, %.2f per picture", pics, allocs, perPicture)
+	return perPicture
+}
+
+// TestPooledRecoveryWallAllocs pins the composition the refcounted slab
+// ownership buys (DESIGN.md §9): a warm resident wall with recovery armed
+// must hold a bounded per-picture allocation rate in steady state. Retention
+// shares the pooled payload slabs by reference, so arming the retainer must
+// not clone pictures or bleed slabs out of the pool — a regression on either
+// shows up here as a per-picture alloc jump.
+func TestPooledRecoveryWallAllocs(t *testing.T) {
+	data, _, err := experiments.Stream(8, experiments.Options{Frames: 36, Scale: 4, Seed: 1}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := system.Config{K: 1, M: 2, N: 1, SplitWorkers: 1}
+	cfg.Recovery.Enabled = true
+	perPicture := wallAllocsPerPicture(t, cfg, data)
 	// The per-session constant (open, channels, goroutines, result) amortises
 	// over the pictures; the per-picture share is the retention + transport
 	// bookkeeping. An unshared retainer copy alone would add the whole
 	// payload-slab traffic back, blowing far past this budget; so would a
-	// fresh timer per waiting receive instead of each port's reused one.
-	if perPicture > 36 {
-		t.Fatalf("pooled+recovery wall allocates %.2f objects per picture, budget is 36", perPicture)
+	// fresh timer per waiting receive instead of each port's reused one, or
+	// a heap object per message.
+	if perPicture > 18 {
+		t.Fatalf("pooled+recovery wall allocates %.2f objects per picture, budget is 18", perPicture)
+	}
+}
+
+// TestFabricWallAllocs pins messages as values on the wall that sends the
+// most of them per picture: 1-1-(4,4) on the fabric, where every picture
+// costs 16 sub-pictures, 16 acks and the halo bundles between 16 tiles. The
+// measurement (49 per picture) is almost all the per-session constant of 16
+// decoders' set-up, amortised over 36 pictures; a heap object per message
+// would add ~79 per picture (128 in all).
+func TestFabricWallAllocs(t *testing.T) {
+	data, _, err := experiments.Stream(8, experiments.Options{Frames: 36, Scale: 2, Seed: 1}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perPicture := wallAllocsPerPicture(t, system.Config{K: 1, M: 4, N: 4, SplitWorkers: 1}, data)
+	if perPicture > 52 {
+		t.Fatalf("1-1-(4,4) fabric wall allocates %.2f objects per picture, budget is 52", perPicture)
 	}
 }
 

@@ -5,7 +5,8 @@
 //   - addressed, reliable messages with per-sender FIFO order but NO global
 //     ordering across senders (GM's semantics — the reason the paper needs
 //     the ANID ack-redirect protocol);
-//   - zero-copy transfer (payload slices are handed over, never copied);
+//   - zero-copy transfer (payload slices are handed over, never copied;
+//     the message header itself travels by value);
 //   - receive into posted buffers, modelled by per-kind receive queues with
 //     bounded depth;
 //   - per-link byte accounting for the bandwidth experiments (Fig. 9) and
@@ -107,10 +108,12 @@ const DrainAckSeq = -2
 // root fails that session alone; the splitter keeps serving the others.
 const SessionFailSeq = -3
 
-// Message is one fabric message.
+// Message is one fabric message. Messages are values: the transports queue
+// and deliver copies, Port.Send copies the caller's header before it
+// returns, and a receive hands out a copy, so no message is a heap object of
+// its own. Only the payload is shared, under the slab rules of DESIGN.md §9.
 type Message struct {
 	From, To int
-	Kind     MsgKind
 	// Seq carries a protocol sequence number (picture index for data
 	// messages, acked index for acks).
 	Seq int
@@ -122,39 +125,23 @@ type Message struct {
 	// their per-stream state off it, and the fabric accounts bytes per
 	// session under it.
 	Session int
-	// XSeq is unused and always 0: it was a per-link sequence number for a
-	// retransmission layer that no longer exists. The TCP frame keeps its
-	// eight bytes so the wire format (and its fuzz corpus) is unchanged.
-	XSeq int64
-	// Flags carries the Flag* bits: replay and the resident control plane.
-	Flags uint8
 	// Payload is handed over without copying.
 	Payload []byte
+	Kind    MsgKind
+	// Flags carries the Flag* bits: replay and the resident control plane.
+	Flags uint8
 }
 
-// Net is the messaging surface the pipeline nodes program against. It is
-// satisfied by every transport's port (the in-process *Node and the TCP
-// port) and by the resident decoder's per-session view of its port.
-type Net interface {
-	ID() int
-	Send(to int, msg *Message)
-	Recv(kind MsgKind) *Message
-	// RecvTimeout waits up to d for a message. msg != nil means delivered;
-	// msg == nil with timedOut=true means the deadline passed; msg == nil
-	// with timedOut=false means the fabric aborted.
-	RecvTimeout(kind MsgKind, d time.Duration) (msg *Message, timedOut bool)
-	TryRecv(kind MsgKind) (*Message, bool)
-	Done() <-chan struct{}
-}
-
-// RecvWithin receives a message of kind, waiting at most d. A non-positive
-// d blocks in Recv and arms no timer — the fail-stop protocols' wait. A nil
-// message without timedOut means the transport aborted.
-func RecvWithin(n Net, kind MsgKind, d time.Duration) (msg *Message, timedOut bool) {
-	if d <= 0 {
-		return n.Recv(kind), false
-	}
-	return n.RecvTimeout(kind, d)
+// consumerReleases reports whether the receiving node gives the payload back
+// to the slab pool once it is done with it: data pictures, sub-pictures
+// (session finals included) and block bundles. Acks and the control payloads
+// one sender shares across many destinations (a session-open header, a
+// subscription) are never released by their consumers. A holder that
+// consumes a message on the receiver's behalf — the TCP link writer, once
+// the payload is encoded — releases by the same rule, so a shared control
+// payload never enters the free list twice.
+func (m *Message) consumerReleases() bool {
+	return m.Kind != MsgAck && m.Flags&(FlagSessionOpen|FlagSubscribe) == 0
 }
 
 func (m *Message) wireBytes() int64 { return int64(len(m.Payload) + messageHeaderBytes) }
@@ -193,22 +180,22 @@ var ErrStalled = errors.New("cluster: fabric stalled (no traffic within StallTim
 type Fabric struct {
 	core
 	cfg   Config
-	nodes []*Node
+	nodes []*endpoint
 }
 
 // New creates a fabric with n nodes.
 func New(n int, cfg Config) *Fabric {
 	f := &Fabric{
 		cfg:   cfg,
-		nodes: make([]*Node, n),
+		nodes: make([]*endpoint, n),
 	}
 	f.core.init(n)
 	for i := range f.nodes {
-		node := &Node{id: i, fabric: f}
-		for k := range node.queues {
-			node.queues[k] = make(chan *Message, queueDepth)
+		e := &endpoint{id: i, c: &f.core, out: f}
+		for k := range e.in {
+			e.in[k] = make(chan Message, queueDepth)
 		}
-		f.nodes[i] = node
+		f.nodes[i] = e
 	}
 	f.watch(cfg.StallTimeout, f.Abort)
 	return f
@@ -219,68 +206,24 @@ func New(n int, cfg Config) *Fabric {
 // when their run completes so an idle-but-finished fabric is not aborted.
 func (f *Fabric) Shutdown() { f.stopWatch() }
 
-// Node returns node id.
-func (f *Fabric) Node(id int) *Node { return f.nodes[id] }
+// Port returns the port of node id.
+func (f *Fabric) Port(id int) Port { return Port{f.nodes[id]} }
 
-// Node is one cluster endpoint. A node's receive methods must be called from
-// a single goroutine (the node's process), matching one PC per role.
-type Node struct {
-	id     int
-	fabric *Fabric
-	queues [numKinds]chan *Message
-	timer  recvTimer
-}
-
-// ID returns the node id.
-func (n *Node) ID() int { return n.id }
-
-// Send delivers msg to node `to`. It blocks only when the receiver's queue
-// for this kind is full (transport backpressure; the protocols are designed
-// so their own credit scheme keeps queues shallow).
-func (n *Node) Send(to int, msg *Message) {
-	f := n.fabric
-	msg.From = n.id
-	msg.To = to
+// send delivers m to its destination's queue for its kind. It blocks only
+// when that queue is full (transport backpressure; the protocols are
+// designed so their own credit scheme keeps queues shallow).
+func (f *Fabric) send(m Message) {
 	f.touch()
 	if f.cfg.BandwidthBps > 0 {
-		time.Sleep(time.Duration(float64(msg.wireBytes()) / f.cfg.BandwidthBps * 1e9))
+		time.Sleep(time.Duration(float64(m.wireBytes()) / f.cfg.BandwidthBps * 1e9))
 	}
-	f.account(n.id, to, msg)
+	f.account(m.From, m.To, &m)
 	select {
-	case f.nodes[to].queues[msg.Kind] <- msg:
+	case f.nodes[m.To].in[m.Kind] <- m:
 	case <-f.done:
 	}
 }
 
-// Abort unblocks every pending Recv/Send with a nil result so node loops
-// can unwind after a peer failed. The first recorded cause wins.
+// Abort unblocks every pending receive and send so node loops can unwind
+// after a peer failed. The first recorded cause wins.
 func (f *Fabric) Abort(cause error) { f.abort(cause) }
-
-// Recv blocks until a message of the given kind arrives. It returns nil
-// when the fabric has been aborted.
-func (n *Node) Recv(kind MsgKind) *Message {
-	return n.fabric.recv(n.queues[kind])
-}
-
-// Queue exposes the receive channel for one kind so a node process can
-// select across kinds and local work (the service root multiplexes acks
-// with session hand-offs this way). Combine with Done for abort handling.
-func (n *Node) Queue(kind MsgKind) <-chan *Message { return n.queues[kind] }
-
-// Done is closed when the fabric aborts.
-func (n *Node) Done() <-chan struct{} { return n.fabric.done }
-
-// TryRecv returns a message of the given kind if one is queued.
-func (n *Node) TryRecv(kind MsgKind) (*Message, bool) {
-	select {
-	case m := <-n.queues[kind]:
-		return m, true
-	default:
-		return nil, false
-	}
-}
-
-// RecvTimeout waits up to d for a message of the given kind; see Net.
-func (n *Node) RecvTimeout(kind MsgKind, d time.Duration) (*Message, bool) {
-	return n.fabric.recvTimeout(n.queues[kind], &n.timer, d)
-}

@@ -10,9 +10,9 @@ import (
 func TestSendRecv(t *testing.T) {
 	f := New(2, Config{})
 	payload := []byte("hello")
-	go f.Node(0).Send(1, &Message{Kind: MsgPicture, Seq: 7, Tag: 3, Payload: payload})
-	m := f.Node(1).Recv(MsgPicture)
-	if m == nil || m.From != 0 || m.To != 1 || m.Seq != 7 || m.Tag != 3 {
+	go f.Port(0).Send(1, &Message{Kind: MsgPicture, Seq: 7, Tag: 3, Payload: payload})
+	m, ok := f.Port(1).Recv(MsgPicture)
+	if !ok || m.From != 0 || m.To != 1 || m.Seq != 7 || m.Tag != 3 {
 		t.Fatalf("message fields: %+v", m)
 	}
 	if &m.Payload[0] != &payload[0] {
@@ -22,18 +22,18 @@ func TestSendRecv(t *testing.T) {
 
 func TestPerKindQueues(t *testing.T) {
 	f := New(2, Config{})
-	n0, n1 := f.Node(0), f.Node(1)
+	n0, n1 := f.Port(0), f.Port(1)
 	n0.Send(1, &Message{Kind: MsgAck, Seq: 1})
 	n0.Send(1, &Message{Kind: MsgPicture, Seq: 2})
 	n0.Send(1, &Message{Kind: MsgAck, Seq: 3})
 	// Receiving a picture does not consume acks and vice versa.
-	if m := n1.Recv(MsgPicture); m.Seq != 2 {
+	if m, _ := n1.Recv(MsgPicture); m.Seq != 2 {
 		t.Fatalf("picture seq %d", m.Seq)
 	}
-	if m := n1.Recv(MsgAck); m.Seq != 1 {
+	if m, _ := n1.Recv(MsgAck); m.Seq != 1 {
 		t.Fatalf("first ack seq %d", m.Seq)
 	}
-	if m := n1.Recv(MsgAck); m.Seq != 3 {
+	if m, _ := n1.Recv(MsgAck); m.Seq != 3 {
 		t.Fatalf("second ack seq %d", m.Seq)
 	}
 }
@@ -42,11 +42,11 @@ func TestPerSenderFIFO(t *testing.T) {
 	f := New(2, Config{})
 	go func() {
 		for i := 0; i < 100; i++ {
-			f.Node(0).Send(1, &Message{Kind: MsgBlocks, Seq: i})
+			f.Port(0).Send(1, &Message{Kind: MsgBlocks, Seq: i})
 		}
 	}()
 	for i := 0; i < 100; i++ {
-		if m := f.Node(1).Recv(MsgBlocks); m.Seq != i {
+		if m, _ := f.Port(1).Recv(MsgBlocks); m.Seq != i {
 			t.Fatalf("out of order: got %d want %d", m.Seq, i)
 		}
 	}
@@ -54,10 +54,10 @@ func TestPerSenderFIFO(t *testing.T) {
 
 func TestByteAccounting(t *testing.T) {
 	f := New(3, Config{})
-	f.Node(0).Send(1, &Message{Kind: MsgPicture, Payload: make([]byte, 100)})
-	f.Node(0).Send(2, &Message{Kind: MsgPicture, Payload: make([]byte, 50)})
-	f.Node(1).Recv(MsgPicture)
-	f.Node(2).Recv(MsgPicture)
+	f.Port(0).Send(1, &Message{Kind: MsgPicture, Payload: make([]byte, 100)})
+	f.Port(0).Send(2, &Message{Kind: MsgPicture, Payload: make([]byte, 50)})
+	f.Port(1).Recv(MsgPicture)
+	f.Port(2).Recv(MsgPicture)
 	st := f.Stats()
 	want0 := int64(100 + 50 + 2*messageHeaderBytes)
 	if st[0].BytesSent != want0 {
@@ -76,25 +76,28 @@ func TestByteAccounting(t *testing.T) {
 
 func TestTryRecv(t *testing.T) {
 	f := New(2, Config{})
-	if _, ok := f.Node(1).TryRecv(MsgAck); ok {
+	if _, ok := f.Port(1).TryRecv(MsgAck); ok {
 		t.Error("TryRecv on empty queue succeeded")
 	}
-	f.Node(0).Send(1, &Message{Kind: MsgAck})
-	if _, ok := f.Node(1).TryRecv(MsgAck); !ok {
+	f.Port(0).Send(1, &Message{Kind: MsgAck})
+	if _, ok := f.Port(1).TryRecv(MsgAck); !ok {
 		t.Error("TryRecv missed a queued message")
 	}
 }
 
 func TestAbortUnblocksRecv(t *testing.T) {
 	f := New(2, Config{})
-	done := make(chan *Message)
-	go func() { done <- f.Node(1).Recv(MsgPicture) }()
+	done := make(chan bool)
+	go func() {
+		_, ok := f.Port(1).Recv(MsgPicture)
+		done <- ok
+	}()
 	cause := errors.New("boom")
 	f.Abort(cause)
 	select {
-	case m := <-done:
-		if m != nil {
-			t.Errorf("aborted Recv returned %+v", m)
+	case ok := <-done:
+		if ok {
+			t.Error("aborted Recv delivered a message")
 		}
 	case <-time.After(time.Second):
 		t.Fatal("Recv did not unblock on abort")
@@ -112,13 +115,13 @@ func TestAbortUnblocksRecv(t *testing.T) {
 func TestAbortUnblocksSend(t *testing.T) {
 	f := New(2, Config{})
 	for i := 0; i < queueDepth; i++ {
-		f.Node(0).Send(1, &Message{Kind: MsgPicture}) // fills the queue
+		f.Port(0).Send(1, &Message{Kind: MsgPicture}) // fills the queue
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		f.Node(0).Send(1, &Message{Kind: MsgPicture}) // would block
+		f.Port(0).Send(1, &Message{Kind: MsgPicture}) // would block
 	}()
 	f.Abort(errors.New("stop"))
 	doneCh := make(chan struct{})
@@ -178,11 +181,11 @@ func TestThrottleSlowsSends(t *testing.T) {
 	payload := make([]byte, 100_000)
 
 	t0 := time.Now()
-	fast.Node(0).Send(1, &Message{Kind: MsgPicture, Payload: payload})
+	fast.Port(0).Send(1, &Message{Kind: MsgPicture, Payload: payload})
 	fastD := time.Since(t0)
 
 	t0 = time.Now()
-	slow.Node(0).Send(1, &Message{Kind: MsgPicture, Payload: payload})
+	slow.Port(0).Send(1, &Message{Kind: MsgPicture, Payload: payload})
 	slowD := time.Since(t0)
 
 	if slowD < 50*time.Millisecond {

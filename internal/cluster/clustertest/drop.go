@@ -18,16 +18,4 @@ type dropTransport struct {
 	drop func(m *cluster.Message) bool
 }
 
-func (t dropTransport) Port(id int) cluster.Port { return dropPort{t.Transport.Port(id), t.drop} }
-
-type dropPort struct {
-	cluster.Port
-	drop func(m *cluster.Message) bool
-}
-
-func (p dropPort) Send(to int, msg *cluster.Message) {
-	msg.From, msg.To = p.ID(), to
-	if !p.drop(msg) {
-		p.Port.Send(to, msg)
-	}
-}
+func (t dropTransport) Port(id int) cluster.Port { return t.Transport.Port(id).Dropping(t.drop) }

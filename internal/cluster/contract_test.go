@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // The Transport contract suite: every behaviour the resident pipeline
@@ -94,7 +95,7 @@ func TestTransportContractFIFO(t *testing.T) {
 				defer rg.Done()
 				last := map[int]int{} // sender -> last seq
 				for got := 0; got < (nodes-1)*perSender/len(kinds); got++ {
-					var m *Message
+					var m Message
 					select {
 					case m = <-recv.Queue(kind):
 					case <-recv.Done():
@@ -126,23 +127,26 @@ func TestTransportContractFIFO(t *testing.T) {
 	})
 }
 
-// TestTransportContractAbort: Abort unblocks pending receives with nil,
+// TestTransportContractAbort: Abort unblocks pending receives (ok false),
 // closes Done, records the first cause, and turns Send into a no-op —
 // a single abort domain for every node.
 func TestTransportContractAbort(t *testing.T) {
 	forEachTransport(t, 3, 0, func(t *testing.T, tr Transport) {
 		cause := errors.New("test abort cause")
-		unblocked := make(chan *Message, 2)
+		unblocked := make(chan bool, 2)
 		for id := 1; id <= 2; id++ {
-			go func(id int) { unblocked <- tr.Port(id).Recv(MsgPicture) }(id)
+			go func(id int) {
+				_, ok := tr.Port(id).Recv(MsgPicture)
+				unblocked <- ok
+			}(id)
 		}
 		time.Sleep(20 * time.Millisecond)
 		tr.Abort(cause)
 		for i := 0; i < 2; i++ {
 			select {
-			case m := <-unblocked:
-				if m != nil {
-					t.Fatalf("Recv after abort returned %+v, want nil", m)
+			case ok := <-unblocked:
+				if ok {
+					t.Fatal("Recv after abort delivered a message")
 				}
 			case <-time.After(5 * time.Second):
 				t.Fatal("Recv not unblocked by Abort")
@@ -168,14 +172,14 @@ func TestTransportContractAbort(t *testing.T) {
 // delivered, timed out, aborted — behaves identically everywhere.
 func TestTransportContractRecvTimeout(t *testing.T) {
 	forEachTransport(t, 2, 0, func(t *testing.T, tr Transport) {
-		if m, timedOut := tr.Port(0).RecvTimeout(MsgAck, 30*time.Millisecond); m != nil || !timedOut {
-			t.Fatalf("empty RecvTimeout = (%v, %v), want (nil, true)", m, timedOut)
+		if _, ok, timedOut := tr.Port(0).RecvTimeout(MsgAck, 30*time.Millisecond); ok || !timedOut {
+			t.Fatalf("empty RecvTimeout = (%v, %v), want (false, true)", ok, timedOut)
 		}
 		tr.Port(1).Send(0, &Message{Kind: MsgAck, Seq: 7})
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			m, timedOut := tr.Port(0).RecvTimeout(MsgAck, 50*time.Millisecond)
-			if m != nil {
+			m, ok, timedOut := tr.Port(0).RecvTimeout(MsgAck, 50*time.Millisecond)
+			if ok {
 				if m.Seq != 7 {
 					t.Fatalf("RecvTimeout delivered seq %d, want 7", m.Seq)
 				}
@@ -189,8 +193,8 @@ func TestTransportContractRecvTimeout(t *testing.T) {
 			}
 		}
 		tr.Abort(errors.New("stop"))
-		if m, timedOut := tr.Port(0).RecvTimeout(MsgAck, time.Second); m != nil || timedOut {
-			t.Fatalf("aborted RecvTimeout = (%v, %v), want (nil, false)", m, timedOut)
+		if _, ok, timedOut := tr.Port(0).RecvTimeout(MsgAck, time.Second); ok || timedOut {
+			t.Fatalf("aborted RecvTimeout = (%v, %v), want (false, false)", ok, timedOut)
 		}
 	})
 }
@@ -207,8 +211,8 @@ func TestTransportContractRecvTimeoutReuse(t *testing.T) {
 				tr.Port(1).Send(0, &Message{Kind: MsgAck, Seq: seq})
 			}()
 		}
-		if m, timedOut := port.RecvTimeout(MsgAck, 20*time.Millisecond); m != nil || !timedOut {
-			t.Fatalf("empty RecvTimeout = (%v, %v), want (nil, true)", m, timedOut)
+		if _, ok, timedOut := port.RecvTimeout(MsgAck, 20*time.Millisecond); ok || !timedOut {
+			t.Fatalf("empty RecvTimeout = (%v, %v), want (false, true)", ok, timedOut)
 		}
 		// A receive that waits and gets its message before the deadline:
 		// the deadline then passes with the timer still armed unless the
@@ -216,8 +220,8 @@ func TestTransportContractRecvTimeoutReuse(t *testing.T) {
 		const short = 100 * time.Millisecond
 		sendAfter(5*time.Millisecond, 1)
 		for {
-			m, timedOut := port.RecvTimeout(MsgAck, short)
-			if m != nil {
+			_, ok, timedOut := port.RecvTimeout(MsgAck, short)
+			if ok {
 				break
 			}
 			if !timedOut {
@@ -226,8 +230,8 @@ func TestTransportContractRecvTimeoutReuse(t *testing.T) {
 		}
 		time.Sleep(short + 50*time.Millisecond)
 		sendAfter(20*time.Millisecond, 2)
-		m, timedOut := port.RecvTimeout(MsgAck, 5*time.Second)
-		if timedOut || m == nil || m.Seq != 2 {
+		m, ok, timedOut := port.RecvTimeout(MsgAck, 5*time.Second)
+		if timedOut || !ok || m.Seq != 2 {
 			t.Fatalf("RecvTimeout after an expired deadline = (%+v, %v), want seq 2 delivered", m, timedOut)
 		}
 	})
@@ -332,6 +336,52 @@ func TestTransportContractQueueSelect(t *testing.T) {
 			t.Fatalf("transport aborted: %v", tr.AbortCause())
 		case <-time.After(5 * time.Second):
 			t.Fatal("queued message never surfaced on Queue channel")
+		}
+	})
+}
+
+// inFreeList reports whether b's backing array sits in its slab class's free
+// list (a slab given back to the pool and not yet taken again).
+func inFreeList(b []byte) bool {
+	cl := &slabClasses[slabClass(cap(b))]
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	for _, s := range cl.free {
+		if unsafe.SliceData(s[:1]) == unsafe.SliceData(b[:1]) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestTransportContractSendRecvAllocs pins messages as values: once warm,
+// one Send plus the matching Recv of a slab-payload message allocates
+// nothing on either transport — no message object, no frame, no header
+// scratch — and the sender's slab is back in its class afterwards: on the
+// fabric through the consumer's release of the very same payload, on TCP
+// through the link writer's release once the payload is encoded.
+func TestTransportContractSendRecvAllocs(t *testing.T) {
+	forEachTransport(t, 2, 0, func(t *testing.T, tr Transport) {
+		from, to := tr.Port(0), tr.Port(1)
+		const size = 1500
+		var sent []byte
+		hop := func() {
+			sent = GetSlab(size)[:size]
+			from.Send(1, &Message{Kind: MsgSubPicture, Seq: 1, Payload: sent})
+			m, ok := to.Recv(MsgSubPicture)
+			if !ok || len(m.Payload) != size {
+				t.Fatalf("hop delivered %d bytes, ok %v (abort %v)", len(m.Payload), ok, tr.AbortCause())
+			}
+			PutSlab(m.Payload) // the consumer's release
+		}
+		for i := 0; i < 100; i++ {
+			hop() // warm slab classes, queues and batch buffers
+		}
+		if allocs := testing.AllocsPerRun(500, hop); allocs != 0 {
+			t.Fatalf("Send+Recv allocates %v objects per message, want 0", allocs)
+		}
+		if !inFreeList(sent) {
+			t.Fatal("the sender's payload slab did not come back to its class")
 		}
 	})
 }

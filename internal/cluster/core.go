@@ -167,37 +167,37 @@ func (c *core) watch(timeout time.Duration, abort func(error)) {
 // stopWatch stops the watchdog, if one is armed; safe to call repeatedly.
 func (c *core) stopWatch() { c.stop1.Do(func() { close(c.stop) }) }
 
-// recv blocks on one port's receive queue q; nil after abort.
-func (c *core) recv(q <-chan *Message) *Message {
+// recv blocks on one port's receive queue q; ok is false after abort.
+func (c *core) recv(q <-chan Message) (Message, bool) {
 	select {
 	case m := <-q:
 		c.touch()
-		return m
+		return m, true
 	case <-c.done:
-		return nil
+		return Message{}, false
 	}
 }
 
 // recvTimeout waits up to d on q with the port's reusable timer; see
-// Net.RecvTimeout.
-func (c *core) recvTimeout(q <-chan *Message, tm *recvTimer, d time.Duration) (*Message, bool) {
+// Port.RecvTimeout.
+func (c *core) recvTimeout(q <-chan Message, tm *recvTimer, d time.Duration) (m Message, ok, timedOut bool) {
 	// Fast path: no timer when a message is already queued.
 	select {
-	case m := <-q:
+	case m = <-q:
 		c.touch()
-		return m, false
+		return m, true, false
 	default:
 	}
 	select {
-	case m := <-q:
+	case m = <-q:
 		tm.stop()
 		c.touch()
-		return m, false
+		return m, true, false
 	case <-tm.start(d):
-		return nil, true
+		return Message{}, false, true
 	case <-c.done:
 		tm.stop()
-		return nil, false
+		return Message{}, false, false
 	}
 }
 

@@ -12,17 +12,25 @@ import (
 // writer that drains the one into the other. The two ends differ only in how
 // a lost connection is replaced (DESIGN.md §12).
 
-// outItem is one queued outbound frame: either a Message to encode or a
-// pre-encoded raw frame (hub routing, abort broadcast).
+// outItem is one queued outbound frame: a pre-encoded raw frame (hub
+// routing, abort broadcast) when raw is set, else a Message to encode.
 type outItem struct {
-	msg  *Message
+	msg  Message
 	raw  []byte
 	slab bool // raw came from the slab pool; release after writing
 }
 
-func (it outItem) release() {
-	if it.slab {
+// release gives up what the item held once it is encoded, or will never be:
+// a routed frame's slab, and a message's payload when its consumer would
+// release it (Message.consumerReleases). The payload's bytes now live in the
+// batch buffer, so the link writer is the consumer of the sender's slab —
+// the receiving process reads into a slab of its own.
+func (it *outItem) release() {
+	switch {
+	case it.slab:
 		PutSlab(it.raw)
+	case it.raw == nil && it.msg.consumerReleases():
+		PutSlab(it.msg.Payload)
 	}
 }
 
@@ -92,15 +100,18 @@ func (l *link) writer() {
 		var done bool
 		items, done = l.q.take(items)
 		buf = buf[:0]
-		for _, it := range items {
-			var err error
-			if it.msg == nil {
+		for i := range items {
+			it := &items[i]
+			if it.raw != nil {
 				buf = append(buf, it.raw...)
-				it.release()
-			} else if buf, err = AppendMessageFrame(buf, it.msg); err != nil {
-				l.t.Abort(err)
-				return
+			} else {
+				var err error
+				if buf, err = AppendMessageFrame(buf, &it.msg); err != nil {
+					l.t.Abort(err)
+					return
+				}
 			}
+			it.release()
 		}
 		clear(items)
 		if len(buf) > 0 {
@@ -221,8 +232,8 @@ func (l *link) close(frame []byte) {
 func (l *link) discard() {
 	l.q.close()
 	items, _ := l.q.take(nil)
-	for _, it := range items {
-		it.release()
+	for i := range items {
+		items[i].release()
 	}
 }
 
@@ -301,18 +312,18 @@ func (q *fifo[T]) close() {
 // pump moves one receive kind's messages from a port's reader to the
 // consumer's channel in order, so the reader never waits on a slow consumer.
 type pump struct {
-	q  *fifo[*Message]
-	ch chan *Message
+	q  *fifo[Message]
+	ch chan Message
 }
 
 func newPump(done <-chan struct{}) *pump {
-	p := &pump{q: newFIFO[*Message](), ch: make(chan *Message, 1)}
+	p := &pump{q: newFIFO[Message](), ch: make(chan Message, 1)}
 	go p.run(done)
 	return p
 }
 
 func (p *pump) run(abort <-chan struct{}) {
-	var msgs []*Message
+	var msgs []Message
 	for {
 		var done bool
 		msgs, done = p.q.take(msgs)

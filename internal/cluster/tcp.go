@@ -198,8 +198,10 @@ func (t *TCPTransport) connectLocal(addr string) error {
 		return fail(err)
 	}
 	for _, p := range dialed {
+		p.ep = endpoint{id: p.node, c: &t.core, out: p}
 		for k := range p.pumps {
 			p.pumps[k] = newPump(t.done)
+			p.ep.in[k] = p.pumps[k].ch
 		}
 		t.ports[p.node] = p
 		p.mu.Lock()
@@ -239,7 +241,7 @@ func (t *TCPTransport) Port(id int) Port {
 	if id < 0 || id >= len(t.ports) || t.ports[id] == nil {
 		panic(fmt.Sprintf("cluster: node %d is not local to this TCP transport", id))
 	}
-	return t.ports[id]
+	return Port{&t.ports[id].ep}
 }
 
 // Abort records the first cause, unblocks every pending operation, and
@@ -405,7 +407,8 @@ func (t *TCPTransport) handshake(conn *net.TCPConn, id int) (*bufio.Reader, erro
 		return nil, fmt.Errorf("%w: node %d hello: %v", ErrHandshake, id, err)
 	}
 	br := bufio.NewReaderSize(conn, 64<<10)
-	fr, err := readFrame(br)
+	var rd frameReader
+	fr, err := rd.read(br)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("%w: node %d: %v", ErrHandshake, id, err)
@@ -429,64 +432,34 @@ func (t *TCPTransport) handshake(conn *net.TCPConn, id int) (*bufio.Reader, erro
 }
 
 // tcpPort is one node's endpoint: the port end of its link to the hub, plus
-// a reader dispatching inbound messages into per-kind pumps. In Recoverable
-// mode either I/O goroutine may replace the connection by redialing.
+// a reader dispatching inbound messages into per-kind pumps, whose outputs
+// are the Port's receive queues. In Recoverable mode either I/O goroutine
+// may replace the connection by redialing.
 type tcpPort struct {
 	*link
 	pumps [numKinds]*pump
-	timer recvTimer
+	ep    endpoint
+	rd    frameReader
 }
 
-var _ Port = (*tcpPort)(nil)
-
-func (p *tcpPort) ID() int { return p.node }
-
-// Send frames the message onto this port's link. The write itself happens on
-// the link's writer goroutine, which coalesces whatever is queued into one
-// syscall — Send never blocks on the network. Accounting matches the
+// send frames the message onto this port's link. The write itself happens
+// on the link's writer goroutine, which coalesces whatever is queued into
+// one syscall — a send never blocks on the network. Accounting matches the
 // in-process fabric byte for byte (wireBytes: payload + 16-byte header
 // equivalent).
-func (p *tcpPort) Send(to int, msg *Message) {
+func (p *tcpPort) send(m Message) {
 	t := p.t
-	msg.From = p.node
-	msg.To = to
 	if t.aborted() {
 		return
 	}
 	t.touch()
-	t.account(p.node, to, msg)
-	p.q.put(outItem{msg: msg})
+	t.account(m.From, m.To, &m)
+	p.q.put(outItem{msg: m})
 }
-
-// Recv blocks until a message of the given kind arrives; nil after abort.
-func (p *tcpPort) Recv(kind MsgKind) *Message {
-	return p.t.recv(p.pumps[kind].ch)
-}
-
-// TryRecv returns a dispatched message of the given kind, if any.
-func (p *tcpPort) TryRecv(kind MsgKind) (*Message, bool) {
-	select {
-	case m := <-p.pumps[kind].ch:
-		return m, true
-	default:
-		return nil, false
-	}
-}
-
-// RecvTimeout waits up to d for a message of the given kind; see Net.
-func (p *tcpPort) RecvTimeout(kind MsgKind, d time.Duration) (*Message, bool) {
-	return p.t.recvTimeout(p.pumps[kind].ch, &p.timer, d)
-}
-
-// Queue exposes the dispatch channel for one kind; combine with Done.
-func (p *tcpPort) Queue(kind MsgKind) <-chan *Message { return p.pumps[kind].ch }
-
-// Done is closed when the transport aborts.
-func (p *tcpPort) Done() <-chan struct{} { return p.t.done }
 
 // reader decodes inbound frames and dispatches messages into the per-kind
-// pumps. Message payloads were read into slab-pool slices by readFrame, so
-// the consumer's PutSlab keeps the receive path zero-alloc in steady state.
+// pumps. Message payloads were read into slab-pool slices, so the
+// consumer's PutSlab keeps the receive path zero-alloc in steady state.
 func (p *tcpPort) reader() {
 	t := p.t
 	for {
@@ -494,13 +467,15 @@ func (p *tcpPort) reader() {
 		if conn == nil {
 			return // recoverable redial gave up; the abort is already raised
 		}
-		fr, err := readFrame(br)
+		fr, err := p.rd.read(br)
 		if err != nil {
 			if err == io.EOF {
-				// An orderly close from the hub ends the port — unless the
-				// port has already redialed: the hub then retires the old
-				// connection the same way, and the reader carries on with
-				// the current one (current waits out a redial underway).
+				// An orderly close from the hub ends the port — unless it
+				// came on a connection the port has already replaced by a
+				// redial: the reader then carries on with the current one
+				// (current waits out a redial underway). A hub taking a
+				// node's slot over resets the old connection instead, so
+				// that lands in the redial below.
 				if cur, _ := p.current(); t.cfg.Recoverable && cur != nil && cur != conn {
 					continue
 				}
@@ -515,7 +490,7 @@ func (p *tcpPort) reader() {
 		}
 		switch fr.Type {
 		case frameMessage:
-			m := fr.Msg
+			m := &fr.Msg
 			if m.To != p.node || m.From < 0 || m.From >= t.cfg.NumNodes {
 				t.Abort(fmt.Errorf("%w: misrouted frame %d->%d at port %d", ErrFrameCorrupt, m.From, m.To, p.node))
 				return
@@ -523,10 +498,10 @@ func (p *tcpPort) reader() {
 			t.touch()
 			if t.ports[m.From] == nil {
 				// Remote sender: this process's only sight of the message,
-				// so account it here (local senders were accounted in Send).
+				// so account it here (local senders were accounted at send).
 				t.account(m.From, p.node, m)
 			}
-			p.pumps[m.Kind].q.put(m)
+			p.pumps[m.Kind].q.put(*m)
 		case frameAbort:
 			t.Abort(fr.Abort)
 			return

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // Fault injection for the socket path: every failure mode must surface as a
@@ -66,14 +67,14 @@ func TestTCPMultiProcess(t *testing.T) {
 		}
 	}()
 	for i := 0; i < rounds; i++ {
-		m := w2.Port(2).Recv(MsgBlocks)
-		if m == nil {
+		m, ok := w2.Port(2).Recv(MsgBlocks)
+		if !ok {
 			t.Fatalf("w2 aborted: %v", w2.AbortCause())
 		}
 		if m.Seq != i || m.From != 1 || m.Payload[0] != byte(i) {
 			t.Fatalf("round %d: got seq %d from %d payload %v", i, m.Seq, m.From, m.Payload)
 		}
-		if m2 := hub.Port(0).Recv(MsgAck); m2 == nil || m2.Seq != i {
+		if m2, ok := hub.Port(0).Recv(MsgAck); !ok || m2.Seq != i {
 			t.Fatalf("round %d: hub ack %+v (cause %v)", i, m2, hub.AbortCause())
 		}
 	}
@@ -90,10 +91,13 @@ func TestTCPMultiProcess(t *testing.T) {
 // ErrLinkLost, unblocking a pending receive.
 func TestTCPMidStreamDrop(t *testing.T) {
 	tr := newLoopbackTransport(t, 3, 0)
-	got := make(chan *Message, 1)
-	go func() { got <- tr.Port(2).Recv(MsgPicture) }()
+	got := make(chan bool, 1)
+	go func() {
+		_, ok := tr.Port(2).Recv(MsgPicture)
+		got <- ok
+	}()
 	tr.Port(0).Send(2, &Message{Kind: MsgPicture, Payload: make([]byte, 1024)})
-	if m := <-got; m == nil {
+	if ok := <-got; !ok {
 		t.Fatalf("pre-fault delivery failed: %v", tr.AbortCause())
 	}
 	tr.InjectLinkFailure(1)
@@ -101,7 +105,7 @@ func TestTCPMidStreamDrop(t *testing.T) {
 	if !errors.Is(cause, ErrLinkLost) && !errors.Is(cause, ErrStalled) {
 		t.Fatalf("abort cause %v, want ErrLinkLost (or ErrStalled)", cause)
 	}
-	if m := tr.Port(2).Recv(MsgPicture); m != nil {
+	if m, ok := tr.Port(2).Recv(MsgPicture); ok {
 		t.Fatalf("Recv after link loss returned %+v", m)
 	}
 }
@@ -123,14 +127,17 @@ func TestTCPHalfOpenPeer(t *testing.T) {
 	if _, err := c.Write(AppendHelloFrame(nil, Hello{Version: WireVersion, Node: 1, NumNodes: 2})); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
-	blocked := make(chan *Message, 1)
-	go func() { blocked <- tr.Port(0).Recv(MsgAck) }()
+	blocked := make(chan bool, 1)
+	go func() {
+		_, ok := tr.Port(0).Recv(MsgAck)
+		blocked <- ok
+	}()
 	cause := waitAbort(t, tr, 10*time.Second)
 	if !errors.Is(cause, ErrStalled) {
 		t.Fatalf("abort cause %v, want ErrStalled", cause)
 	}
-	if m := <-blocked; m != nil {
-		t.Fatalf("Recv returned %+v after stall abort", m)
+	if ok := <-blocked; ok {
+		t.Fatal("Recv delivered a message after stall abort")
 	}
 }
 
@@ -147,11 +154,12 @@ func TestTCPHandshakeVersionMismatch(t *testing.T) {
 		t.Fatalf("hello: %v", err)
 	}
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	fr, err := readFrame(c)
+	var rd frameReader
+	fr, err := rd.read(c)
 	if err != nil {
 		t.Fatalf("expected abort frame, read error %v", err)
 	}
-	if fr.Abort == nil || !errors.Is(fr.Abort, ErrHandshake) {
+	if fr.Type != frameAbort || !errors.Is(fr.Abort, ErrHandshake) {
 		t.Fatalf("expected ErrHandshake abort frame, got %+v", fr)
 	}
 	if tr.AbortCause() != nil {
@@ -159,7 +167,7 @@ func TestTCPHandshakeVersionMismatch(t *testing.T) {
 	}
 	// The wall still works afterwards.
 	tr.Port(0).Send(1, &Message{Kind: MsgAck, Seq: 1})
-	if m := tr.Port(1).Recv(MsgAck); m == nil || m.Seq != 1 {
+	if m, ok := tr.Port(1).Recv(MsgAck); !ok || m.Seq != 1 {
 		t.Fatalf("wall broken after rejected dialer: %+v (cause %v)", m, tr.AbortCause())
 	}
 }
@@ -288,7 +296,7 @@ func TestTCPRecoverableStaleEOF(t *testing.T) {
 	// message proves the reader runs, and the pause lets it loop back into
 	// the next read before the takeover.
 	tr.Port(0).Send(1, &Message{Kind: MsgAck, Seq: 6})
-	if m := tr.Port(1).Recv(MsgAck); m == nil || m.Seq != 6 {
+	if m, ok := tr.Port(1).Recv(MsgAck); !ok || m.Seq != 6 {
 		t.Fatalf("message before the takeover: %+v (abort %v)", m, tr.AbortCause())
 	}
 	time.Sleep(50 * time.Millisecond)
@@ -308,8 +316,8 @@ func TestTCPRecoverableStaleEOF(t *testing.T) {
 	p.mu.Unlock()
 
 	tr.Port(0).Send(1, &Message{Kind: MsgAck, Seq: 7})
-	m, timedOut := tr.Port(1).RecvTimeout(MsgAck, 5*time.Second)
-	if timedOut || m == nil || m.Seq != 7 {
+	m, ok, timedOut := tr.Port(1).RecvTimeout(MsgAck, 5*time.Second)
+	if timedOut || !ok || m.Seq != 7 {
 		t.Fatalf("message after the takeover: %+v, timed out %v (abort %v); the reader quit on the retired link's EOF",
 			m, timedOut, tr.AbortCause())
 	}
@@ -333,8 +341,8 @@ func TestTCPCleanShutdownDeliversTail(t *testing.T) {
 	}
 	hub.Shutdown()
 	for i := 0; i < tail; i++ {
-		m := worker.Port(1).Recv(MsgBlocks)
-		if m == nil {
+		m, ok := worker.Port(1).Recv(MsgBlocks)
+		if !ok {
 			t.Fatalf("tail message %d lost: %v", i, worker.AbortCause())
 		}
 		if m.Seq != i {
@@ -384,7 +392,7 @@ func TestTCPDialRetryLateRoot(t *testing.T) {
 		t.Fatalf("late join took %v, want well under the 15s dial window", took)
 	}
 	res.tr.Port(1).Send(0, &Message{Kind: MsgAck, Seq: 7})
-	if m := hub.Port(0).Recv(MsgAck); m == nil || m.Seq != 7 {
+	if m, ok := hub.Port(0).Recv(MsgAck); !ok || m.Seq != 7 {
 		t.Fatalf("no traffic after late join: %+v (cause %v)", m, hub.AbortCause())
 	}
 }
@@ -417,7 +425,7 @@ func TestTCPRecoverableReconnect(t *testing.T) {
 	defer w1.Shutdown()
 
 	w1.Port(1).Send(0, &Message{Kind: MsgAck, Seq: 1})
-	if m := hub.Port(0).Recv(MsgAck); m == nil || m.Seq != 1 {
+	if m, ok := hub.Port(0).Recv(MsgAck); !ok || m.Seq != 1 {
 		t.Fatalf("pre-failure message lost: %+v (cause %v)", m, hub.AbortCause())
 	}
 
@@ -427,11 +435,11 @@ func TestTCPRecoverableReconnect(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		m, timedOut := hub.Port(0).RecvTimeout(MsgAck, time.Until(deadline))
+		m, ok, timedOut := hub.Port(0).RecvTimeout(MsgAck, time.Until(deadline))
 		if timedOut {
 			t.Fatal("post-failure message never arrived; link did not recover")
 		}
-		if m == nil {
+		if !ok {
 			t.Fatalf("hub aborted instead of recovering: %v", hub.AbortCause())
 		}
 		if m.Seq == 2 {
@@ -484,7 +492,7 @@ func TestTCPRecoverableHubBacklog(t *testing.T) {
 	defer w1.Shutdown()
 
 	hub.Port(0).Send(1, &Message{Kind: MsgBlocks, Seq: 0})
-	if m := w1.Port(1).Recv(MsgBlocks); m == nil || m.Seq != 0 {
+	if m, ok := w1.Port(1).Recv(MsgBlocks); !ok || m.Seq != 0 {
 		t.Fatalf("pre-failure message lost: %+v (cause %v)", m, w1.AbortCause())
 	}
 
@@ -523,8 +531,8 @@ func TestTCPRecoverableHubBacklog(t *testing.T) {
 	close(release)
 
 	for next := 1; next <= backlog; {
-		m, timedOut := w1.Port(1).RecvTimeout(MsgBlocks, 5*time.Second)
-		if timedOut || m == nil {
+		m, ok, timedOut := w1.Port(1).RecvTimeout(MsgBlocks, 5*time.Second)
+		if timedOut || !ok {
 			t.Fatalf("backlog frame %d never arrived after the redial (timed out %v, cause %v)", next, timedOut, w1.AbortCause())
 		}
 		if m.Seq < next {
@@ -537,5 +545,125 @@ func TestTCPRecoverableHubBacklog(t *testing.T) {
 	}
 	if hub.AbortCause() != nil || w1.AbortCause() != nil {
 		t.Fatalf("redial aborted: hub %v, node %v", hub.AbortCause(), w1.AbortCause())
+	}
+}
+
+// TestTCPWriterReleaseRule: the link writer gives a payload back to the
+// pool exactly when the message's consumer would (Message.consumerReleases).
+// A data message's slab comes back once it is encoded. The control payloads
+// one sender shares across destinations — a session-open header, a
+// subscription — and ack payloads are never released by their consumers; a
+// writer-side release of each destination's copy would put one backing array
+// into the free list twice, and two receivers (or two routed frames) would
+// end up sharing it.
+func TestTCPWriterReleaseRule(t *testing.T) {
+	tr := newLoopbackTransport(t, 3, 0)
+	const size = 700
+	// deliver sends m to every destination, receives each copy and releases
+	// it where a consumer would, and returns the received payloads.
+	deliver := func(m *Message, to ...int) [][]byte {
+		t.Helper()
+		for _, id := range to {
+			tr.Port(0).Send(id, m)
+		}
+		var got [][]byte
+		for _, id := range to {
+			r, ok := tr.Port(id).Recv(m.Kind)
+			if !ok {
+				t.Fatalf("kind %v flags %#x to %d not delivered: %v", m.Kind, m.Flags, id, tr.AbortCause())
+			}
+			got = append(got, r.Payload)
+			if r.consumerReleases() {
+				PutSlab(r.Payload)
+			}
+		}
+		return got
+	}
+	freeCount := func(b []byte) int {
+		cl := &slabClasses[slabClass(cap(b))]
+		cl.mu.Lock()
+		defer cl.mu.Unlock()
+		n := 0
+		for _, s := range cl.free {
+			if unsafe.SliceData(s[:1]) == unsafe.SliceData(b[:1]) {
+				n++
+			}
+		}
+		return n
+	}
+	for _, m := range []*Message{
+		{Kind: MsgPicture, Flags: FlagSessionOpen, Session: 1},
+		{Kind: MsgSubPicture, Flags: FlagSessionOpen, Session: 1},
+		{Kind: MsgPicture, Flags: FlagSubscribe, Session: 1},
+		{Kind: MsgAck, Seq: SessionFailSeq, Session: 1},
+	} {
+		m.Payload = GetSlab(size)[:size]
+		got := deliver(m, 1, 2)
+		if n := freeCount(m.Payload); n != 0 {
+			t.Fatalf("flags %#x kind %v: the shared payload is in the free list %d times", m.Flags, m.Kind, n)
+		}
+		if unsafe.SliceData(got[0]) == unsafe.SliceData(got[1]) {
+			t.Fatalf("flags %#x kind %v: two receivers share one slab", m.Flags, m.Kind)
+		}
+	}
+	for _, m := range []*Message{
+		{Kind: MsgPicture, Seq: 3, Session: 1},
+		{Kind: MsgSubPicture, Seq: 3, Session: 1},
+		{Kind: MsgSubPicture, Seq: -1, Flags: FlagSessionFinal, Session: 1},
+		{Kind: MsgBlocks, Seq: 3, Session: 1},
+	} {
+		m.Payload = GetSlab(size)[:size]
+		deliver(m, 1)
+		if n := freeCount(m.Payload); n != 1 {
+			t.Fatalf("flags %#x kind %v: the sender's slab is in the free list %d times, want once", m.Flags, m.Kind, n)
+		}
+	}
+	if err := tr.AbortCause(); err != nil {
+		t.Fatalf("transport aborted: %v", err)
+	}
+}
+
+// TestTCPRecoverableStrayHello: a stray hello that claims a connected node
+// takes that node's hub slot over. The node's port must notice the loss and
+// redial (or the transport abort) — never go silent: after the stray hangs
+// up, traffic to the node is delivered again within the dial window.
+func TestTCPRecoverableStrayHello(t *testing.T) {
+	tr, err := ListenTCP("127.0.0.1:0", TCPConfig{NumNodes: 2, LocalNodes: []int{0, 1}, Recoverable: true})
+	if err != nil {
+		t.Fatalf("ListenTCP: %v", err)
+	}
+	defer tr.Shutdown()
+	tr.Port(0).Send(1, &Message{Kind: MsgAck, Seq: 1})
+	if m, ok := tr.Port(1).Recv(MsgAck); !ok || m.Seq != 1 {
+		t.Fatalf("message before the stray: %+v (abort %v)", m, tr.AbortCause())
+	}
+
+	c, err := net.Dial("tcp", tr.Addr())
+	if err != nil {
+		t.Fatalf("stray dial: %v", err)
+	}
+	if _, err := c.Write(AppendHelloFrame(nil, Hello{Version: WireVersion, Node: 1, NumNodes: 2})); err != nil {
+		t.Fatalf("stray hello: %v", err)
+	}
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var rd frameReader
+	if fr, err := rd.read(c); err != nil || fr.Type != frameAccept {
+		t.Fatalf("stray hello not accepted: %+v, %v", fr, err)
+	}
+	c.Close()
+
+	deadline := time.Now().Add(dialTimeout)
+	for seq := 2; ; seq++ {
+		tr.Port(0).Send(1, &Message{Kind: MsgAck, Seq: seq})
+		m, ok, timedOut := tr.Port(1).RecvTimeout(MsgAck, 50*time.Millisecond)
+		if ok && m.Seq >= 2 {
+			return
+		}
+		if !ok && !timedOut {
+			return // the transport aborted: loud, not silent
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("node 1 silent %v after a stray hello took its link over (abort %v)", dialTimeout, tr.AbortCause())
+		}
 	}
 }

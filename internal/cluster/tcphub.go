@@ -50,7 +50,8 @@ func (h *hub) serve(c *net.TCPConn) {
 		c.Close()
 	}
 	br := bufio.NewReaderSize(c, 64<<10)
-	fr, err := readFrame(br)
+	var rd frameReader
+	fr, err := rd.read(br)
 	if err != nil {
 		reject(fmt.Errorf("%w: %v", ErrHandshake, err))
 		return
@@ -102,7 +103,12 @@ func (h *hub) serve(c *net.TCPConn) {
 	if old != nil {
 		// Takeover: the node is redialing after a link loss its old
 		// connection hasn't surfaced here yet. Kill the stale connection; its
-		// reader detaches quietly in recoverable mode.
+		// reader detaches quietly in recoverable mode. The kill is a reset,
+		// not an orderly close: if the hello came from a stray dialer instead
+		// and old is the node's live connection, the port must read a link
+		// loss and redial — an orderly EOF would read as hub shutdown and
+		// end its reader, and the node would go silent.
+		old.SetLinger(0)
 		old.Close()
 	}
 	go h.linkReader(l, c, br, done)

@@ -1,15 +1,104 @@
 package cluster
 
-// Port is the fabric surface a resident node loop programs against: the
-// plain Net messaging methods plus direct access to the per-kind receive
-// channels, which a multiplexing server (the service root) needs to select
-// across fabric traffic and local work hand-offs.
-type Port interface {
-	Net
-	// Queue exposes the receive channel for one kind; combine with Done for
-	// abort handling. Receiving from the channel directly is equivalent to
-	// TryRecv/Recv for ownership purposes: one consumer goroutine per node.
-	Queue(kind MsgKind) <-chan *Message
+import "time"
+
+// Port is one node's messaging endpoint, the same concrete type on every
+// transport: the pipeline nodes program against it, and so do a resident
+// decoder's per-session view and the test fault injector. It is a small
+// value (one pointer) over the transport's endpoint; copies share it.
+//
+// Send copies the message, so a sender's &Message{...} literal stays on its
+// stack (the call is static and nothing keeps the pointer), and nobody may
+// assume the transport sees a change made to it after Send returns. A
+// port's receive side must be driven by a single goroutine (the node's
+// process, one PC per role).
+type Port struct{ e *endpoint }
+
+// endpoint is what a transport plugs into a Port: the node id, the abort
+// domain and ledger, the per-kind receive queues (the fabric's posted
+// buffers, or a TCP port's pump outputs), the sending half and the port's
+// one receive timer.
+type endpoint struct {
+	id    int
+	c     *core
+	in    [numKinds]chan Message
+	out   sender
+	timer recvTimer
+}
+
+// sender delivers one addressed message (From and To set). It takes the
+// message by value: an interface call that took a pointer would make every
+// sender's message literal escape to the heap.
+type sender interface{ send(m Message) }
+
+// ID returns the node id.
+func (p Port) ID() int { return p.e.id }
+
+// Send delivers a copy of msg, addressed from this port to node to. On the
+// fabric it blocks only when the receiver's queue for the kind is full; on
+// TCP it never blocks on the network (the link writer batches).
+func (p Port) Send(to int, msg *Message) {
+	m := *msg
+	m.From, m.To = p.e.id, to
+	p.e.out.send(m)
+}
+
+// Recv blocks until a message of the given kind arrives; ok is false once
+// the transport has aborted.
+func (p Port) Recv(kind MsgKind) (m Message, ok bool) {
+	return p.e.c.recv(p.e.in[kind])
+}
+
+// TryRecv returns a queued message of the given kind, if any.
+func (p Port) TryRecv(kind MsgKind) (m Message, ok bool) {
+	select {
+	case m = <-p.e.in[kind]:
+		return m, true
+	default:
+		return Message{}, false
+	}
+}
+
+// RecvTimeout waits up to d for a message of the given kind, with the port's
+// reused timer; a non-positive d blocks and arms no timer — the fail-stop
+// protocols' wait. ok means delivered; otherwise timedOut tells a passed
+// deadline from an abort.
+func (p Port) RecvTimeout(kind MsgKind, d time.Duration) (m Message, ok, timedOut bool) {
+	if d <= 0 {
+		m, ok = p.Recv(kind)
+		return m, ok, false
+	}
+	return p.e.c.recvTimeout(p.e.in[kind], &p.e.timer, d)
+}
+
+// Queue exposes the receive channel for one kind so a node process can
+// select across kinds and local work (the service root multiplexes acks with
+// session hand-offs this way). Combine with Done for abort handling.
+// Receiving from the channel is equivalent to TryRecv/Recv for ownership.
+func (p Port) Queue(kind MsgKind) <-chan Message { return p.e.in[kind] }
+
+// Done is closed when the transport aborts.
+func (p Port) Done() <-chan struct{} { return p.e.c.done }
+
+// Dropping returns a view of p that shares its receive side and loses every
+// message drop reports true for: no delivery, no accounting. It is fault
+// injection for tests (a lost credit message must stall the pipeline for
+// the watchdog to catch); drop sees the message addressed, From and To set.
+// The view has a receive timer of its own.
+func (p Port) Dropping(drop func(m *Message) bool) Port {
+	e := &endpoint{id: p.e.id, c: p.e.c, in: p.e.in, out: dropSender{p.e.out, drop}}
+	return Port{e}
+}
+
+type dropSender struct {
+	sender
+	drop func(m *Message) bool
+}
+
+func (s dropSender) send(m Message) {
+	if !s.drop(&m) {
+		s.sender.send(m)
+	}
 }
 
 // Transport is the seam between the resident pipeline and its message
@@ -40,9 +129,4 @@ type Transport interface {
 	Shutdown()
 }
 
-// Port returns the port of node id (the node itself: *Node is Net plus
-// Queue).
-func (f *Fabric) Port(id int) Port { return f.nodes[id] }
-
 var _ Transport = (*Fabric)(nil)
-var _ Port = (*Node)(nil)

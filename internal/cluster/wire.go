@@ -20,7 +20,7 @@ import (
 //	u16  from      u16  to
 //	u32  session
 //	i32  seq       i32  tag
-//	i64  xseq
+//	u64  reserved  always 0 (once a per-link sequence number)
 //	...  payload   frameLen - 1 - 26 bytes
 //
 // The destination sits at a fixed offset so the hub can route a frame
@@ -109,13 +109,13 @@ type Accept struct {
 	NumNodes int
 }
 
-// Frame is one decoded wire frame. Exactly one of Msg, Hello, Accept and
-// Abort is set, per Type.
+// Frame is one decoded wire frame, a value like the messages it carries.
+// Type says which one of Msg, Hello, Accept and Abort is set.
 type Frame struct {
 	Type   byte
-	Msg    *Message
-	Hello  *Hello
-	Accept *Accept
+	Msg    Message
+	Hello  Hello
+	Accept Accept
 	// Abort carries the remote abort cause, reconstructed so errors.Is
 	// matches the same sentinel (ErrStalled, ErrLinkLost, ...) that the
 	// aborting process observed.
@@ -228,23 +228,27 @@ func AppendMessageFrame(dst []byte, m *Message) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(m.Session))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(m.Seq)))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(m.Tag)))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(m.XSeq))
+	dst = binary.BigEndian.AppendUint64(dst, 0) // reserved
 	return append(dst, m.Payload...), nil
 }
 
 // parseMessageBody decodes the fixed header and payload of a message frame.
 // The payload slice is drawn from the slab pool (exact-class capacity), so
 // the final consumer can PutSlab it — the receive path stays zero-alloc in
-// steady state.
-func parseMessageBody(body []byte) (*Message, error) {
+// steady state. A non-zero reserved field is corrupt: no sender writes one,
+// and accepting it would decode two byte strings to the same message.
+func parseMessageBody(body []byte) (Message, error) {
 	if len(body) < msgHeaderWireBytes {
-		return nil, fmt.Errorf("%w: message body %d bytes", ErrFrameCorrupt, len(body))
+		return Message{}, fmt.Errorf("%w: message body %d bytes", ErrFrameCorrupt, len(body))
 	}
 	kind := MsgKind(body[0])
 	if kind >= numKinds {
-		return nil, fmt.Errorf("%w: unknown message kind %d", ErrFrameCorrupt, kind)
+		return Message{}, fmt.Errorf("%w: unknown message kind %d", ErrFrameCorrupt, kind)
 	}
-	m := &Message{
+	if r := binary.BigEndian.Uint64(body[18:26]); r != 0 {
+		return Message{}, fmt.Errorf("%w: reserved header field %#x", ErrFrameCorrupt, r)
+	}
+	m := Message{
 		Kind:    kind,
 		Flags:   body[1],
 		From:    int(binary.BigEndian.Uint16(body[2:4])),
@@ -252,7 +256,6 @@ func parseMessageBody(body []byte) (*Message, error) {
 		Session: int(binary.BigEndian.Uint32(body[6:10])),
 		Seq:     int(int32(binary.BigEndian.Uint32(body[10:14]))),
 		Tag:     int(int32(binary.BigEndian.Uint32(body[14:18]))),
-		XSeq:    int64(binary.BigEndian.Uint64(body[18:26])),
 	}
 	if payload := body[msgHeaderWireBytes:]; len(payload) > 0 {
 		m.Payload = append(GetSlab(len(payload)), payload...)
@@ -260,16 +263,16 @@ func parseMessageBody(body []byte) (*Message, error) {
 	return m, nil
 }
 
-func parseHelloBody(body []byte) (*Hello, error) {
+func parseHelloBody(body []byte) (Hello, error) {
 	if len(body) != helloBodyBytes {
-		return nil, fmt.Errorf("%w: hello body %d bytes", ErrFrameCorrupt, len(body))
+		return Hello{}, fmt.Errorf("%w: hello body %d bytes", ErrFrameCorrupt, len(body))
 	}
 	if binary.BigEndian.Uint32(body) != wireMagic {
-		return nil, fmt.Errorf("%w: bad hello magic %#x", ErrHandshake, binary.BigEndian.Uint32(body))
+		return Hello{}, fmt.Errorf("%w: bad hello magic %#x", ErrHandshake, binary.BigEndian.Uint32(body))
 	}
 	// An unexpected version is reported by the handshake policy, not the
 	// decoder: the frame itself is well-formed.
-	return &Hello{
+	return Hello{
 		Version:  body[4],
 		Node:     int(binary.BigEndian.Uint16(body[5:7])),
 		NumNodes: int(binary.BigEndian.Uint16(body[7:9])),
@@ -282,11 +285,11 @@ func parseHelloBody(body []byte) (*Hello, error) {
 	}, nil
 }
 
-func parseAcceptBody(body []byte) (*Accept, error) {
+func parseAcceptBody(body []byte) (Accept, error) {
 	if len(body) != acceptBodyBytes {
-		return nil, fmt.Errorf("%w: accept body %d bytes", ErrFrameCorrupt, len(body))
+		return Accept{}, fmt.Errorf("%w: accept body %d bytes", ErrFrameCorrupt, len(body))
 	}
-	return &Accept{Version: body[0], NumNodes: int(binary.BigEndian.Uint16(body[1:3]))}, nil
+	return Accept{Version: body[0], NumNodes: int(binary.BigEndian.Uint16(body[1:3]))}, nil
 }
 
 func parseAbortBody(body []byte) (error, error) {
@@ -299,34 +302,24 @@ func parseAbortBody(body []byte) (error, error) {
 	return &remoteAbortError{class: body[0], msg: string(body[1:])}, nil
 }
 
-func decodeFrameBody(typ byte, body []byte) (*Frame, error) {
+func decodeFrameBody(typ byte, body []byte) (fr Frame, err error) {
+	fr.Type = typ
 	switch typ {
 	case frameMessage:
-		m, err := parseMessageBody(body)
-		if err != nil {
-			return nil, err
-		}
-		return &Frame{Type: typ, Msg: m}, nil
+		fr.Msg, err = parseMessageBody(body)
 	case frameHello:
-		h, err := parseHelloBody(body)
-		if err != nil {
-			return nil, err
-		}
-		return &Frame{Type: typ, Hello: h}, nil
+		fr.Hello, err = parseHelloBody(body)
 	case frameAccept:
-		a, err := parseAcceptBody(body)
-		if err != nil {
-			return nil, err
-		}
-		return &Frame{Type: typ, Accept: a}, nil
+		fr.Accept, err = parseAcceptBody(body)
 	case frameAbort:
-		cause, err := parseAbortBody(body)
-		if err != nil {
-			return nil, err
-		}
-		return &Frame{Type: typ, Abort: cause}, nil
+		fr.Abort, err = parseAbortBody(body)
+	default:
+		err = fmt.Errorf("%w: unknown frame type %#x", ErrFrameCorrupt, typ)
 	}
-	return nil, fmt.Errorf("%w: unknown frame type %#x", ErrFrameCorrupt, typ)
+	if err != nil {
+		return Frame{}, err
+	}
+	return fr, nil
 }
 
 // checkFrameLen validates a length prefix before anything is allocated.
@@ -344,53 +337,61 @@ func checkFrameLen(n uint32) error {
 // the number of bytes consumed. It is the buffer-oriented twin of the
 // streaming reader — the fuzz target drives it — and never allocates more
 // than the validated frame length.
-func DecodeFrame(b []byte) (*Frame, int, error) {
+func DecodeFrame(b []byte) (Frame, int, error) {
 	if len(b) < frameLenBytes {
-		return nil, 0, fmt.Errorf("%w: %d bytes of length prefix", ErrFrameTruncated, len(b))
+		return Frame{}, 0, fmt.Errorf("%w: %d bytes of length prefix", ErrFrameTruncated, len(b))
 	}
 	n := binary.BigEndian.Uint32(b)
 	if err := checkFrameLen(n); err != nil {
-		return nil, 0, err
+		return Frame{}, 0, err
 	}
 	if uint32(len(b)-frameLenBytes) < n {
-		return nil, 0, fmt.Errorf("%w: frame wants %d body bytes, have %d", ErrFrameTruncated, n, len(b)-frameLenBytes)
+		return Frame{}, 0, fmt.Errorf("%w: frame wants %d body bytes, have %d", ErrFrameTruncated, n, len(b)-frameLenBytes)
 	}
 	body := b[frameLenBytes : frameLenBytes+int(n)]
 	fr, err := decodeFrameBody(body[0], body[1:])
 	if err != nil {
-		return nil, 0, err
+		return Frame{}, 0, err
 	}
 	return fr, frameLenBytes + int(n), nil
 }
 
-// readFrame reads one frame from a stream. Message payloads land in their
-// own slab-pool slice; every other body goes through a small scratch buffer.
-// io.EOF is returned verbatim when the stream ends cleanly between frames,
-// so callers can tell an orderly close from a mid-frame cut (ErrFrameTruncated).
-func readFrame(r io.Reader) (*Frame, error) {
-	var hdr [frameLenBytes + 1 + msgHeaderWireBytes]byte
+// frameReader reads frames from one stream. It owns its header scratch (a
+// scratch array on the reading goroutine's stack would escape through
+// io.ReadFull once per frame), so a message frame allocates nothing but its
+// payload's slab, and only the rare control frames allocate a body.
+type frameReader struct {
+	hdr [frameLenBytes + 1 + msgHeaderWireBytes]byte
+}
+
+// read reads one frame from r. Message payloads land in their own slab-pool
+// slice. io.EOF is returned verbatim when the stream ends cleanly between
+// frames, so callers can tell an orderly close from a mid-frame cut
+// (ErrFrameTruncated).
+func (fr *frameReader) read(r io.Reader) (Frame, error) {
+	hdr := fr.hdr[:]
 	if _, err := io.ReadFull(r, hdr[:frameLenBytes]); err != nil {
 		if err == io.EOF {
-			return nil, io.EOF
+			return Frame{}, io.EOF
 		}
 		if err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("%w: stream ended inside length prefix", ErrFrameTruncated)
+			return Frame{}, fmt.Errorf("%w: stream ended inside length prefix", ErrFrameTruncated)
 		}
-		return nil, err
+		return Frame{}, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:frameLenBytes])
 	if err := checkFrameLen(n); err != nil {
-		return nil, err
+		return Frame{}, err
 	}
 	if _, err := io.ReadFull(r, hdr[frameLenBytes:frameLenBytes+1]); err != nil {
-		return nil, truncOrIO(err)
+		return Frame{}, truncOrIO(err)
 	}
 	typ := hdr[frameLenBytes]
 	if typ == frameMessage && n >= 1+msgHeaderWireBytes {
 		// Fast path: header into the scratch array, payload straight into a
 		// slab of its own class so the consumer's PutSlab recycles it.
 		if _, err := io.ReadFull(r, hdr[frameLenBytes+1:]); err != nil {
-			return nil, truncOrIO(err)
+			return Frame{}, truncOrIO(err)
 		}
 		payloadLen := int(n) - 1 - msgHeaderWireBytes
 		var payload []byte
@@ -398,20 +399,20 @@ func readFrame(r io.Reader) (*Frame, error) {
 			payload = GetSlab(payloadLen)[:payloadLen]
 			if _, err := io.ReadFull(r, payload); err != nil {
 				PutSlab(payload)
-				return nil, truncOrIO(err)
+				return Frame{}, truncOrIO(err)
 			}
 		}
 		m, err := parseMessageBody(hdr[frameLenBytes+1:]) // header only; payload attached below
 		if err != nil {
 			PutSlab(payload)
-			return nil, err
+			return Frame{}, err
 		}
 		m.Payload = payload
-		return &Frame{Type: frameMessage, Msg: m}, nil
+		return Frame{Type: frameMessage, Msg: m}, nil
 	}
 	body := make([]byte, int(n)-1)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, truncOrIO(err)
+		return Frame{}, truncOrIO(err)
 	}
 	return decodeFrameBody(typ, body)
 }

@@ -19,7 +19,7 @@ func TestWireMessageRoundTrip(t *testing.T) {
 	msgs := []*Message{
 		{Kind: MsgPicture, From: 0, To: 1, Seq: 0, Tag: 2, Session: 1, Payload: []byte("picture bits")},
 		{Kind: MsgAck, From: 3, To: 0, Seq: DrainAckSeq, Session: 7},
-		{Kind: MsgSubPicture, From: 1, To: 5, Seq: -1, Tag: -3, Flags: FlagSessionFinal, XSeq: 1 << 40, Payload: make([]byte, 100000)},
+		{Kind: MsgSubPicture, From: 1, To: 5, Seq: -1, Tag: -3, Flags: FlagSessionFinal, Payload: make([]byte, 100000)},
 		{Kind: MsgBlocks, From: 65535, To: 65535, Seq: 1<<31 - 1, Tag: -(1 << 31), Session: 0xffffffff},
 	}
 	for _, m := range msgs {
@@ -30,12 +30,34 @@ func TestWireMessageRoundTrip(t *testing.T) {
 		}
 		got := fr.Msg
 		if got.Kind != m.Kind || got.From != m.From || got.To != m.To || got.Seq != m.Seq ||
-			got.Tag != m.Tag || got.Session != m.Session || got.XSeq != m.XSeq || got.Flags != m.Flags {
+			got.Tag != m.Tag || got.Session != m.Session || got.Flags != m.Flags {
 			t.Fatalf("header mismatch: got %+v want %+v", got, m)
 		}
 		if !bytes.Equal(got.Payload, m.Payload) {
 			t.Fatalf("payload mismatch: %d vs %d bytes", len(got.Payload), len(m.Payload))
 		}
+	}
+}
+
+// TestWireReservedField: the eight header bytes that once carried a per-link
+// sequence number are written as zero and must read as zero. Accepting any
+// other value would decode two byte strings to the same message, so a
+// decoded frame would no longer re-encode to its own bytes.
+func TestWireReservedField(t *testing.T) {
+	b := mustEncodeMsg(t, &Message{Kind: MsgAck, To: 1, Seq: 4})
+	const off = frameLenBytes + 1 + 18 // reserved u64 after kind..tag
+	for i := off; i < off+8; i++ {
+		if b[i] != 0 {
+			t.Fatalf("reserved byte %d = %#x, want 0", i-off, b[i])
+		}
+	}
+	b[off+7] = 1
+	if _, _, err := DecodeFrame(b); !errors.Is(err, ErrFrameCorrupt) {
+		t.Fatalf("non-zero reserved field: err %v, want ErrFrameCorrupt", err)
+	}
+	var rd frameReader
+	if _, err := rd.read(bytes.NewReader(b)); !errors.Is(err, ErrFrameCorrupt) {
+		t.Fatalf("streaming reader, non-zero reserved field: err %v, want ErrFrameCorrupt", err)
 	}
 }
 
@@ -60,15 +82,15 @@ func TestWireMessageRangeChecks(t *testing.T) {
 func TestWireHandshakeRoundTrip(t *testing.T) {
 	h := Hello{Version: WireVersion, Node: 3, NumNodes: 10, Grid: Grid{K: 2, M: 2, N: 2, Overlap: 32}}
 	fr, n, err := DecodeFrame(AppendHelloFrame(nil, h))
-	if err != nil || fr.Hello == nil {
+	if err != nil || fr.Type != frameHello {
 		t.Fatalf("hello decode: %v", err)
 	}
-	if *fr.Hello != h || n != frameLenBytes+1+helloBodyBytes {
+	if fr.Hello != h || n != frameLenBytes+1+helloBodyBytes {
 		t.Fatalf("hello round trip: %+v (n=%d)", fr.Hello, n)
 	}
 	a := Accept{Version: WireVersion, NumNodes: 10}
 	fr, _, err = DecodeFrame(AppendAcceptFrame(nil, a))
-	if err != nil || fr.Accept == nil || *fr.Accept != a {
+	if err != nil || fr.Type != frameAccept || fr.Accept != a {
 		t.Fatalf("accept round trip: %+v, %v", fr, err)
 	}
 }
@@ -76,7 +98,7 @@ func TestWireHandshakeRoundTrip(t *testing.T) {
 func TestWireAbortRoundTrip(t *testing.T) {
 	for _, cause := range []error{ErrStalled, ErrLinkLost, ErrHandshake, errors.New("custom failure")} {
 		fr, _, err := DecodeFrame(AppendAbortFrame(nil, cause))
-		if err != nil || fr.Abort == nil {
+		if err != nil || fr.Type != frameAbort || fr.Abort == nil {
 			t.Fatalf("abort decode: %v", err)
 		}
 		if fr.Abort.Error() != cause.Error() {
@@ -98,7 +120,7 @@ func TestWireTruncation(t *testing.T) {
 			t.Fatalf("cut at %d: err %v, want ErrFrameTruncated", cut, err)
 		}
 	}
-	if fr, _, err := DecodeFrame(append(append([]byte{}, full...), 0xEE)); err != nil || fr.Msg == nil {
+	if fr, _, err := DecodeFrame(append(append([]byte{}, full...), 0xEE)); err != nil || fr.Type != frameMessage {
 		t.Fatalf("trailing garbage must not affect a complete frame: %v", err)
 	}
 }
@@ -144,7 +166,7 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		switch fr.Type {
 		case frameMessage:
-			re, err := AppendMessageFrame(nil, fr.Msg)
+			re, err := AppendMessageFrame(nil, &fr.Msg)
 			if err != nil {
 				t.Fatalf("decoded message does not re-encode: %v", err)
 			}
@@ -155,11 +177,11 @@ func FuzzFrameDecode(f *testing.F) {
 				PutSlab(fr.Msg.Payload)
 			}
 		case frameHello:
-			if !bytes.Equal(AppendHelloFrame(nil, *fr.Hello), b[:n]) {
+			if !bytes.Equal(AppendHelloFrame(nil, fr.Hello), b[:n]) {
 				t.Fatal("hello frame not canonical")
 			}
 		case frameAccept:
-			if !bytes.Equal(AppendAcceptFrame(nil, *fr.Accept), b[:n]) {
+			if !bytes.Equal(AppendAcceptFrame(nil, fr.Accept), b[:n]) {
 				t.Fatal("accept frame not canonical")
 			}
 		case frameAbort:

@@ -75,7 +75,7 @@ type Result struct {
 type Decoder struct {
 	cfg  Config
 	rect wall.Rect
-	node cluster.Net
+	net  sessionNet
 
 	bufs             []*mpeg2.PixelBuf // ring of 3 halo-extended windows
 	cur, refA, refB  int               // indices into bufs
@@ -134,10 +134,15 @@ type sendBundle struct {
 	pixels []byte
 }
 
-// NewDecoder allocates the decoder's buffers. A respawned incarnation is
-// restored by the serving layer with ResumeAt, which starts it at the
+// NewDecoder allocates a decoder's buffers for the one stream (session 0) of
+// a standalone tile on port. A resident server makes one per session, and
+// restores a respawned incarnation with ResumeAt, which starts it at the
 // session's emission frontier in concealment.
-func NewDecoder(node cluster.Net, cfg Config) *Decoder {
+func NewDecoder(port cluster.Port, cfg Config) *Decoder {
+	return newDecoder(sessionNet{port: port, pending: map[int][]cluster.Message{}}, cfg)
+}
+
+func newDecoder(net sessionNet, cfg Config) *Decoder {
 	rect := cfg.Geo.Tile(cfg.Tile)
 	halo := cfg.HaloPx
 	x0 := rect.X0 - halo
@@ -159,7 +164,7 @@ func NewDecoder(node cluster.Net, cfg Config) *Decoder {
 	// All three windows are live from the start, so MEI SEND/RECV stays
 	// structurally valid even while the reference chain is untrusted;
 	// validAnchors gates what may actually be decoded.
-	d := &Decoder{cfg: cfg, rect: rect, node: node, cur: 0, refA: 1, refB: 2, finalTotal: -1}
+	d := &Decoder{cfg: cfg, rect: rect, net: net, cur: 0, refA: 1, refB: 2, finalTotal: -1}
 	d.pieces.Tile = cfg.Tile
 	for i := 0; i < 3; i++ {
 		d.bufs = append(d.bufs, mpeg2.NewPixelBuf(x0, y0, x1-x0, y1-y0))
@@ -234,7 +239,7 @@ func (d *Decoder) HandleSubPicture(msg *cluster.Message, numFinals int) (bool, e
 	// settled the flow-control ledger.
 	if msg.Flags&cluster.FlagReplay == 0 {
 		d.res.Breakdown.Timed(metrics.PhaseAck, func() {
-			d.node.Send(msg.Tag, &cluster.Message{Kind: cluster.MsgAck, Seq: msg.Seq, Session: msg.Session})
+			d.net.send(msg.Tag, &cluster.Message{Kind: cluster.MsgAck, Seq: msg.Seq, Session: msg.Session})
 		})
 	}
 	if idx := int(sp.Pic.Index); idx != d.nextPic {
@@ -426,7 +431,7 @@ func (d *Decoder) executeSends(sp *subpic.SubPicture, picType mpeg2.PictureType)
 				Cells:    []subpic.BlockCell{{Ref: in.Ref, MBX: in.MBX, MBY: in.MBY}},
 				Pixels:   d.xferPix[:],
 			}
-			d.node.Send(d.cfg.TileNode(int(in.Peer)), &cluster.Message{
+			d.net.send(d.cfg.TileNode(int(in.Peer)), &cluster.Message{
 				Kind:    cluster.MsgBlocks,
 				Seq:     int(sp.Pic.Index),
 				Payload: marshalBundle(&bb),
@@ -454,7 +459,7 @@ func (d *Decoder) executeSends(sp *subpic.SubPicture, picType mpeg2.PictureType)
 	for _, peer := range d.sendOrder {
 		bu := d.sendBundles[peer]
 		bb := subpic.BlockBundle{PicIndex: sp.Pic.Index, Cells: bu.cells, Pixels: bu.pixels}
-		d.node.Send(d.cfg.TileNode(peer), &cluster.Message{
+		d.net.send(d.cfg.TileNode(peer), &cluster.Message{
 			Kind:    cluster.MsgBlocks,
 			Seq:     int(sp.Pic.Index),
 			Payload: marshalBundle(&bb),
@@ -522,20 +527,12 @@ func (d *Decoder) drainRecvs(sp *subpic.SubPicture, picType mpeg2.PictureType, w
 		deadline = d.cfg.Recovery.Cfg.PictureDeadline
 	}
 	for expected > 0 {
-		var msg *cluster.Message
-		if willDecode {
-			var timedOut bool
-			if msg, timedOut = cluster.RecvWithin(d.node, cluster.MsgBlocks, deadline); timedOut {
-				d.concealMBs(expected)
-				return nil
-			}
-		} else if m, got := d.node.TryRecv(cluster.MsgBlocks); got {
-			msg = m
-		} else {
+		msg, ok, timedOut := d.net.recvBlocks(deadline, willDecode)
+		if timedOut {
 			d.concealMBs(expected)
 			return nil
 		}
-		if msg == nil {
+		if !ok {
 			// Under fault masking the next sub-picture receive reports the
 			// abort.
 			return d.fault(fmt.Errorf("tile %d: fabric aborted while waiting for reference macroblocks", d.cfg.Tile))

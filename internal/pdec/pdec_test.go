@@ -13,7 +13,8 @@ import (
 // protocol (one splitter), standing in for the deleted batch Step loop in
 // these single-decoder protocol tests.
 func step(d *Decoder) (bool, error) {
-	return d.HandleSubPicture(d.node.Recv(cluster.MsgSubPicture), 1)
+	m, _ := d.net.port.Recv(cluster.MsgSubPicture)
+	return d.HandleSubPicture(&m, 1)
 }
 
 func TestHaloForFCode(t *testing.T) {
@@ -56,14 +57,14 @@ func testSeq() *mpeg2.SequenceHeader {
 func TestDecoderRejectsOutOfOrderPicture(t *testing.T) {
 	fab := cluster.New(2, cluster.Config{})
 	geo := testGeo(t)
-	d := NewDecoder(fab.Node(1), Config{
+	d := NewDecoder(fab.Port(1), Config{
 		Seq: testSeq(), Geo: geo, Tile: 0, HaloPx: 32,
 		TileNode: func(tile int) int { return 1 },
 	})
 	sp := &subpic.SubPicture{}
 	sp.Pic.Index = 3 // decoder expects 0
 	sp.Pic.PicType = uint8(mpeg2.PictureI)
-	fab.Node(0).Send(1, &cluster.Message{Kind: cluster.MsgSubPicture, Seq: 3, Tag: 0, Payload: sp.Marshal()})
+	fab.Port(0).Send(1, &cluster.Message{Kind: cluster.MsgSubPicture, Seq: 3, Tag: 0, Payload: sp.Marshal()})
 	if _, err := step(d); err == nil {
 		t.Fatal("out-of-order picture accepted")
 	}
@@ -72,11 +73,11 @@ func TestDecoderRejectsOutOfOrderPicture(t *testing.T) {
 func TestDecoderRejectsGarbagePayload(t *testing.T) {
 	fab := cluster.New(2, cluster.Config{})
 	geo := testGeo(t)
-	d := NewDecoder(fab.Node(1), Config{
+	d := NewDecoder(fab.Port(1), Config{
 		Seq: testSeq(), Geo: geo, Tile: 0, HaloPx: 32,
 		TileNode: func(tile int) int { return 1 },
 	})
-	fab.Node(0).Send(1, &cluster.Message{Kind: cluster.MsgSubPicture, Seq: 0, Tag: 0, Payload: []byte{1, 2, 3}})
+	fab.Port(0).Send(1, &cluster.Message{Kind: cluster.MsgSubPicture, Seq: 0, Tag: 0, Payload: []byte{1, 2, 3}})
 	if _, err := step(d); err == nil {
 		t.Fatal("garbage payload accepted")
 	}
@@ -85,7 +86,7 @@ func TestDecoderRejectsGarbagePayload(t *testing.T) {
 func TestDecoderFinalCountdown(t *testing.T) {
 	fab := cluster.New(2, cluster.Config{})
 	geo := testGeo(t)
-	d := NewDecoder(fab.Node(1), Config{
+	d := NewDecoder(fab.Port(1), Config{
 		Seq: testSeq(), Geo: geo, Tile: 0, HaloPx: 32,
 		TileNode: func(tile int) int { return 1 },
 	})
@@ -93,7 +94,7 @@ func TestDecoderFinalCountdown(t *testing.T) {
 	// not terminate the decoder.
 	final := &subpic.SubPicture{Final: true}
 	final.Pic.Index = 1 // total pictures
-	fab.Node(0).Send(1, &cluster.Message{Kind: cluster.MsgSubPicture, Seq: -1, Tag: 0, Payload: final.Marshal()})
+	fab.Port(0).Send(1, &cluster.Message{Kind: cluster.MsgSubPicture, Seq: -1, Tag: 0, Payload: final.Marshal()})
 	done, err := step(d)
 	if err != nil || done {
 		t.Fatalf("early Final: done=%v err=%v", done, err)
@@ -102,11 +103,11 @@ func TestDecoderFinalCountdown(t *testing.T) {
 	sp := &subpic.SubPicture{}
 	sp.Pic.Index = 0
 	sp.Pic.PicType = uint8(mpeg2.PictureI)
-	fab.Node(0).Send(1, &cluster.Message{Kind: cluster.MsgSubPicture, Seq: 0, Tag: 0, Payload: sp.Marshal()})
+	fab.Port(0).Send(1, &cluster.Message{Kind: cluster.MsgSubPicture, Seq: 0, Tag: 0, Payload: sp.Marshal()})
 	if done, err = step(d); err != nil || done {
 		t.Fatalf("picture: done=%v err=%v", done, err)
 	}
-	fab.Node(0).Send(1, &cluster.Message{Kind: cluster.MsgSubPicture, Seq: -1, Tag: 0, Payload: final.Marshal()})
+	fab.Port(0).Send(1, &cluster.Message{Kind: cluster.MsgSubPicture, Seq: -1, Tag: 0, Payload: final.Marshal()})
 	if done, err = step(d); err != nil || !done {
 		t.Fatalf("final: done=%v err=%v", done, err)
 	}
@@ -117,7 +118,7 @@ func TestDecoderFinalCountdown(t *testing.T) {
 func TestDecoderAcksANID(t *testing.T) {
 	fab := cluster.New(3, cluster.Config{})
 	geo := testGeo(t)
-	d := NewDecoder(fab.Node(1), Config{
+	d := NewDecoder(fab.Port(1), Config{
 		Seq: testSeq(), Geo: geo, Tile: 0, HaloPx: 32,
 		TileNode: func(tile int) int { return 1 },
 	})
@@ -125,14 +126,14 @@ func TestDecoderAcksANID(t *testing.T) {
 	sp.Pic.Index = 0
 	sp.Pic.PicType = uint8(mpeg2.PictureI)
 	// Sent by node 0, ANID = node 2.
-	fab.Node(0).Send(1, &cluster.Message{Kind: cluster.MsgSubPicture, Seq: 0, Tag: 2, Payload: sp.Marshal()})
+	fab.Port(0).Send(1, &cluster.Message{Kind: cluster.MsgSubPicture, Seq: 0, Tag: 2, Payload: sp.Marshal()})
 	if _, err := step(d); err != nil {
 		t.Fatal(err)
 	}
-	if m, ok := fab.Node(2).TryRecv(cluster.MsgAck); !ok || m.From != 1 {
+	if m, ok := fab.Port(2).TryRecv(cluster.MsgAck); !ok || m.From != 1 {
 		t.Fatal("ack not redirected to the ANID node")
 	}
-	if _, ok := fab.Node(0).TryRecv(cluster.MsgAck); ok {
+	if _, ok := fab.Port(0).TryRecv(cluster.MsgAck); ok {
 		t.Fatal("ack also sent to the message sender")
 	}
 }
@@ -141,7 +142,7 @@ func TestDecoderAcksANID(t *testing.T) {
 func TestDecoderRejectsMissingReference(t *testing.T) {
 	fab := cluster.New(2, cluster.Config{})
 	geo := testGeo(t)
-	d := NewDecoder(fab.Node(1), Config{
+	d := NewDecoder(fab.Port(1), Config{
 		Seq: testSeq(), Geo: geo, Tile: 0, HaloPx: 32,
 		TileNode: func(tile int) int { return 1 },
 	})
@@ -149,7 +150,7 @@ func TestDecoderRejectsMissingReference(t *testing.T) {
 	sp.Pic.Index = 0
 	sp.Pic.PicType = uint8(mpeg2.PictureP)
 	sp.Pic.FCode = [2][2]uint8{{3, 3}, {15, 15}}
-	fab.Node(0).Send(1, &cluster.Message{Kind: cluster.MsgSubPicture, Seq: 0, Tag: 0, Payload: sp.Marshal()})
+	fab.Port(0).Send(1, &cluster.Message{Kind: cluster.MsgSubPicture, Seq: 0, Tag: 0, Payload: sp.Marshal()})
 	if _, err := step(d); err == nil {
 		t.Fatal("P picture before anchor accepted")
 	}

@@ -19,7 +19,7 @@ import (
 // decode indices it emits into frames.
 func recoverDecoder(t *testing.T, fab *cluster.Fabric, rec *metrics.Recovery, frames *[]int) *Decoder {
 	t.Helper()
-	return NewDecoder(fab.Node(1), Config{
+	return NewDecoder(fab.Port(1), Config{
 		Seq: testSeq(), Geo: testGeo(t), Tile: 0, HaloPx: 32,
 		TileNode: func(tile int) int { return 1 },
 		OnFrame: func(picIdx, tile int, buf *mpeg2.PixelBuf) {
@@ -36,7 +36,8 @@ func recoverDecoder(t *testing.T, fab *cluster.Fabric, rec *metrics.Recovery, fr
 // stepRecover receives one sub-picture and dispatches it through the
 // fault-masking protocol, with numFinals splitters feeding the session.
 func stepRecover(d *Decoder, numFinals int) (bool, error) {
-	return d.HandleSubPicture(d.node.Recv(cluster.MsgSubPicture), numFinals)
+	m, _ := d.net.port.Recv(cluster.MsgSubPicture)
+	return d.HandleSubPicture(&m, numFinals)
 }
 
 // sendPic ships a pieceless sub-picture for picture idx from node from (also
@@ -50,7 +51,7 @@ func sendPic(fab *cluster.Fabric, from, idx int, pt mpeg2.PictureType, flags uin
 		sp.Pic.FCode = [2][2]uint8{{3, 3}, {3, 3}}
 	}
 	payload := sp.AppendTo(cluster.GetSlab(sp.WireSize()))
-	fab.Node(from).Send(1, &cluster.Message{Kind: cluster.MsgSubPicture, Seq: idx, Tag: from, Flags: flags, Payload: payload})
+	fab.Port(from).Send(1, &cluster.Message{Kind: cluster.MsgSubPicture, Seq: idx, Tag: from, Flags: flags, Payload: payload})
 	return payload
 }
 
@@ -58,7 +59,7 @@ func sendPic(fab *cluster.Fabric, from, idx int, pt mpeg2.PictureType, flags uin
 func sendFinal(fab *cluster.Fabric, from, total int) {
 	sp := &subpic.SubPicture{Final: true}
 	sp.Pic.Index = int32(total)
-	fab.Node(from).Send(1, &cluster.Message{
+	fab.Port(from).Send(1, &cluster.Message{
 		Kind: cluster.MsgSubPicture, Seq: -1, Tag: from,
 		Flags: cluster.FlagSessionFinal, Payload: sp.AppendTo(cluster.GetSlab(sp.WireSize())),
 	})
@@ -204,7 +205,7 @@ func TestRecoverNeverAcksReplaysOrFinals(t *testing.T) {
 	mustStep(t, d, 1, true)
 	var acked []int
 	for {
-		m, ok := fab.Node(0).TryRecv(cluster.MsgAck)
+		m, ok := fab.Port(0).TryRecv(cluster.MsgAck)
 		if !ok {
 			break
 		}

@@ -56,78 +56,60 @@ type server struct {
 	// pending buckets MsgBlocks bundles that arrived for a session other
 	// than the one currently draining its RECVs (a peer one global picture
 	// ahead may already be in the next session).
-	pending map[int][]*cluster.Message
+	pending map[int][]cluster.Message
 }
 
-// sessionNet is the cluster.Net a per-session Decoder runs on: it stamps the
-// session id on every send and filters MsgBlocks receives down to this
-// session, parking other sessions' bundles in the server's pending buckets.
+// sessionNet is a per-session Decoder's view of its tile's port: it stamps
+// the session id on every send and filters MsgBlocks receives down to this
+// session, parking other sessions' bundles in pending, which every session
+// on the tile shares. It is a concrete value, so a send's message literal
+// stays on the decoder's stack.
 type sessionNet struct {
-	srv     *server
+	port    cluster.Port
 	session int
+	pending map[int][]cluster.Message
 }
 
-func (s *sessionNet) ID() int { return s.srv.port.ID() }
-
-func (s *sessionNet) Send(to int, msg *cluster.Message) {
+func (s sessionNet) send(to int, msg *cluster.Message) {
 	msg.Session = s.session
-	s.srv.port.Send(to, msg)
+	s.port.Send(to, msg)
 }
 
-func (s *sessionNet) Recv(kind cluster.MsgKind) *cluster.Message {
-	if kind != cluster.MsgBlocks {
-		// Sub-pictures are dispatched by the server loop, never received
-		// through the shim; recovery kinds are unsupported in resident mode.
-		return s.srv.port.Recv(kind)
+// recvBlocks returns this session's next MsgBlocks bundle: the oldest one
+// parked for it, else the first one the port delivers for it, parking other
+// sessions' bundles (per-session FIFO) on the way. It waits at most d (a
+// non-positive d blocks, as Port.RecvTimeout) or, with wait false, takes only
+// what is already queued and reports timedOut when that is nothing. ok is
+// false with timedOut false once the transport aborted.
+func (s sessionNet) recvBlocks(d time.Duration, wait bool) (m cluster.Message, ok, timedOut bool) {
+	if q := s.pending[s.session]; len(q) > 0 {
+		s.pending[s.session] = q[1:]
+		return q[0], true, false
 	}
-	m, _ := s.next(true, func() (*cluster.Message, bool) { return s.srv.port.Recv(kind), false })
-	return m
-}
-
-func (s *sessionNet) TryRecv(kind cluster.MsgKind) (*cluster.Message, bool) {
-	if kind != cluster.MsgBlocks {
-		return s.srv.port.TryRecv(kind)
-	}
-	return s.next(true, func() (*cluster.Message, bool) { return s.srv.port.TryRecv(kind) })
-}
-
-func (s *sessionNet) RecvTimeout(kind cluster.MsgKind, d time.Duration) (*cluster.Message, bool) {
-	if kind != cluster.MsgBlocks {
-		return s.srv.port.RecvTimeout(kind, d)
-	}
-	deadline := time.Now().Add(d)
-	return s.next(false, func() (*cluster.Message, bool) {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return nil, true
-		}
-		return s.srv.port.RecvTimeout(kind, remain)
-	})
-}
-
-// next returns this session's next MsgBlocks bundle: the oldest one parked
-// for it, else the first one recv delivers for it, parking other sessions'
-// bundles (per-session FIFO) on the way. recv is one port receive; its nil
-// message ends the wait with recv's flag. A delivered bundle comes with
-// delivered, the flag value that means success for the calling receive.
-func (s *sessionNet) next(delivered bool, recv func() (*cluster.Message, bool)) (*cluster.Message, bool) {
-	if q := s.srv.pending[s.session]; len(q) > 0 {
-		s.srv.pending[s.session] = q[1:]
-		return q[0], delivered
+	var deadline time.Time
+	if wait && d > 0 {
+		deadline = time.Now().Add(d)
 	}
 	for {
-		m, flag := recv()
-		if m == nil {
-			return nil, flag
+		switch {
+		case !wait:
+			m, ok = s.port.TryRecv(cluster.MsgBlocks)
+			timedOut = !ok
+		case d <= 0:
+			m, ok = s.port.Recv(cluster.MsgBlocks)
+		default:
+			remain := time.Until(deadline)
+			if remain <= 0 {
+				return cluster.Message{}, false, true
+			}
+			m, ok, timedOut = s.port.RecvTimeout(cluster.MsgBlocks, remain)
 		}
-		if m.Session == s.session {
-			return m, delivered
+		if !ok || m.Session == s.session {
+			return m, ok, timedOut
 		}
-		s.srv.pending[m.Session] = append(s.srv.pending[m.Session], m)
+		s.pending[m.Session] = append(s.pending[m.Session], m)
 	}
 }
-
-func (s *sessionNet) Done() <-chan struct{} { return s.srv.port.Done() }
 
 // Serve runs the resident tile-decoder loop until a FlagShutdown message
 // arrives (clean exit) or the transport aborts. Per-session protocol state is
@@ -141,7 +123,7 @@ func Serve(port cluster.Port, cfg ServeConfig) error {
 		cfg:      cfg,
 		port:     port,
 		sessions: map[int]*Decoder{},
-		pending:  map[int][]*cluster.Message{},
+		pending:  map[int][]cluster.Message{},
 	}
 	rh := cfg.Recovery
 	// tick is zero under fail-stop, which blocks in Recv. Fault masking
@@ -163,7 +145,7 @@ func Serve(port cluster.Port, cfg ServeConfig) error {
 			srv.sweepDeadlines()
 		}
 		t0 := time.Now()
-		msg, timedOut := cluster.RecvWithin(port, cluster.MsgSubPicture, tick)
+		msg, ok, timedOut := port.RecvTimeout(cluster.MsgSubPicture, tick)
 		wait := time.Since(t0)
 		if rh != nil && rh.Lease != nil {
 			rh.Lease.Renew()
@@ -171,14 +153,14 @@ func Serve(port cluster.Port, cfg ServeConfig) error {
 		if timedOut {
 			continue
 		}
-		if msg == nil {
+		if !ok {
 			return fmt.Errorf("tile %d: fabric aborted", cfg.Tile)
 		}
 		switch {
 		case msg.Flags&cluster.FlagShutdown != 0:
 			return nil
 		case msg.Flags&cluster.FlagSessionOpen != 0:
-			if err := srv.open(msg); err != nil && rh == nil {
+			if err := srv.open(&msg); err != nil && rh == nil {
 				return err
 			}
 		default:
@@ -208,7 +190,7 @@ func Serve(port cluster.Port, cfg ServeConfig) error {
 			// The receive wait belongs to the session whose message ended it
 			// (batch attribution, per stream).
 			d.Breakdown().Add(metrics.PhaseReceive, wait)
-			done, err := d.HandleSubPicture(msg, cfg.NumSplitters)
+			done, err := d.HandleSubPicture(&msg, cfg.NumSplitters)
 			if err != nil {
 				return err
 			}
@@ -259,7 +241,7 @@ func (srv *server) open(msg *cluster.Message) error {
 		// the session's intervention counters.
 		dcfg.Recovery = &recovery.Hooks{Cfg: rh.Cfg, Lease: rh.Lease, Rec: rh.Rec(msg.Session)}
 	}
-	srv.sessions[msg.Session] = NewDecoder(&sessionNet{srv: srv, session: msg.Session}, dcfg)
+	srv.sessions[msg.Session] = newDecoder(sessionNet{port: srv.port, session: msg.Session, pending: srv.pending}, dcfg)
 	return nil
 }
 

@@ -30,9 +30,9 @@ func TestDrainCountsEachNodeOnce(t *testing.T) {
 		defer func() { done <- struct{}{} }()
 		port := fab.Port(1)
 		for {
-			m := port.Recv(cluster.MsgPicture)
+			m, ok := port.Recv(cluster.MsgPicture)
 			switch {
-			case m == nil || m.Flags&cluster.FlagShutdown != 0:
+			case !ok || m.Flags&cluster.FlagShutdown != 0:
 				return
 			case m.Flags&cluster.FlagSessionOpen != 0:
 			case m.Flags&cluster.FlagSessionFinal != 0:
@@ -48,8 +48,8 @@ func TestDrainCountsEachNodeOnce(t *testing.T) {
 		defer func() { done <- struct{}{} }()
 		port := fab.Port(2)
 		for {
-			m := port.Recv(cluster.MsgSubPicture)
-			if m == nil || m.Flags&cluster.FlagShutdown != 0 {
+			m, ok := port.Recv(cluster.MsgSubPicture)
+			if !ok || m.Flags&cluster.FlagShutdown != 0 {
 				return
 			}
 			select {

@@ -125,10 +125,10 @@ func (w *Wall) runRoot() error {
 			})
 		}
 	}
-	onAck := func(m *cluster.Message) {
+	onAck := func(m cluster.Message) {
 		switch {
 		case m.Seq == cluster.DrainAckSeq:
-			w.drainAck(byID, m, drainTarget)
+			w.drainAck(byID, &m, drainTarget)
 		case rv != nil && m.Seq == cluster.SessionFailSeq:
 			// A splitter declared this session's stream undecodable: fail it
 			// alone, keep the wall running.
@@ -162,7 +162,7 @@ func (w *Wall) runRoot() error {
 		if rv != nil {
 			deadline = rv.cfg.PictureDeadline
 		}
-		m, timedOut := cluster.RecvWithin(port, cluster.MsgAck, deadline)
+		m, ok, timedOut := port.RecvTimeout(cluster.MsgAck, deadline)
 		if timedOut {
 			rv.rec.AddAckTimeout()
 			credit(a)
@@ -173,7 +173,7 @@ func (w *Wall) runRoot() error {
 			}
 			return nil
 		}
-		if m == nil {
+		if !ok {
 			return fmt.Errorf("service: root aborted while waiting for splitter ack")
 		}
 		onAck(m)

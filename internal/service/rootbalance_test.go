@@ -41,13 +41,37 @@ type stubRecord struct {
 	seq, nsid, size int
 }
 
+// stubSplitter is one stub splitter's state on the virtual clock: when it
+// will be free, and the receipt acks it still holds (finish time each).
+type stubSplitter struct {
+	freeAt int
+	held   []heldAck
+}
+
+type heldAck struct {
+	seq, session, finish int
+}
+
 // runRootWithStubs drives the resident root (Wall.runRoot) of a 1-k-(1,1)
-// wall whose splitters and decoder are test goroutines with only the
-// protocol's behaviour. A stub splitter consumes a picture, stays busy for a
-// time proportional to its size, then acks receipt; it forwards the session
-// final to the decoder stub and drain-acks it. The decoder stub drain-acks
-// once every splitter's final is in. Returns each stub splitter's
-// observation log.
+// wall whose splitters and decoder are stand-ins with only the protocol's
+// behaviour. A stub splitter works through its pictures one at a time, each
+// busy for a time proportional to its size (one tick per 256 bytes), and
+// acks receipt when the picture is done: the ack returns the posted buffer
+// only once the stub is free again, which is the signal the credit-based
+// chooser reads. It forwards the session final to the decoder stub and
+// drain-acks it; the decoder stub drain-acks once every splitter's final is
+// in. Returns each stub splitter's observation log.
+//
+// Busy time runs on a virtual clock, so the outcome does not depend on how
+// the host schedules goroutines. One driver goroutine plays every stub
+// splitter. It hands the root one picture at a time (the picture's unit is
+// closed by feeding the next one) and waits for its delivery. Feeding costs
+// no virtual time: the root ships as fast as credits allow, as it does next
+// to splitters that take milliseconds per picture. The clock moves only
+// while the root is blocked on the assignee it announced (NSID) having no
+// free buffer: then it jumps to the next picture completion and the acks due
+// by then are sent, the assignee's last, so the root has seen every one of
+// them by the time it decides where the next picture goes.
 func runRootWithStubs(t *testing.T, sizes []int, k int, dynamic bool) [][]stubRecord {
 	t.Helper()
 	fab := cluster.New(1+k+1, cluster.Config{StallTimeout: 10 * time.Second})
@@ -60,35 +84,23 @@ func runRootWithStubs(t *testing.T, sizes []int, k int, dynamic bool) [][]stubRe
 	drainAck := func(port cluster.Port, session int) {
 		port.Send(0, &cluster.Message{Kind: cluster.MsgAck, Seq: cluster.DrainAckSeq, Session: session})
 	}
-	logs := make([][]stubRecord, k)
+	// Each splitter port's traffic is relayed, in order, to the driver.
+	inbox := make([]chan cluster.Message, k)
 	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		i := i
+	for i := range inbox {
+		inbox[i] = make(chan cluster.Message)
 		port := fab.Port(1 + i)
 		wg.Add(1)
-		go func() {
+		go func(in chan<- cluster.Message) {
 			defer wg.Done()
 			for {
-				m := port.Recv(cluster.MsgPicture)
-				switch {
-				case m == nil || m.Flags&cluster.FlagShutdown != 0:
+				m, ok := port.Recv(cluster.MsgPicture)
+				if !ok || m.Flags&cluster.FlagShutdown != 0 {
 					return
-				case m.Flags&cluster.FlagSessionOpen != 0:
-				case m.Flags&cluster.FlagSessionFinal != 0:
-					port.Send(decoder, &cluster.Message{
-						Kind: cluster.MsgSubPicture, Seq: -1, Flags: cluster.FlagSessionFinal, Session: m.Session,
-					})
-					drainAck(port, m.Session)
-				default:
-					logs[i] = append(logs[i], stubRecord{seq: m.Seq, nsid: m.Tag, size: len(m.Payload)})
-					// Busy time scales with picture size; the ack returns the
-					// posted buffer only once the stub is free again, which
-					// is the signal the credit-based chooser reads.
-					time.Sleep(time.Duration(len(m.Payload)) * 8 * time.Microsecond)
-					port.Send(0, &cluster.Message{Kind: cluster.MsgAck, Seq: m.Seq, Session: m.Session})
 				}
+				in <- m
 			}
-		}()
+		}(inbox[i])
 	}
 	wg.Add(1)
 	go func() {
@@ -96,8 +108,8 @@ func runRootWithStubs(t *testing.T, sizes []int, k int, dynamic bool) [][]stubRe
 		port := fab.Port(decoder)
 		finals := 0
 		for {
-			m := port.Recv(cluster.MsgSubPicture)
-			if m == nil || m.Flags&cluster.FlagShutdown != 0 {
+			m, ok := port.Recv(cluster.MsgSubPicture)
+			if !ok || m.Flags&cluster.FlagShutdown != 0 {
 				return
 			}
 			if finals++; finals == k {
@@ -106,28 +118,118 @@ func runRootWithStubs(t *testing.T, sizes []int, k int, dynamic bool) [][]stubRe
 		}
 	}()
 
+	logs := make([][]stubRecord, k)
+	stubs := make([]stubSplitter, k)
+	now := 0
+	// await returns stub i's next data picture or session final, skipping
+	// the session open.
+	await := func(i int) cluster.Message {
+		for {
+			select {
+			case m := <-inbox[i]:
+				if m.Flags&cluster.FlagSessionOpen == 0 {
+					return m
+				}
+			case <-fab.Done():
+				t.Fatalf("fabric aborted: %v", fab.AbortCause())
+			}
+		}
+	}
+	// advance moves the clock to the next picture completion and sends the
+	// receipt acks due by then, stub last's after every other stub's.
+	advance := func(last int) {
+		next := -1
+		for _, st := range stubs {
+			for _, h := range st.held {
+				if next < 0 || h.finish < next {
+					next = h.finish
+				}
+			}
+		}
+		now = next
+		for off := 1; off <= k; off++ {
+			i := (last + off) % k
+			kept := stubs[i].held[:0]
+			for _, h := range stubs[i].held {
+				if h.finish > now {
+					kept = append(kept, h)
+					continue
+				}
+				fab.Port(1+i).Send(0, &cluster.Message{Kind: cluster.MsgAck, Seq: h.seq, Session: h.session})
+			}
+			stubs[i].held = kept
+		}
+	}
+
 	s, err := w.Open("balance")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Feed(pictureStream(sizes)); err != nil {
+	stream := pictureStream(sizes)
+	// off[i] is where picture i's unit starts; the header precedes picture 0.
+	off := []int{len(pictureStream(nil))}
+	for _, size := range sizes {
+		off = append(off, off[len(off)-1]+4+size)
+	}
+	if err := s.Feed(stream[:off[1]]); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Close()
-	if err != nil {
+	closed := make(chan error, 1)
+	assignee := 0 // the root's first choice: stub 0 under either policy
+	for p := range sizes {
+		// Close picture p's unit: feed picture p+1's, or flush the last.
+		if p+1 < len(sizes) {
+			if err := s.Feed(stream[off[p+1]:off[p+2]]); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			go func() {
+				_, err := s.Close()
+				closed <- err
+			}()
+		}
+		for len(stubs[assignee].held) == 2 {
+			advance(assignee) // the root waits for a buffer at its assignee
+		}
+		m := await(assignee)
+		if m.Flags&cluster.FlagSessionFinal != 0 || m.Seq != p {
+			t.Fatalf("picture %d: stub %d got seq %d flags %#x", p, assignee, m.Seq, m.Flags)
+		}
+		logs[assignee] = append(logs[assignee], stubRecord{seq: m.Seq, nsid: m.Tag, size: len(m.Payload)})
+		st := &stubs[assignee]
+		st.freeAt = max(st.freeAt, now) + len(m.Payload)/256
+		st.held = append(st.held, heldAck{seq: m.Seq, session: m.Session, finish: st.freeAt})
+		assignee = m.Tag - 1
+	}
+	// Every picture is out: finish the held ones, so each stub's receipt acks
+	// precede its drain ack, then forward the finals.
+	for busy := true; busy; {
+		busy = false
+		for _, st := range stubs {
+			busy = busy || len(st.held) > 0
+		}
+		if busy {
+			advance(0)
+		}
+	}
+	for i := 0; i < k; i++ {
+		m := await(i)
+		if m.Flags&cluster.FlagSessionFinal == 0 {
+			t.Fatalf("stub %d got seq %d flags %#x after the last picture", i, m.Seq, m.Flags)
+		}
+		port := fab.Port(1 + i)
+		port.Send(decoder, &cluster.Message{
+			Kind: cluster.MsgSubPicture, Seq: -1, Flags: cluster.FlagSessionFinal, Session: m.Session,
+		})
+		drainAck(port, m.Session)
+	}
+	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	wantPics := 0
-	for i := range logs {
-		wantPics += len(logs[i])
-	}
-	if res.Pictures != len(sizes) || res.Pictures != wantPics {
-		t.Fatalf("root reports %d pictures, stubs saw %d, stream has %d", res.Pictures, wantPics, len(sizes))
-	}
 	return logs
 }
 
@@ -186,6 +288,7 @@ func TestDynamicBalanceSkewedLoad(t *testing.T) {
 
 	dyn := runRootWithStubs(t, sizes, k, true)
 	dynCounts, dynBytes := loadOf(dyn)
+	t.Logf("round-robin loads %v, dynamic counts %v loads %v", rrBytes, dynCounts, dynBytes)
 	busiest := 0
 	for i, b := range dynBytes {
 		if b > dynBytes[busiest] {

@@ -72,12 +72,12 @@ type Stage struct {
 	// onAck, when set, is handed every ack the gate receives and banks the
 	// go-aheads among them (Bank): the root of a one-level wall shares its
 	// ack queue with drain acks. At a splitter node every ack is a go-ahead.
-	onAck func(*cluster.Message)
+	onAck func(cluster.Message)
 }
 
 // NewStage returns a splitter stage sending from port. onAck may be nil; see
 // Stage.
-func NewStage(port cluster.Port, cfg ServeConfig, onAck func(*cluster.Message)) *Stage {
+func NewStage(port cluster.Port, cfg ServeConfig, onAck func(cluster.Message)) *Stage {
 	return &Stage{cfg: cfg, port: port, sessions: map[int]*splitSession{}, onAck: onAck}
 }
 
@@ -120,9 +120,9 @@ func ServeSecond(port cluster.Port, cfg ServeConfig) error {
 	}
 	for {
 		t0 := time.Now()
-		msg := port.Recv(cluster.MsgPicture)
+		msg, ok := port.Recv(cluster.MsgPicture)
 		wait := time.Since(t0)
-		if msg == nil {
+		if !ok {
 			return fmt.Errorf("splitter %d: fabric aborted", cfg.Index)
 		}
 		if rh != nil && rh.Lease != nil {
@@ -199,7 +199,7 @@ func ServeSecond(port cluster.Port, cfg ServeConfig) error {
 					port.Send(cfg.RootNode, &cluster.Message{Kind: cluster.MsgAck, Seq: msg.Seq, Session: msg.Session})
 				})
 			}
-			switch err := st.Picture(msg); err.(type) {
+			switch err := st.Picture(&msg); err.(type) {
 			case nil:
 			case *SplitError:
 				if rh == nil {
@@ -373,13 +373,13 @@ func (st *Stage) gate(session int) error {
 		deadline = rh.Cfg.PictureDeadline
 	}
 	for st.banked < nd {
-		m, timedOut := cluster.RecvWithin(st.port, cluster.MsgAck, deadline)
+		m, ok, timedOut := st.port.RecvTimeout(cluster.MsgAck, deadline)
 		if timedOut {
 			st.cfg.Recovery.Rec(session).AddAckTimeout()
 			st.banked = nd
 			break
 		}
-		if m == nil {
+		if !ok {
 			return fmt.Errorf("splitter %d: fabric aborted while waiting for decoder acks", st.cfg.Index)
 		}
 		if st.onAck != nil {
