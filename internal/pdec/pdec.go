@@ -134,14 +134,10 @@ type sendBundle struct {
 	pixels []byte
 }
 
-// NewDecoder allocates a decoder's buffers for the one stream (session 0) of
-// a standalone tile on port. A resident server makes one per session, and
-// restores a respawned incarnation with ResumeAt, which starts it at the
-// session's emission frontier in concealment.
-func NewDecoder(port cluster.Port, cfg Config) *Decoder {
-	return newDecoder(sessionNet{port: port, pending: map[int][]cluster.Message{}}, cfg)
-}
-
+// newDecoder allocates a decoder's buffers for one session of a tile, talking
+// over net. A resident server makes one per session, and restores a
+// respawned incarnation with ResumeAt, which starts it at the session's
+// emission frontier in concealment.
 func newDecoder(net sessionNet, cfg Config) *Decoder {
 	rect := cfg.Geo.Tile(cfg.Tile)
 	halo := cfg.HaloPx

@@ -9,6 +9,12 @@ import (
 	"tiledwall/internal/wall"
 )
 
+// testDecoder builds a decoder for the one stream (session 0) of a
+// standalone tile on port.
+func testDecoder(port cluster.Port, cfg Config) *Decoder {
+	return newDecoder(sessionNet{port: port, pending: map[int][]cluster.Message{}}, cfg)
+}
+
 // step receives one sub-picture and dispatches it through the fail-stop
 // protocol (one splitter), standing in for the deleted batch Step loop in
 // these single-decoder protocol tests.
@@ -57,7 +63,7 @@ func testSeq() *mpeg2.SequenceHeader {
 func TestDecoderRejectsOutOfOrderPicture(t *testing.T) {
 	fab := cluster.New(2, cluster.Config{})
 	geo := testGeo(t)
-	d := NewDecoder(fab.Port(1), Config{
+	d := testDecoder(fab.Port(1), Config{
 		Seq: testSeq(), Geo: geo, Tile: 0, HaloPx: 32,
 		TileNode: func(tile int) int { return 1 },
 	})
@@ -73,7 +79,7 @@ func TestDecoderRejectsOutOfOrderPicture(t *testing.T) {
 func TestDecoderRejectsGarbagePayload(t *testing.T) {
 	fab := cluster.New(2, cluster.Config{})
 	geo := testGeo(t)
-	d := NewDecoder(fab.Port(1), Config{
+	d := testDecoder(fab.Port(1), Config{
 		Seq: testSeq(), Geo: geo, Tile: 0, HaloPx: 32,
 		TileNode: func(tile int) int { return 1 },
 	})
@@ -86,7 +92,7 @@ func TestDecoderRejectsGarbagePayload(t *testing.T) {
 func TestDecoderFinalCountdown(t *testing.T) {
 	fab := cluster.New(2, cluster.Config{})
 	geo := testGeo(t)
-	d := NewDecoder(fab.Port(1), Config{
+	d := testDecoder(fab.Port(1), Config{
 		Seq: testSeq(), Geo: geo, Tile: 0, HaloPx: 32,
 		TileNode: func(tile int) int { return 1 },
 	})
@@ -118,7 +124,7 @@ func TestDecoderFinalCountdown(t *testing.T) {
 func TestDecoderAcksANID(t *testing.T) {
 	fab := cluster.New(3, cluster.Config{})
 	geo := testGeo(t)
-	d := NewDecoder(fab.Port(1), Config{
+	d := testDecoder(fab.Port(1), Config{
 		Seq: testSeq(), Geo: geo, Tile: 0, HaloPx: 32,
 		TileNode: func(tile int) int { return 1 },
 	})
@@ -142,7 +148,7 @@ func TestDecoderAcksANID(t *testing.T) {
 func TestDecoderRejectsMissingReference(t *testing.T) {
 	fab := cluster.New(2, cluster.Config{})
 	geo := testGeo(t)
-	d := NewDecoder(fab.Port(1), Config{
+	d := testDecoder(fab.Port(1), Config{
 		Seq: testSeq(), Geo: geo, Tile: 0, HaloPx: 32,
 		TileNode: func(tile int) int { return 1 },
 	})

@@ -19,7 +19,7 @@ import (
 // decode indices it emits into frames.
 func recoverDecoder(t *testing.T, fab *cluster.Fabric, rec *metrics.Recovery, frames *[]int) *Decoder {
 	t.Helper()
-	return NewDecoder(fab.Port(1), Config{
+	return testDecoder(fab.Port(1), Config{
 		Seq: testSeq(), Geo: testGeo(t), Tile: 0, HaloPx: 32,
 		TileNode: func(tile int) int { return 1 },
 		OnFrame: func(picIdx, tile int, buf *mpeg2.PixelBuf) {

@@ -84,23 +84,27 @@ func runRootWithStubs(t *testing.T, sizes []int, k int, dynamic bool) [][]stubRe
 	drainAck := func(port cluster.Port, session int) {
 		port.Send(0, &cluster.Message{Kind: cluster.MsgAck, Seq: cluster.DrainAckSeq, Session: session})
 	}
-	// Each splitter port's traffic is relayed, in order, to the driver.
-	inbox := make([]chan cluster.Message, k)
+	// Each splitter port's traffic is relayed, in order, to the driver,
+	// tagged with the stub that received it.
+	type delivery struct {
+		stub int
+		m    cluster.Message
+	}
+	inbox := make(chan delivery)
 	var wg sync.WaitGroup
-	for i := range inbox {
-		inbox[i] = make(chan cluster.Message)
+	for i := 0; i < k; i++ {
 		port := fab.Port(1 + i)
 		wg.Add(1)
-		go func(in chan<- cluster.Message) {
+		go func(stub int) {
 			defer wg.Done()
 			for {
 				m, ok := port.Recv(cluster.MsgPicture)
 				if !ok || m.Flags&cluster.FlagShutdown != 0 {
 					return
 				}
-				in <- m
+				inbox <- delivery{stub, m}
 			}
-		}(inbox[i])
+		}(i)
 	}
 	wg.Add(1)
 	go func() {
@@ -122,13 +126,29 @@ func runRootWithStubs(t *testing.T, sizes []int, k int, dynamic bool) [][]stubRe
 	stubs := make([]stubSplitter, k)
 	now := 0
 	// await returns stub i's next data picture or session final, skipping
-	// the session open.
+	// session opens. Finals that other stubs receive meanwhile are kept for
+	// their own await; a data picture at any other stub fails the run at
+	// once, because the root sent it somewhere other than the NSID it
+	// announced.
+	finals := make([][]cluster.Message, k)
 	await := func(i int) cluster.Message {
+		if len(finals[i]) > 0 {
+			m := finals[i][0]
+			finals[i] = finals[i][1:]
+			return m
+		}
 		for {
 			select {
-			case m := <-inbox[i]:
-				if m.Flags&cluster.FlagSessionOpen == 0 {
-					return m
+			case d := <-inbox:
+				switch {
+				case d.m.Flags&cluster.FlagSessionOpen != 0:
+				case d.stub == i:
+					return d.m
+				case d.m.Flags&cluster.FlagSessionFinal != 0:
+					finals[d.stub] = append(finals[d.stub], d.m)
+				default:
+					t.Fatalf("picture %d went to node %d, but the NSID before it announced node %d",
+						d.m.Seq, 1+d.stub, 1+i)
 				}
 			case <-fab.Done():
 				t.Fatalf("fabric aborted: %v", fab.AbortCause())
@@ -174,7 +194,11 @@ func runRootWithStubs(t *testing.T, sizes []int, k int, dynamic bool) [][]stubRe
 	if err := s.Feed(stream[:off[1]]); err != nil {
 		t.Fatal(err)
 	}
-	closed := make(chan error, 1)
+	type closeResult struct {
+		res *SessionResult
+		err error
+	}
+	closed := make(chan closeResult, 1)
 	assignee := 0 // the root's first choice: stub 0 under either policy
 	for p := range sizes {
 		// Close picture p's unit: feed picture p+1's, or flush the last.
@@ -184,8 +208,8 @@ func runRootWithStubs(t *testing.T, sizes []int, k int, dynamic bool) [][]stubRe
 			}
 		} else {
 			go func() {
-				_, err := s.Close()
-				closed <- err
+				res, err := s.Close()
+				closed <- closeResult{res, err}
 			}()
 		}
 		for len(stubs[assignee].held) == 2 {
@@ -223,8 +247,16 @@ func runRootWithStubs(t *testing.T, sizes []int, k int, dynamic bool) [][]stubRe
 		})
 		drainAck(port, m.Session)
 	}
-	if err := <-closed; err != nil {
-		t.Fatal(err)
+	c := <-closed
+	if c.err != nil {
+		t.Fatal(c.err)
+	}
+	wantPics := 0
+	for i := range logs {
+		wantPics += len(logs[i])
+	}
+	if c.res.Pictures != len(sizes) || c.res.Pictures != wantPics {
+		t.Fatalf("root reports %d pictures, stubs saw %d, stream has %d", c.res.Pictures, wantPics, len(sizes))
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
