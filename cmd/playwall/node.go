@@ -74,40 +74,26 @@ func (d *tileDigest) print() {
 	}
 }
 
-// nodeSets returns the wall's node ids grouped by role.
-func nodeSets(cfg system.Config) (all, splitters, decoders []int) {
-	nn := cfg.NumNodes()
-	for id := 0; id < nn; id++ {
-		all = append(all, id)
-	}
-	for i := 0; i < cfg.K; i++ {
-		splitters = append(splitters, 1+i)
-	}
-	for t := 0; t < cfg.M*cfg.N; t++ {
-		decoders = append(decoders, 1+cfg.K+t)
-	}
-	return all, splitters, decoders
-}
-
 // runNode runs one process of a multi-process wall. The root (and "all")
 // listens and feeds sessions; splitter and decoder processes dial and serve
 // until the root's clean shutdown or a transport abort.
 func runNode(role, listen, connect string, cfg system.Config, stall time.Duration, digest bool, data []byte, sessions int) {
-	all, splitters, decoders := nodeSets(cfg)
+	grid := cfg.Grid()
 	var local []int
 	hostsDecoders := false
 	switch role {
 	case "all":
-		local, hostsDecoders = all, true
+		local = append([]int{cluster.RootNode}, grid.SplitterNodes()...)
+		local, hostsDecoders = append(local, grid.TileNodes()...), true
 	case "root":
-		local = []int{0}
+		local = []int{cluster.RootNode}
 	case "splitter":
 		if cfg.K == 0 {
 			log.Fatal("playwall: a one-level wall (-k 0) has no splitter role; the root splits")
 		}
-		local = splitters
+		local = grid.SplitterNodes()
 	case "decoder":
-		local, hostsDecoders = decoders, true
+		local, hostsDecoders = grid.TileNodes(), true
 	default:
 		log.Fatalf("playwall: unknown -role %q (want root, splitter, decoder or all)", role)
 	}
@@ -115,7 +101,7 @@ func runNode(role, listen, connect string, cfg system.Config, stall time.Duratio
 	tcfg := cluster.TCPConfig{
 		NumNodes:     cfg.NumNodes(),
 		LocalNodes:   local,
-		Grid:         cluster.Grid{K: cfg.K, M: cfg.M, N: cfg.N, Overlap: cfg.Overlap},
+		Grid:         grid,
 		StallTimeout: stall,
 	}
 	// The service is built after the transport it is wired to, so link-state

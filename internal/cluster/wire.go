@@ -98,9 +98,38 @@ type Hello struct {
 }
 
 // Grid is the wall shape carried in the handshake: every process of a
-// multi-process wall must agree on it.
+// multi-process wall must agree on it. It also fixes the node layout, the
+// one place node ids are derived: the root is node RootNode (0), splitter i
+// is node 1+i, and the decoder of tile t is node 1+K+t.
 type Grid struct {
 	K, M, N, Overlap int
+}
+
+// RootNode is the node id of the wall's root.
+const RootNode = 0
+
+// NumNodes returns the wall's node count: the root, K splitters and M×N
+// tile decoders.
+func (g Grid) NumNodes() int { return 1 + g.K + g.M*g.N }
+
+// SplitterNode returns the node id of splitter i.
+func (g Grid) SplitterNode(i int) int { return 1 + i }
+
+// TileNode returns the node id of tile t's decoder.
+func (g Grid) TileNode(t int) int { return 1 + g.K + t }
+
+// SplitterNodes returns the splitters' node ids in index order.
+func (g Grid) SplitterNodes() []int { return nodeRange(g.SplitterNode(0), g.K) }
+
+// TileNodes returns the decoders' node ids in tile order.
+func (g Grid) TileNodes() []int { return nodeRange(g.TileNode(0), g.M*g.N) }
+
+func nodeRange(first, n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = first + i
+	}
+	return ids
 }
 
 // Accept is the hub half of the handshake.

@@ -155,7 +155,7 @@ func RunResidentChaos(stream []byte, configs []system.Config, opt ResidentChaosO
 			for j := 0; j < opt.LinkFailures; j++ {
 				hits = append(hits, linkHit{
 					after: time.Duration(20+rng.Intn(120)) * time.Millisecond,
-					node:  1 + cfg.K + rng.Intn(cfg.M*cfg.N),
+					node:  cfg.Grid().TileNode(rng.Intn(cfg.M * cfg.N)),
 				})
 			}
 		}

@@ -14,41 +14,9 @@ import (
 	"tiledwall/internal/cluster"
 	"tiledwall/internal/metrics"
 	"tiledwall/internal/mpeg2"
-	"tiledwall/internal/recovery"
 	"tiledwall/internal/subpic"
 	"tiledwall/internal/wall"
 )
-
-// Config wires one tile decoder.
-type Config struct {
-	Seq  *mpeg2.SequenceHeader
-	Geo  *wall.Geometry
-	Tile int
-	// HaloPx is the reference-window margin in pixels, which must cover the
-	// maximum motion vector reach (derive it with HaloForFCode).
-	HaloPx int
-	// TileNode maps a tile index to its fabric node id (for peer exchanges).
-	TileNode func(tile int) int
-	// OnFrame, when non-nil, receives a copy of the tile's decoded pixels
-	// (outside the measured path; used for verification). picIdx is the
-	// picture's decode-order index; frames arrive in display order.
-	OnFrame func(picIdx int, tile int, buf *mpeg2.PixelBuf)
-
-	// UnbatchedSends ships every exchanged macroblock as its own message
-	// instead of one bundle per peer per picture. Ablation knob: quantifies
-	// how much the paper's batched pre-calculated exchange saves in message
-	// count (per-message overhead dominated GM-era networks).
-	UnbatchedSends bool
-
-	// Recovery, when non-nil, switches the decoder from fail-stop to
-	// fault-masking behaviour on the same protocol path: sub-pictures may
-	// arrive out of order (reorder stash), duplicated (dropped), or not at
-	// all (concealed after the per-picture deadline); a respawned
-	// incarnation resumes at its emission frontier (ResumeAt) in
-	// freeze-last-frame concealment until an I picture re-anchors its
-	// reference chain.
-	Recovery *recovery.Hooks
-}
 
 // HaloForFCode returns a macroblock-aligned halo margin covering the reach
 // of motion vectors with the given maximum f_code.
@@ -70,15 +38,21 @@ type Result struct {
 	Skipped int
 }
 
-// Decoder is the per-tile decode engine, usable standalone (one-level
-// system tests) or inside Run.
+// Decoder is one session's decode engine on a tile: its reference chain,
+// display reordering and protocol position. The tile's server holds what
+// every session shares: the port, the configuration and the per-picture
+// scratch.
 type Decoder struct {
-	cfg  Config
-	rect wall.Rect
-	net  sessionNet
+	srv     *server
+	session int
+	seq     *mpeg2.SequenceHeader
+	rect    wall.Rect
+	// rec counts the session's fault-masking interventions; nil under
+	// fail-stop.
+	rec *metrics.Recovery
 
-	bufs             []*mpeg2.PixelBuf // ring of 3 halo-extended windows
-	cur, refA, refB  int               // indices into bufs
+	bufs             [3]*mpeg2.PixelBuf // ring of halo-extended windows
+	cur, refA, refB  int                // indices into bufs
 	display          *mpeg2.PixelBuf
 	pendingAnchor    bool
 	pendingAnchorIdx int
@@ -112,103 +86,66 @@ type Decoder struct {
 
 	res     Result
 	nextPic int
-
-	// Reusable per-picture state: the picture context and the piece
-	// decoder are reset in place, so steady-state decoding allocates nothing
-	// per macroblock.
-	spScratch  subpic.SubPicture
-	phScratch  mpeg2.PictureHeader
-	ctxScratch mpeg2.PictureContext
-	pieces     PieceDecoder
-	bbScratch  subpic.BlockBundle
-	xferPix    [mpeg2.MacroblockBytes]byte
-
-	sendOrder   []int
-	sendBundles map[int]*sendBundle
 }
 
-// sendBundle accumulates one outgoing per-peer exchange bundle; the decoder
-// keeps them across pictures so the cells and pixels grow once and stick.
-type sendBundle struct {
-	cells  []subpic.BlockCell
-	pixels []byte
-}
-
-// newDecoder allocates a decoder's buffers for one session of a tile, talking
-// over net. A resident server makes one per session, and restores a
-// respawned incarnation with ResumeAt, which starts it at the session's
-// emission frontier in concealment.
-func newDecoder(net sessionNet, cfg Config) *Decoder {
-	rect := cfg.Geo.Tile(cfg.Tile)
-	halo := cfg.HaloPx
-	x0 := rect.X0 - halo
-	y0 := rect.Y0 - halo
-	x1 := rect.X1 + halo
-	y1 := rect.Y1 + halo
-	if x0 < 0 {
-		x0 = 0
-	}
-	if y0 < 0 {
-		y0 = 0
-	}
-	if x1 > cfg.Geo.PicW {
-		x1 = cfg.Geo.PicW
-	}
-	if y1 > cfg.Geo.PicH {
-		y1 = cfg.Geo.PicH
-	}
+// newDecoder allocates a decoder's buffers for one session of srv's tile. A
+// respawned incarnation is then restored with ResumeAt, which starts it at
+// the session's emission frontier in concealment.
+func newDecoder(srv *server, session int, seq *mpeg2.SequenceHeader, geo *wall.Geometry) *Decoder {
+	rect := geo.Tile(srv.cfg.Index)
+	halo := HaloForFCode(srv.cfg.MaxFCode)
+	x0 := max(rect.X0-halo, 0)
+	y0 := max(rect.Y0-halo, 0)
+	x1 := min(rect.X1+halo, geo.PicW)
+	y1 := min(rect.Y1+halo, geo.PicH)
 	// All three windows are live from the start, so MEI SEND/RECV stays
 	// structurally valid even while the reference chain is untrusted;
 	// validAnchors gates what may actually be decoded.
-	d := &Decoder{cfg: cfg, rect: rect, net: net, cur: 0, refA: 1, refB: 2, finalTotal: -1}
-	d.pieces.Tile = cfg.Tile
-	for i := 0; i < 3; i++ {
-		d.bufs = append(d.bufs, mpeg2.NewPixelBuf(x0, y0, x1-x0, y1-y0))
+	d := &Decoder{srv: srv, session: session, seq: seq, rect: rect, cur: 0, refA: 1, refB: 2, finalTotal: -1}
+	for i := range d.bufs {
+		d.bufs[i] = mpeg2.NewPixelBuf(x0, y0, x1-x0, y1-y0)
 	}
 	d.display = mpeg2.NewPixelBuf(rect.X0, rect.Y0, rect.W(), rect.H())
-	if cfg.Recovery != nil {
+	if rh := srv.cfg.Recovery; rh != nil {
+		d.rec = rh.Rec(session)
 		d.spStash = map[int]stashedSubPic{}
 		d.finalsFrom = map[int]bool{}
 	}
 	return d
 }
 
-// Finish flushes the display-reorder tail (the held anchor frame) and
-// returns the accumulated result. Run calls it after the Final marker; a
-// resident server calls it when the decoder's session completes.
+// Finish ends the session on this tile: it releases what the reorder stash
+// still holds past the final total, flushes the display-reorder tail (the
+// held anchor frame) and returns the accumulated result.
 func (d *Decoder) Finish() *Result {
+	d.releaseStash()
 	d.flushPending()
 	return &d.res
 }
-
-// Breakdown exposes the decoder's phase accounting so a resident server,
-// which performs the fabric receive on the decoder's behalf, can attribute
-// the receive wait to the session that the arriving message belongs to.
-func (d *Decoder) Breakdown() *metrics.Breakdown { return &d.res.Breakdown }
 
 // fault is where fail-stop and fault-masking part ways. At each point where
 // the protocol finds something wrong, fail-stop returns err and the wall
 // aborts; fault-masking gets nil and the caller drops, stashes or conceals.
 func (d *Decoder) fault(err error) error {
-	if d.cfg.Recovery != nil {
+	if d.masking() {
 		return nil
 	}
 	return err
 }
 
+// masking reports whether the tile runs fault masking rather than fail-stop.
+func (d *Decoder) masking() bool { return d.srv.cfg.Recovery != nil }
+
 // HandleSubPicture runs the decoder's protocol on one already-received
 // sub-picture message: unmarshal, ack to the ANID node, enforce ordering,
 // decode, display. done=true reports stream (or session) completion.
-// numFinals is how many splitters send the session a final marker; only
-// fault masking reads it.
-func (d *Decoder) HandleSubPicture(msg *cluster.Message, numFinals int) (bool, error) {
-	d.cfg.Recovery.Renew()
-	sp := &d.spScratch
+func (d *Decoder) HandleSubPicture(msg *cluster.Message) (bool, error) {
+	sp := &d.srv.sp
 	if err := subpic.UnmarshalInto(sp, msg.Payload); err != nil {
 		// Fault masking drops an undecodable sub-picture; the deadline path
 		// conceals its picture once later ones arrive.
 		cluster.PutSlab(msg.Payload)
-		return false, d.fault(fmt.Errorf("tile %d: %w", d.cfg.Tile, err))
+		return false, d.fault(fmt.Errorf("tile %d: %w", d.srv.cfg.Index, err))
 	}
 	if sp.Final {
 		// Finals are never acked: in a resident wall the splitters keep
@@ -218,12 +155,13 @@ func (d *Decoder) HandleSubPicture(msg *cluster.Message, numFinals int) (bool, e
 		// so the stream is done only once every picture has been handled.
 		cluster.PutSlab(msg.Payload)
 		d.finalTotal = int(sp.Pic.Index)
-		if d.cfg.Recovery != nil {
+		if d.masking() {
 			// Under fault masking, once every splitter's final (its last
 			// message, by sender FIFO) is in, nothing more is coming: decode
-			// what the reorder stash holds and conceal the true holes.
+			// what the reorder stash holds and conceal the true holes. A
+			// one-level wall's root splits for itself and sends one final.
 			d.finalsFrom[msg.From] = true
-			if len(d.finalsFrom) >= numFinals {
+			if len(d.finalsFrom) >= max(1, d.srv.cfg.Grid.K) {
 				d.flushToTotal()
 			}
 		}
@@ -235,13 +173,13 @@ func (d *Decoder) HandleSubPicture(msg *cluster.Message, numFinals int) (bool, e
 	// settled the flow-control ledger.
 	if msg.Flags&cluster.FlagReplay == 0 {
 		d.res.Breakdown.Timed(metrics.PhaseAck, func() {
-			d.net.send(msg.Tag, &cluster.Message{Kind: cluster.MsgAck, Seq: msg.Seq, Session: msg.Session})
+			d.send(msg.Tag, &cluster.Message{Kind: cluster.MsgAck, Seq: msg.Seq, Session: msg.Session})
 		})
 	}
 	if idx := int(sp.Pic.Index); idx != d.nextPic {
-		if d.cfg.Recovery == nil {
+		if !d.masking() {
 			return false, fmt.Errorf("tile %d: picture %d arrived, expected %d (ordering protocol violated)",
-				d.cfg.Tile, idx, d.nextPic)
+				d.srv.cfg.Index, idx, d.nextPic)
 		}
 		d.park(idx, msg.Payload)
 		return false, nil
@@ -253,7 +191,7 @@ func (d *Decoder) HandleSubPicture(msg *cluster.Message, numFinals int) (bool, e
 	// Fail-stop completes on a final that finds nothing owed (every
 	// splitter's final does come); fault masking completes as soon as the
 	// known total is reached, since a dead splitter's final may never come.
-	return d.cfg.Recovery != nil && d.doneByTotal(), nil
+	return d.masking() && d.doneByTotal(), nil
 }
 
 // doneByTotal reports whether every picture of the stream has been handled.
@@ -297,16 +235,16 @@ func (d *Decoder) decodePicture(sp *subpic.SubPicture) error {
 		return nil
 	}
 	b := &d.res.Breakdown
-	ph := &d.phScratch
+	ph := &d.srv.ph
 	sp.Pic.HeaderInto(ph)
 	idx := int(sp.Pic.Index)
-	ctx := &d.ctxScratch
-	bad := ctx.Init(d.cfg.Seq, ph)
+	ctx := &d.srv.ctx
+	bad := ctx.Init(d.seq, ph)
 	if needed := anchorsFor(ph.PicType); bad == nil && d.validAnchors < needed {
 		bad = fmt.Errorf("tile %d: %s picture %d with %d of its %d reference anchors",
-			d.cfg.Tile, ph.PicType, idx, d.validAnchors, needed)
+			d.srv.cfg.Index, ph.PicType, idx, d.validAnchors, needed)
 	}
-	if bad != nil && d.cfg.Recovery == nil {
+	if bad != nil && !d.masking() {
 		return bad
 	}
 
@@ -395,12 +333,12 @@ func (d *Decoder) flushPending() {
 // it for reuse once done with it.
 func (d *Decoder) emitFrame(picIndex int, buf *mpeg2.PixelBuf) {
 	d.displayCount++
-	if d.cfg.OnFrame == nil {
+	if d.srv.cfg.OnFrame == nil {
 		return
 	}
 	out := mpeg2.AcquirePixelBuf(d.rect.X0, d.rect.Y0, d.rect.W(), d.rect.H())
 	out.CopyRect(buf, d.rect.X0, d.rect.Y0, d.rect.W(), d.rect.H())
-	d.cfg.OnFrame(picIndex, d.cfg.Tile, out)
+	d.srv.cfg.OnFrame(d.session, picIndex, d.srv.cfg.Index, out)
 }
 
 // marshalBundle serialises bb into a slab (the receiving tile releases it
@@ -411,23 +349,22 @@ func marshalBundle(bb *subpic.BlockBundle) []byte {
 
 // executeSends ships owed reference macroblocks, one bundle per peer.
 func (d *Decoder) executeSends(sp *subpic.SubPicture, picType mpeg2.PictureType) {
-	if d.sendBundles == nil {
-		d.sendBundles = map[int]*sendBundle{}
-	}
-	d.sendOrder = d.sendOrder[:0]
+	srv := d.srv
+	grid := &srv.cfg.Grid
+	srv.sendOrder = srv.sendOrder[:0]
 	for _, in := range sp.MEI {
 		if in.Kind != subpic.MEISend {
 			continue
 		}
 		ref := d.refFor(in.Ref, picType)
-		if d.cfg.UnbatchedSends {
-			d.bufs[ref].ExtractMacroblock(int(in.MBX), int(in.MBY), d.xferPix[:])
+		if srv.cfg.UnbatchedSends {
+			d.bufs[ref].ExtractMacroblock(int(in.MBX), int(in.MBY), srv.xferPix[:])
 			bb := subpic.BlockBundle{
 				PicIndex: sp.Pic.Index,
 				Cells:    []subpic.BlockCell{{Ref: in.Ref, MBX: in.MBX, MBY: in.MBY}},
-				Pixels:   d.xferPix[:],
+				Pixels:   srv.xferPix[:],
 			}
-			d.net.send(d.cfg.TileNode(int(in.Peer)), &cluster.Message{
+			d.send(grid.TileNode(int(in.Peer)), &cluster.Message{
 				Kind:    cluster.MsgBlocks,
 				Seq:     int(sp.Pic.Index),
 				Payload: marshalBundle(&bb),
@@ -435,13 +372,13 @@ func (d *Decoder) executeSends(sp *subpic.SubPicture, picType mpeg2.PictureType)
 			continue
 		}
 		peer := int(in.Peer)
-		bu := d.sendBundles[peer]
+		bu := srv.sendBundles[peer]
 		if bu == nil {
 			bu = &sendBundle{}
-			d.sendBundles[peer] = bu
+			srv.sendBundles[peer] = bu
 		}
 		if len(bu.cells) == 0 {
-			d.sendOrder = append(d.sendOrder, peer)
+			srv.sendOrder = append(srv.sendOrder, peer)
 		}
 		bu.cells = append(bu.cells, subpic.BlockCell{Ref: in.Ref, MBX: in.MBX, MBY: in.MBY})
 		off := len(bu.pixels)
@@ -452,10 +389,10 @@ func (d *Decoder) executeSends(sp *subpic.SubPicture, picType mpeg2.PictureType)
 		}
 		d.bufs[ref].ExtractMacroblock(int(in.MBX), int(in.MBY), bu.pixels[off:])
 	}
-	for _, peer := range d.sendOrder {
-		bu := d.sendBundles[peer]
+	for _, peer := range srv.sendOrder {
+		bu := srv.sendBundles[peer]
 		bb := subpic.BlockBundle{PicIndex: sp.Pic.Index, Cells: bu.cells, Pixels: bu.pixels}
-		d.net.send(d.cfg.TileNode(peer), &cluster.Message{
+		d.send(grid.TileNode(peer), &cluster.Message{
 			Kind:    cluster.MsgBlocks,
 			Seq:     int(sp.Pic.Index),
 			Payload: marshalBundle(&bb),
@@ -489,14 +426,14 @@ func (d *Decoder) drainRecvs(sp *subpic.SubPicture, picType mpeg2.PictureType, w
 		expected -= len(bb.Cells)
 		if len(bb.Pixels) != len(bb.Cells)*mpeg2.MacroblockBytes {
 			d.concealMBs(len(bb.Cells))
-			return d.fault(fmt.Errorf("tile %d: malformed block bundle", d.cfg.Tile))
+			return d.fault(fmt.Errorf("tile %d: malformed block bundle", d.srv.cfg.Index))
 		}
 		for i, c := range bb.Cells {
 			buf := d.bufs[d.refFor(c.Ref, picType)]
 			if !buf.Contains(int(c.MBX)*16, int(c.MBY)*16, 16, 16) {
 				d.concealMBs(1)
-				if err := d.fault(fmt.Errorf("tile %d: RECV cell (%d,%d) outside halo window [%d,%d %dx%d] — increase HaloPx",
-					d.cfg.Tile, c.MBX, c.MBY, buf.X0, buf.Y0, buf.W, buf.H)); err != nil {
+				if err := d.fault(fmt.Errorf("tile %d: RECV cell (%d,%d) outside halo window [%d,%d %dx%d] — increase MaxFCode",
+					d.srv.cfg.Index, c.MBX, c.MBY, buf.X0, buf.Y0, buf.W, buf.H)); err != nil {
 					return err
 				}
 				continue
@@ -519,11 +456,11 @@ func (d *Decoder) drainRecvs(sp *subpic.SubPicture, picType mpeg2.PictureType, w
 	}
 	d.stash = keep
 	var deadline time.Duration // zero: fail-stop blocks
-	if d.cfg.Recovery != nil {
-		deadline = d.cfg.Recovery.Cfg.PictureDeadline
+	if rh := d.srv.cfg.Recovery; rh != nil {
+		deadline = rh.Cfg.PictureDeadline
 	}
 	for expected > 0 {
-		msg, ok, timedOut := d.net.recvBlocks(deadline, willDecode)
+		msg, ok, timedOut := d.recvBlocks(deadline, willDecode)
 		if timedOut {
 			d.concealMBs(expected)
 			return nil
@@ -531,9 +468,9 @@ func (d *Decoder) drainRecvs(sp *subpic.SubPicture, picType mpeg2.PictureType, w
 		if !ok {
 			// Under fault masking the next sub-picture receive reports the
 			// abort.
-			return d.fault(fmt.Errorf("tile %d: fabric aborted while waiting for reference macroblocks", d.cfg.Tile))
+			return d.fault(fmt.Errorf("tile %d: fabric aborted while waiting for reference macroblocks", d.srv.cfg.Index))
 		}
-		bb := &d.bbScratch
+		bb := &d.srv.bb
 		if err := subpic.UnmarshalBlocksInto(bb, msg.Payload); err != nil {
 			cluster.PutSlab(msg.Payload)
 			if err := d.fault(err); err != nil {
@@ -550,7 +487,7 @@ func (d *Decoder) drainRecvs(sp *subpic.SubPicture, picType mpeg2.PictureType, w
 			if err != nil {
 				return err
 			}
-		case bi == idx+1, bi > idx && d.cfg.Recovery != nil:
+		case bi == idx+1, bi > idx && d.masking():
 			// A peer running ahead (by one picture under fail-stop; replays
 			// skew peers further under fault masking). The stash outlives
 			// this call, so detach it from the scratch bundle; its pixels
@@ -562,7 +499,7 @@ func (d *Decoder) drainRecvs(sp *subpic.SubPicture, picType mpeg2.PictureType, w
 			// this decoder is its only consumer, so the payload is done.
 			cluster.PutSlab(msg.Payload)
 			if err := d.fault(fmt.Errorf("tile %d: block bundle for picture %d while decoding %d (sync broken)",
-				d.cfg.Tile, bi, idx)); err != nil {
+				d.srv.cfg.Index, bi, idx)); err != nil {
 				return err
 			}
 		}
@@ -590,5 +527,5 @@ func (d *Decoder) decodePieces(ctx *mpeg2.PictureContext, sp *subpic.SubPicture)
 	case mpeg2.PictureB:
 		fwd, bwd = d.bufs[d.refA], d.bufs[d.refB]
 	}
-	return d.pieces.Decode(ctx, sp, d.bufs[d.cur], fwd, bwd)
+	return d.srv.pieces.Decode(ctx, sp, d.bufs[d.cur], fwd, bwd)
 }

@@ -9,18 +9,22 @@ import (
 	"tiledwall/internal/wall"
 )
 
-// testDecoder builds a decoder for the one stream (session 0) of a
-// standalone tile on port.
-func testDecoder(port cluster.Port, cfg Config) *Decoder {
-	return newDecoder(sessionNet{port: port, pending: map[int][]cluster.Message{}}, cfg)
+// testDecoder builds the decoder of session 0 on tile 0 of a 2×2 wall of
+// 128×128 pictures (halo 32), served on port.
+func testDecoder(t *testing.T, port cluster.Port, cfg ServeConfig) *Decoder {
+	t.Helper()
+	cfg.Grid.M, cfg.Grid.N = 2, 2
+	srv := newServer(port, cfg)
+	srv.Open(0, nil, testSeq(), testGeo(t))
+	return srv.sessions[0]
 }
 
 // step receives one sub-picture and dispatches it through the fail-stop
 // protocol (one splitter), standing in for the deleted batch Step loop in
 // these single-decoder protocol tests.
 func step(d *Decoder) (bool, error) {
-	m, _ := d.net.port.Recv(cluster.MsgSubPicture)
-	return d.HandleSubPicture(&m, 1)
+	m, _ := d.srv.port.Recv(cluster.MsgSubPicture)
+	return d.HandleSubPicture(&m)
 }
 
 func TestHaloForFCode(t *testing.T) {
@@ -62,11 +66,7 @@ func testSeq() *mpeg2.SequenceHeader {
 // protocol invariant of §4.5.
 func TestDecoderRejectsOutOfOrderPicture(t *testing.T) {
 	fab := cluster.New(2, cluster.Config{})
-	geo := testGeo(t)
-	d := testDecoder(fab.Port(1), Config{
-		Seq: testSeq(), Geo: geo, Tile: 0, HaloPx: 32,
-		TileNode: func(tile int) int { return 1 },
-	})
+	d := testDecoder(t, fab.Port(1), ServeConfig{})
 	sp := &subpic.SubPicture{}
 	sp.Pic.Index = 3 // decoder expects 0
 	sp.Pic.PicType = uint8(mpeg2.PictureI)
@@ -78,11 +78,7 @@ func TestDecoderRejectsOutOfOrderPicture(t *testing.T) {
 
 func TestDecoderRejectsGarbagePayload(t *testing.T) {
 	fab := cluster.New(2, cluster.Config{})
-	geo := testGeo(t)
-	d := testDecoder(fab.Port(1), Config{
-		Seq: testSeq(), Geo: geo, Tile: 0, HaloPx: 32,
-		TileNode: func(tile int) int { return 1 },
-	})
+	d := testDecoder(t, fab.Port(1), ServeConfig{})
 	fab.Port(0).Send(1, &cluster.Message{Kind: cluster.MsgSubPicture, Seq: 0, Tag: 0, Payload: []byte{1, 2, 3}})
 	if _, err := step(d); err == nil {
 		t.Fatal("garbage payload accepted")
@@ -91,11 +87,7 @@ func TestDecoderRejectsGarbagePayload(t *testing.T) {
 
 func TestDecoderFinalCountdown(t *testing.T) {
 	fab := cluster.New(2, cluster.Config{})
-	geo := testGeo(t)
-	d := testDecoder(fab.Port(1), Config{
-		Seq: testSeq(), Geo: geo, Tile: 0, HaloPx: 32,
-		TileNode: func(tile int) int { return 1 },
-	})
+	d := testDecoder(t, fab.Port(1), ServeConfig{})
 	// A Final for a 1-picture stream arriving before the picture itself must
 	// not terminate the decoder.
 	final := &subpic.SubPicture{Final: true}
@@ -123,11 +115,7 @@ func TestDecoderFinalCountdown(t *testing.T) {
 // not the sender.
 func TestDecoderAcksANID(t *testing.T) {
 	fab := cluster.New(3, cluster.Config{})
-	geo := testGeo(t)
-	d := testDecoder(fab.Port(1), Config{
-		Seq: testSeq(), Geo: geo, Tile: 0, HaloPx: 32,
-		TileNode: func(tile int) int { return 1 },
-	})
+	d := testDecoder(t, fab.Port(1), ServeConfig{})
 	sp := &subpic.SubPicture{}
 	sp.Pic.Index = 0
 	sp.Pic.PicType = uint8(mpeg2.PictureI)
@@ -147,11 +135,7 @@ func TestDecoderAcksANID(t *testing.T) {
 // TestDecoderRejectsMissingReference: a P sub-picture before any anchor.
 func TestDecoderRejectsMissingReference(t *testing.T) {
 	fab := cluster.New(2, cluster.Config{})
-	geo := testGeo(t)
-	d := testDecoder(fab.Port(1), Config{
-		Seq: testSeq(), Geo: geo, Tile: 0, HaloPx: 32,
-		TileNode: func(tile int) int { return 1 },
-	})
+	d := testDecoder(t, fab.Port(1), ServeConfig{})
 	sp := &subpic.SubPicture{}
 	sp.Pic.Index = 0
 	sp.Pic.PicType = uint8(mpeg2.PictureP)

@@ -9,7 +9,7 @@ import (
 )
 
 // This file holds the fault-masking side of the decoder's one protocol path
-// (DESIGN.md §6), reached when Config.Recovery is wired. Sub-pictures may
+// (DESIGN.md §6), reached when ServeConfig.Recovery is wired. Sub-pictures may
 // arrive out of order (the root replays retained pictures to a respawned
 // splitter while the others keep sending new ones), duplicated (replay
 // overlaps the queue a dead incarnation left behind), or not at all (a
@@ -173,15 +173,15 @@ func (d *Decoder) concealUnknown(idx int) {
 // concealEmit emits the projector's current frame for picture idx — the
 // freeze-last-frame degradation — and counts the intervention.
 func (d *Decoder) concealEmit(idx int) {
-	if rec := d.cfg.Recovery.Rec; rec != nil {
-		rec.AddConcealedFrame()
+	if d.rec != nil {
+		d.rec.AddConcealedFrame()
 	}
 	d.emitFrame(idx, d.display)
 }
 
 // concealMBs counts halo macroblocks concealed by copy-from-reference.
 func (d *Decoder) concealMBs(n int) {
-	if rh := d.cfg.Recovery; rh != nil && rh.Rec != nil {
-		rh.Rec.AddConcealedMBs(n)
+	if d.rec != nil {
+		d.rec.AddConcealedMBs(n)
 	}
 }

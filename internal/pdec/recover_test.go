@@ -15,29 +15,22 @@ import (
 // splitters are the other nodes of the fabric, and sub-pictures are
 // pieceless so every picture decodes without payload.
 
-// recoverDecoder builds a fault-masking decoder on node 1 that records the
-// decode indices it emits into frames.
-func recoverDecoder(t *testing.T, fab *cluster.Fabric, rec *metrics.Recovery, frames *[]int) *Decoder {
+// recoverDecoder builds a fault-masking decoder on node 1, fed by splitters
+// splitters, that records the decode indices it emits into frames.
+func recoverDecoder(t *testing.T, fab *cluster.Fabric, splitters int, rec *metrics.Recovery, frames *[]int) *Decoder {
 	t.Helper()
-	return testDecoder(fab.Port(1), Config{
-		Seq: testSeq(), Geo: testGeo(t), Tile: 0, HaloPx: 32,
-		TileNode: func(tile int) int { return 1 },
-		OnFrame: func(picIdx, tile int, buf *mpeg2.PixelBuf) {
+	cfg := ServeConfig{
+		OnFrame: func(_, picIdx, _ int, buf *mpeg2.PixelBuf) {
 			*frames = append(*frames, picIdx)
 			buf.Release()
 		},
-		Recovery: &recovery.Hooks{
-			Cfg: recovery.Config{Enabled: true, PictureDeadline: time.Millisecond},
-			Rec: rec,
-		},
-	})
-}
-
-// stepRecover receives one sub-picture and dispatches it through the
-// fault-masking protocol, with numFinals splitters feeding the session.
-func stepRecover(d *Decoder, numFinals int) (bool, error) {
-	m, _ := d.net.port.Recv(cluster.MsgSubPicture)
-	return d.HandleSubPicture(&m, numFinals)
+	}
+	cfg.Grid.K = splitters
+	cfg.Recovery = &recovery.Incarnation{
+		Cfg: recovery.Config{Enabled: true, PictureDeadline: time.Millisecond},
+		Rec: func(int) *metrics.Recovery { return rec },
+	}
+	return testDecoder(t, fab.Port(1), cfg)
 }
 
 // sendPic ships a pieceless sub-picture for picture idx from node from (also
@@ -72,9 +65,9 @@ func slabReleased(payload []byte) bool {
 	return &got[:1][0] == &payload[:1][0]
 }
 
-func mustStep(t *testing.T, d *Decoder, numFinals int, wantDone bool) {
+func mustStep(t *testing.T, d *Decoder, wantDone bool) {
 	t.Helper()
-	done, err := stepRecover(d, numFinals)
+	done, err := step(d)
 	if err != nil || done != wantDone {
 		t.Fatalf("step: done=%v err=%v, want done=%v", done, err, wantDone)
 	}
@@ -97,11 +90,11 @@ func equalInts(a, b []int) bool {
 func TestRecoverDropsDuplicate(t *testing.T) {
 	fab := cluster.New(2, cluster.Config{})
 	var frames []int
-	d := recoverDecoder(t, fab, &metrics.Recovery{}, &frames)
+	d := recoverDecoder(t, fab, 1, &metrics.Recovery{}, &frames)
 	sendPic(fab, 0, 0, mpeg2.PictureI, 0)
-	mustStep(t, d, 1, false)
+	mustStep(t, d, false)
 	dup := sendPic(fab, 0, 0, mpeg2.PictureI, 0)
-	mustStep(t, d, 1, false)
+	mustStep(t, d, false)
 	if d.res.Pictures != 1 || d.nextPic != 1 {
 		t.Fatalf("after duplicate: %d pictures, next %d; want 1, 1", d.res.Pictures, d.nextPic)
 	}
@@ -116,14 +109,14 @@ func TestRecoverStashesOutOfOrder(t *testing.T) {
 	fab := cluster.New(2, cluster.Config{})
 	rec := &metrics.Recovery{}
 	var frames []int
-	d := recoverDecoder(t, fab, rec, &frames)
+	d := recoverDecoder(t, fab, 1, rec, &frames)
 	ahead := sendPic(fab, 0, 1, mpeg2.PictureP, 0)
-	mustStep(t, d, 1, false)
+	mustStep(t, d, false)
 	if d.res.Pictures != 0 || d.nextPic != 0 || len(frames) != 0 {
 		t.Fatalf("ahead picture handled early: %d pictures, next %d, frames %v", d.res.Pictures, d.nextPic, frames)
 	}
 	sendPic(fab, 0, 0, mpeg2.PictureI, 0)
-	mustStep(t, d, 1, false)
+	mustStep(t, d, false)
 	if d.res.Pictures != 2 || d.nextPic != 2 {
 		t.Fatalf("after the hole filled: %d pictures, next %d; want 2, 2", d.res.Pictures, d.nextPic)
 	}
@@ -142,11 +135,11 @@ func TestRecoverSweepDeadlineConceals(t *testing.T) {
 	fab := cluster.New(2, cluster.Config{})
 	rec := &metrics.Recovery{}
 	var frames []int
-	d := recoverDecoder(t, fab, rec, &frames)
+	d := recoverDecoder(t, fab, 1, rec, &frames)
 	sendPic(fab, 0, 0, mpeg2.PictureI, 0)
-	mustStep(t, d, 1, false)
+	mustStep(t, d, false)
 	sendPic(fab, 0, 2, mpeg2.PictureP, 0) // picture 1 is lost
-	mustStep(t, d, 1, false)
+	mustStep(t, d, false)
 	if d.SweepDeadline(time.Hour) || d.nextPic != 1 || len(frames) != 0 {
 		t.Fatalf("young hole swept: next %d, frames %v", d.nextPic, frames)
 	}
@@ -171,18 +164,18 @@ func TestRecoverFinalsFlushTail(t *testing.T) {
 	fab := cluster.New(3, cluster.Config{})
 	rec := &metrics.Recovery{}
 	var frames []int
-	d := recoverDecoder(t, fab, rec, &frames)
+	d := recoverDecoder(t, fab, 2, rec, &frames)
 	sendPic(fab, 0, 0, mpeg2.PictureI, 0)
-	mustStep(t, d, 2, false)
+	mustStep(t, d, false)
 	sendPic(fab, 2, 2, mpeg2.PictureP, 0) // picture 1 is lost
-	mustStep(t, d, 2, false)
+	mustStep(t, d, false)
 	sendFinal(fab, 0, 4)
-	mustStep(t, d, 2, false)
+	mustStep(t, d, false)
 	if d.nextPic != 1 || len(frames) != 0 {
 		t.Fatalf("one final of two flushed: next %d, frames %v", d.nextPic, frames)
 	}
 	sendFinal(fab, 2, 4) // picture 3, the tail, is lost too
-	mustStep(t, d, 2, true)
+	mustStep(t, d, true)
 	if d.nextPic != 4 || len(d.spStash) != 0 {
 		t.Fatalf("after flush: next %d, %d stashed; want 4, 0", d.nextPic, len(d.spStash))
 	}
@@ -196,13 +189,13 @@ func TestRecoverFinalsFlushTail(t *testing.T) {
 func TestRecoverNeverAcksReplaysOrFinals(t *testing.T) {
 	fab := cluster.New(2, cluster.Config{})
 	var frames []int
-	d := recoverDecoder(t, fab, &metrics.Recovery{}, &frames)
+	d := recoverDecoder(t, fab, 1, &metrics.Recovery{}, &frames)
 	sendPic(fab, 0, 0, mpeg2.PictureI, cluster.FlagReplay)
-	mustStep(t, d, 1, false)
+	mustStep(t, d, false)
 	sendPic(fab, 0, 1, mpeg2.PictureP, 0)
-	mustStep(t, d, 1, false)
+	mustStep(t, d, false)
 	sendFinal(fab, 0, 2)
-	mustStep(t, d, 1, true)
+	mustStep(t, d, true)
 	var acked []int
 	for {
 		m, ok := fab.Port(0).TryRecv(cluster.MsgAck)

@@ -4,34 +4,20 @@ import (
 	"tiledwall/internal/metrics"
 )
 
-// Hooks is the recovery wiring of one tile decoder incarnation: its tuned
-// configuration, the lease it must renew, and the counters its
-// interventions are charged to. The chaos plan is not here: kills are
-// injected by the serve loops, which carry it on their serve configs.
-type Hooks struct {
-	Cfg   Config
-	Lease *Lease
-	Rec   *metrics.Recovery
-}
-
-// Renew renews the lease, if any (nil-safe for unsupervised use).
-func (h *Hooks) Renew() {
-	if h != nil && h.Lease != nil {
-		h.Lease.Renew()
-	}
-}
-
 // Incarnation wires fault masking into one resident node-server incarnation,
 // splitter or tile decoder. The wall builds one per (re)spawn from its
 // recovery state.
 type Incarnation struct {
 	// Cfg is the wall's tuned configuration (WithDefaults already applied).
-	Cfg   Config
+	Cfg Config
+	// Lease is renewed on every receive of the node's serve loop (nil for
+	// an unsupervised stage, such as the root's own splitting stage).
 	Lease *Lease
-	// Chaos is the incarnation's kill plan; the serve loops inject it.
+	// Chaos is the incarnation's kill plan; the serve loop injects it.
 	Chaos ChaosPlan
 	// Rec returns the recovery counters to charge for a session's
-	// interventions (must not return nil).
+	// interventions (must not return nil); a tile decoder fetches them once
+	// per session.
 	Rec func(session int) *metrics.Recovery
 	// OnOpen reports every session open the server sees, so the wall's
 	// registry can snapshot it for future respawns.

@@ -29,9 +29,9 @@ import (
 )
 
 // ErrKilled is returned by a supervised worker whose chaos plan told it to
-// die: the simulated equivalent of a process crash. The supervision loop in
-// internal/system treats it as a death to detect (via lease expiry) and
-// recover from; any other error still aborts the run.
+// die: the simulated equivalent of a process crash. The wall's supervision
+// loop (service.(*Wall).supervise) treats it as a death to detect (via lease
+// expiry) and recover from; any other error still aborts the run.
 var ErrKilled = errors.New("recovery: node killed (injected fault)")
 
 // Config tunes the recovery layer. The zero value disables it entirely,

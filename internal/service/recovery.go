@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"tiledwall/internal/metrics"
+	"tiledwall/internal/mpeg2"
+	"tiledwall/internal/node"
 	"tiledwall/internal/pdec"
 	"tiledwall/internal/recovery"
 	"tiledwall/internal/splitter"
@@ -374,50 +376,37 @@ func (w *Wall) runSplitter(i int) {
 // picture re-anchors the chain.
 func (w *Wall) runDecoder(t int) {
 	id := w.decoderIDs[t]
+	// Recovery always observes emissions: the registry's per-tile frontier
+	// is what a respawned decoder resumes from.
+	var onFrame func(session, picIdx, tile int, buf *mpeg2.PixelBuf)
+	if w.cfg.CollectFrames || w.cfg.OnTileFrame != nil || w.rv != nil {
+		onFrame = w.onFrame
+	}
 	w.supervise(id, t, func(inc *recovery.Incarnation) error {
-		return pdec.Serve(w.tr.Port(id), w.decoderServeCfg(t, inc))
+		return pdec.Serve(w.tr.Port(id), pdec.ServeConfig{
+			Config:         w.nodeConfig(node.Decoder, t, inc),
+			UnbatchedSends: w.cfg.UnbatchedExchange,
+			OnFrame:        onFrame,
+			OnResult:       w.onDecoderResult,
+		})
 	}, nil)
 }
 
 // splitterServeCfg builds splitter i's serve configuration — also the
-// root's own splitting stage on a one-level wall — with the incarnation's
-// recovery wiring (nil without recovery).
+// root's own splitting stage on a one-level wall.
 func (w *Wall) splitterServeCfg(i int, inc *recovery.Incarnation) splitter.ServeConfig {
 	return splitter.ServeConfig{
-		Index:        i,
-		M:            w.cfg.M,
-		N:            w.cfg.N,
-		Overlap:      w.cfg.Overlap,
-		DecoderNodes: w.decoderIDs,
-		RootNode:     0,
+		Config:       w.nodeConfig(node.Splitter, i, inc),
 		SplitWorkers: w.cfg.SplitWorkers,
 		OnResult:     w.onSecondResult,
-		Recovery:     inc,
 	}
 }
 
-// decoderServeCfg builds tile decoder t's serve configuration, with the
-// incarnation's recovery wiring as for splitterServeCfg.
-func (w *Wall) decoderServeCfg(t int, inc *recovery.Incarnation) pdec.ServeConfig {
-	cfg := pdec.ServeConfig{
-		Tile:           t,
-		M:              w.cfg.M,
-		N:              w.cfg.N,
-		Overlap:        w.cfg.Overlap,
-		MaxFCode:       w.cfg.MaxFCode,
-		TileNode:       func(tile int) int { return w.decoderIDs[tile] },
-		RootNode:       0,
-		UnbatchedSends: w.cfg.UnbatchedExchange,
-		OnResult:       w.onDecoderResult,
-		NumSplitters:   maxInt(1, w.cfg.K),
-		Recovery:       inc,
-	}
-	// Recovery always observes emissions: the registry's per-tile frontier
-	// is what a respawned decoder resumes from.
-	if w.cfg.CollectFrames || w.cfg.OnTileFrame != nil || w.rv != nil {
-		cfg.OnFrame = w.onFrame
-	}
-	return cfg
+// nodeConfig is the one node configuration of the wall's servers: node
+// index of kind, with the incarnation's recovery wiring (nil without
+// recovery).
+func (w *Wall) nodeConfig(kind node.Kind, index int, inc *recovery.Incarnation) node.Config {
+	return node.Config{Kind: kind, Index: index, Grid: w.cfg.Grid(), MaxFCode: w.cfg.MaxFCode, Recovery: inc}
 }
 
 // failSession fails one session in isolation (root goroutine only): the

@@ -6,6 +6,7 @@ import (
 
 	"tiledwall/internal/cluster"
 	"tiledwall/internal/mpeg2"
+	"tiledwall/internal/node"
 	"tiledwall/internal/recovery"
 	"tiledwall/internal/splitter"
 )
@@ -80,7 +81,7 @@ func hasSubState(s *Session) bool {
 // go: into the root's own splitting stage, which splits for the decoders
 // and gates on their go-aheads, instead of out to the splitters.
 func (w *Wall) runRoot() error {
-	port := w.tr.Port(0)
+	port := w.tr.Port(cluster.RootNode)
 	k := w.cfg.K
 	rv := w.rv
 	// drainTarget: one drain ack from each splitter and each decoder closes
@@ -103,6 +104,7 @@ func (w *Wall) runRoot() error {
 	// local is the root's own splitting stage on a one-level wall, nil
 	// otherwise.
 	var local *splitter.Stage
+	var localCfg splitter.ServeConfig
 	// final ends a session downstream with its shipped-picture total.
 	// Finals to splitters are retained under recovery when retain is set: a
 	// splitter that dies between receiving and forwarding one would
@@ -149,7 +151,8 @@ func (w *Wall) runRoot() error {
 		}
 	}
 	if k == 0 {
-		local = splitter.NewStage(port, w.splitterServeCfg(0, w.rv.incarnation(nil, recovery.ChaosPlan{}, nil)), onAck)
+		localCfg = w.splitterServeCfg(0, w.rv.incarnation(nil, recovery.ChaosPlan{}, nil))
+		local = splitter.NewStage(port, localCfg, onAck)
 		defer local.Close()
 	}
 	// takeAck waits for a splitter ack; under recovery the wait is bounded
@@ -360,7 +363,7 @@ func (w *Wall) runRoot() error {
 			case workOpen:
 				byID[it.sess.id] = it.sess
 				if local != nil {
-					if err := local.Open(it.sess.id, it.payload); err != nil {
+					if err := node.Open(&localCfg.Config, local, it.sess.id, it.payload); err != nil {
 						return err
 					}
 				}

@@ -45,7 +45,7 @@ type Config struct {
 	SplitWorkers int
 
 	// UnbatchedExchange disables per-peer batching of MEI block messages
-	// (ablation; see pdec.Config.UnbatchedSends).
+	// (ablation; see pdec.ServeConfig.UnbatchedSends).
 	UnbatchedExchange bool
 
 	// Fabric configures the in-process fabric New builds for Transport ""
@@ -119,10 +119,13 @@ func (c *Config) defaults() {
 	}
 }
 
+// Grid returns the wall's shape, which fixes its node layout.
+func (c Config) Grid() cluster.Grid { return cluster.Grid{K: c.K, M: c.M, N: c.N, Overlap: c.Overlap} }
+
 // NumNodes returns the node count the wall's transport must provide — root,
 // k splitters, m×n decoders — the PC count on the x-axis of the paper's
 // Figures 6 and 8.
-func (c Config) NumNodes() int { return 1 + c.K + c.M*c.N }
+func (c Config) NumNodes() int { return c.Grid().NumNodes() }
 
 // transport returns the wall's transport and whether the wall owns it: the
 // caller's Wired transport, else the one Transport selects. The link events
@@ -146,7 +149,7 @@ func (c *Config) transport(rv *wallRecovery) (cluster.Transport, bool, error) {
 		tcfg := cluster.TCPConfig{
 			NumNodes:     c.NumNodes(),
 			LocalNodes:   ids,
-			Grid:         cluster.Grid{K: c.K, M: c.M, N: c.N, Overlap: c.Overlap},
+			Grid:         c.Grid(),
 			StallTimeout: c.Fabric.StallTimeout,
 		}
 		if rv != nil {
@@ -296,19 +299,16 @@ func New(cfg Config) (*Wall, error) {
 		cfg:      cfg,
 		tr:       tr,
 		ownTr:    own,
-		hasRoot:  local(0),
+		hasRoot:  local(cluster.RootNode),
 		work:     make(chan workItem, cfg.MaxSessions*cfg.MaxInFlightPictures),
 		quit:     make(chan struct{}),
 		sessions: map[int]*Session{},
 		rv:       rv,
+
+		splitterIDs: cfg.Grid().SplitterNodes(),
+		decoderIDs:  cfg.Grid().TileNodes(),
 	}
 	w.idle = sync.NewCond(&w.mu)
-	for i := 0; i < cfg.K; i++ {
-		w.splitterIDs = append(w.splitterIDs, 1+i)
-	}
-	for t := 0; t < nTiles; t++ {
-		w.decoderIDs = append(w.decoderIDs, 1+cfg.K+t)
-	}
 
 	// Wake a Close blocked on active sessions if the transport aborts.
 	go func() {
@@ -322,33 +322,29 @@ func New(cfg Config) (*Wall, error) {
 	}()
 
 	for i, id := range w.splitterIDs {
-		if local(id) {
-			w.wg.Add(1)
-			go func(i int) {
-				defer w.wg.Done()
-				w.runSplitter(i)
-			}(i)
-		}
+		w.spawn(local(id), func() { w.runSplitter(i) })
 	}
 	for t, id := range w.decoderIDs {
-		if local(id) {
-			w.wg.Add(1)
-			go func(t int) {
-				defer w.wg.Done()
-				w.runDecoder(t)
-			}(t)
+		w.spawn(local(id), func() { w.runDecoder(t) })
+	}
+	w.spawn(w.hasRoot, func() {
+		if err := w.runRoot(); err != nil {
+			tr.Abort(err)
 		}
-	}
-	if w.hasRoot {
-		w.wg.Add(1)
-		go func() {
-			defer w.wg.Done()
-			if err := w.runRoot(); err != nil {
-				tr.Abort(err)
-			}
-		}()
-	}
+	})
 	return w, nil
+}
+
+// spawn starts a node loop hosted by this process, if it is.
+func (w *Wall) spawn(hosted bool, loop func()) {
+	if !hosted {
+		return
+	}
+	w.wg.Add(1)
+	go func() {
+		defer w.wg.Done()
+		loop()
+	}()
 }
 
 // Wait blocks until this process's node loops exit — a clean shutdown

@@ -7,6 +7,7 @@ import (
 	"tiledwall/internal/cluster"
 	"tiledwall/internal/metrics"
 	"tiledwall/internal/mpeg2"
+	"tiledwall/internal/node"
 	"tiledwall/internal/recovery"
 	"tiledwall/internal/subpic"
 	"tiledwall/internal/wall"
@@ -15,31 +16,16 @@ import (
 // ServeConfig wires one splitter role — a resident second-level splitter
 // node, or the root's own Stage on a one-level wall: a long-lived server
 // multiplexing sessions, each with its own sequence header, geometry and
-// macroblock splitter.
+// macroblock splitter. Under Recovery the role deduplicates root replays and
+// ships them with FlagReplay, bounds the decoder-ack gate by the picture
+// deadline, and fails a session with a corrupt picture alone (SessionFailSeq
+// notice to the root) instead of killing the wall.
 type ServeConfig struct {
-	// Index is this splitter's position among the k resident splitters.
-	Index int
-	// M, N, Overlap describe the wall grid; per-session geometry is derived
-	// from them and the session's own picture dimensions.
-	M, N, Overlap int
-	// DecoderNodes maps tile index to decoder node id; RootNode is the
-	// resident root.
-	DecoderNodes []int
-	RootNode     int
-
+	node.Config
 	SplitWorkers int
-
 	// OnResult receives the splitter-side result when a session's final
 	// marker has been forwarded.
 	OnResult func(session, index int, res *SecondResult)
-
-	// Recovery, when non-nil, switches the server's protocol path to fault
-	// masking: leases are renewed per message, chaos kills surface as
-	// recovery.ErrKilled, root replays are deduplicated and shipped with
-	// FlagReplay, the decoder-ack gate is deadline-bounded, and a corrupt
-	// picture fails its session alone (SessionFailSeq notice to the root)
-	// instead of killing the wall.
-	Recovery *recovery.Incarnation
 }
 
 // splitSession is one session's splitter-side state.
@@ -98,166 +84,114 @@ type SplitError struct{ Err error }
 func (e *SplitError) Error() string { return e.Err.Error() }
 func (e *SplitError) Unwrap() error { return e.Err }
 
-// ServeSecond runs the resident splitter loop until a FlagShutdown message
-// arrives or the transport aborts. Per data picture: ack the root on receipt
-// (credit), then the Stage sequence with the ANID the root announced. The
-// control path adds session opens (forwarded to every decoder before any of
-// this splitter's sub-pictures, by sender FIFO) and session finals (the
-// batch end marker, per session). With Recovery wired the same loop renews
-// the lease per message, honours the chaos plan, deduplicates root replays
-// and fails a session with a corrupt picture alone (SessionFailSeq notice to
-// the root) instead of killing the wall.
+// ServeSecond runs the resident splitter (node.Serve) until a FlagShutdown
+// message arrives or the transport aborts. Per data picture: ack the root on
+// receipt (credit), then the Stage sequence with the ANID the root
+// announced. Session opens are forwarded to every decoder before any of this
+// splitter's sub-pictures, by sender FIFO; a session final is forwarded as
+// the batch end marker.
 func ServeSecond(port cluster.Port, cfg ServeConfig) error {
 	st := NewStage(port, cfg, nil)
 	defer st.Close()
-	rh := st.cfg.Recovery
-	if rh != nil {
-		for _, rs := range rh.Resume {
-			// Re-forward each resumed open: the decoders deduplicate, and a
-			// session whose open every splitter lost stays reachable.
-			_ = st.Open(rs.ID, rs.Header)
-		}
-	}
-	for {
-		t0 := time.Now()
-		msg, ok := port.Recv(cluster.MsgPicture)
-		wait := time.Since(t0)
-		if !ok {
-			return fmt.Errorf("splitter %d: fabric aborted", cfg.Index)
-		}
-		if rh != nil && rh.Lease != nil {
-			rh.Lease.Renew()
-		}
-		switch {
-		case msg.Flags&cluster.FlagShutdown != 0:
-			return nil
-		case msg.Flags&cluster.FlagSessionOpen != 0:
-			if err := st.Open(msg.Session, msg.Payload); err != nil && rh == nil {
-				return err // under recovery: a broken session, not a broken wall
-			}
-		case msg.Flags&cluster.FlagSubscribe != 0:
-			trick, live, err := ParseSubscribe(msg.Payload)
-			if err != nil {
-				// A malformed control frame must not corrupt the session's
-				// materialization state; keep the previous subscription.
-				continue
-			}
-			st.Subscribe(msg.Session, trick, live)
-		case msg.Flags&cluster.FlagSessionFinal != 0:
-			if ss := st.sessions[msg.Session]; ss != nil {
-				ss.res.Breakdown.Add(metrics.PhaseReceive, wait)
-			}
-			if !st.Final(msg.Session, msg.Tag) {
-				continue
-			}
-			// The root closes the session only after a drain ack from every
-			// splitter and every decoder, so results are published before a
-			// waiting Session.Close can read them.
-			port.Send(cfg.RootNode, &cluster.Message{
-				Kind:    cluster.MsgAck,
-				Seq:     cluster.DrainAckSeq,
-				Session: msg.Session,
-			})
-		default:
-			ss := st.sessions[msg.Session]
-			if ss == nil {
-				if rh != nil {
-					// Session failed or completed; drop quietly, releasing
-					// this delivery's reference to the payload.
-					cluster.PutSlab(msg.Payload)
-					continue
-				}
-				return fmt.Errorf("splitter %d: picture for unknown session %d", cfg.Index, msg.Session)
-			}
-			replay := msg.Flags&cluster.FlagReplay != 0
-			if rh != nil {
-				if ss.seen[msg.Seq] {
-					// Root replay overlapping the surviving node queue. Each
-					// delivery carries its own slab reference (the root
-					// acquires one per replay send), so the duplicate's
-					// reference is released here.
-					cluster.PutSlab(msg.Payload)
-					continue
-				}
-				ss.seen[msg.Seq] = true
-				// Injected crash before the receipt ack: the picture is
-				// consumed but unacknowledged, so the root must both time the
-				// credit out and replay it to the next incarnation.
-				if !replay && rh.Chaos.SplitterDies(cfg.Index, msg.Seq) {
-					return recovery.ErrKilled
-				}
-			}
-			b := &ss.res.Breakdown
-			b.Add(metrics.PhaseReceive, wait)
-			// Ack the root immediately: the posted buffer is recycled
-			// (flow-control credit) and the service releases one of the
-			// session's in-flight tokens. Replays are never acked — the
-			// original ack or the root's credit timeout already settled the
-			// ledger.
-			if !replay {
-				b.Timed(metrics.PhaseAck, func() {
-					port.Send(cfg.RootNode, &cluster.Message{Kind: cluster.MsgAck, Seq: msg.Seq, Session: msg.Session})
-				})
-			}
-			switch err := st.Picture(&msg); err.(type) {
-			case nil:
-			case *SplitError:
-				if rh == nil {
-					return fmt.Errorf("splitter %d: %w", cfg.Index, err)
-				}
-				// A corrupt picture unit fails its session alone: notify the
-				// root (which surfaces a typed error to the feeder) and keep
-				// serving the other sessions. Nothing is shipped, so the
-				// decoders conceal the gap.
-				port.Send(cfg.RootNode, &cluster.Message{
-					Kind:    cluster.MsgAck,
-					Seq:     cluster.SessionFailSeq,
-					Session: msg.Session,
-					Payload: []byte(err.Error()),
-				})
-			default:
-				return err
-			}
-		}
-	}
+	return node.Serve(port, &st.cfg.Config, st)
 }
 
-// Open creates one session's splitter state and forwards the open to every
-// decoder. The payload is shared and read-only on the receiving side, so one
-// copy serves all. Opens of a session already open are skipped.
-func (st *Stage) Open(session int, header []byte) error {
-	if st.sessions[session] != nil {
-		return nil
+// Handle runs one message of an open session (node.Role): a subscription
+// change, the session final, or a data picture.
+func (st *Stage) Handle(msg cluster.Message) (bool, error) {
+	switch {
+	case msg.Flags&cluster.FlagSubscribe != 0:
+		// A malformed control frame must not corrupt the session's
+		// materialization state; keep the previous subscription.
+		if trick, live, err := ParseSubscribe(msg.Payload); err == nil {
+			st.Subscribe(msg.Session, trick, live)
+		}
+		return false, nil
+	case msg.Flags&cluster.FlagSessionFinal != 0:
+		return st.Final(msg.Session, msg.Tag), nil
 	}
+	rh := st.cfg.Recovery
+	ss := st.sessions[msg.Session]
+	replay := msg.Flags&cluster.FlagReplay != 0
+	if rh != nil {
+		if ss.seen[msg.Seq] {
+			// Root replay overlapping the surviving node queue. Each
+			// delivery carries its own slab reference (the root acquires one
+			// per replay send), so the duplicate's reference is released
+			// here.
+			cluster.PutSlab(msg.Payload)
+			return false, nil
+		}
+		ss.seen[msg.Seq] = true
+	}
+	// Ack the root immediately: the posted buffer is recycled (flow-control
+	// credit) and the service releases one of the session's in-flight
+	// tokens. Replays are never acked — the original ack or the root's
+	// credit timeout already settled the ledger.
+	if !replay {
+		ss.res.Breakdown.Timed(metrics.PhaseAck, func() {
+			st.port.Send(cluster.RootNode, &cluster.Message{Kind: cluster.MsgAck, Seq: msg.Seq, Session: msg.Session})
+		})
+	}
+	switch err := st.Picture(&msg); err.(type) {
+	case nil:
+	case *SplitError:
+		if rh == nil {
+			return false, fmt.Errorf("%v: %w", &st.cfg.Config, err)
+		}
+		// A corrupt picture unit fails its session alone: notify the root
+		// (which surfaces a typed error to the feeder) and keep serving the
+		// other sessions. Nothing is shipped, so the decoders conceal the
+		// gap.
+		st.port.Send(cluster.RootNode, &cluster.Message{
+			Kind:    cluster.MsgAck,
+			Seq:     cluster.SessionFailSeq,
+			Session: msg.Session,
+			Payload: []byte(err.Error()),
+		})
+	default:
+		return false, err
+	}
+	return false, nil
+}
+
+// Breakdown returns an open session's phase accounting (node.Role).
+func (st *Stage) Breakdown(session int) *metrics.Breakdown {
+	if ss := st.sessions[session]; ss != nil {
+		return &ss.res.Breakdown
+	}
+	return nil
+}
+
+// Resume has nothing to restore (node.Role): re-opening a session
+// re-forwarded its open, which is all a splitter holds beyond its queue.
+func (st *Stage) Resume(recovery.ResumeSession) {}
+
+// Sweep has no deadlines to run (node.Role): the splitter's one bounded
+// wait, the decoder-ack gate, times itself out.
+func (st *Stage) Sweep(func(int)) {}
+
+// Open creates one session's splitter state (node.Role) and forwards the
+// open to every decoder. The payload is shared and read-only on the
+// receiving side, so one copy serves all.
+func (st *Stage) Open(session int, header []byte, seq *mpeg2.SequenceHeader, geo *wall.Geometry) {
 	cfg := &st.cfg
-	seq, err := mpeg2.ParseSequenceHeaderBytes(header)
-	if err != nil {
-		return fmt.Errorf("splitter %d: session %d open: %w", cfg.Index, session, err)
-	}
-	geo, err := wall.NewGeometry(seq.MBWidth()*16, seq.MBHeight()*16, cfg.M, cfg.N, cfg.Overlap)
-	if err != nil {
-		return fmt.Errorf("splitter %d: session %d open: %w", cfg.Index, session, err)
-	}
 	ss := &splitSession{
 		ms:  NewMBSplitterOpts(seq, geo, SplitOptions{Workers: cfg.SplitWorkers, Reuse: true}),
 		res: &SecondResult{},
 	}
-	if rh := cfg.Recovery; rh != nil {
+	if cfg.Recovery != nil {
 		ss.seen = map[int]bool{}
-		if rh.OnOpen != nil {
-			rh.OnOpen(session, header)
-		}
 	}
 	st.sessions[session] = ss
-	for _, id := range cfg.DecoderNodes {
-		st.port.Send(id, &cluster.Message{
+	for t := 0; t < cfg.Grid.M*cfg.Grid.N; t++ {
+		st.port.Send(cfg.Grid.TileNode(t), &cluster.Message{
 			Kind:    cluster.MsgSubPicture,
 			Flags:   cluster.FlagSessionOpen,
 			Session: session,
 			Payload: header,
 		})
 	}
-	return nil
 }
 
 // Subscribe applies a session's subscription and trick mode from the next
@@ -277,10 +211,10 @@ func (st *Stage) Final(session, total int) bool {
 	if ss == nil {
 		return false
 	}
-	for _, id := range st.cfg.DecoderNodes {
+	for t := 0; t < st.cfg.Grid.M*st.cfg.Grid.N; t++ {
 		sp := &subpic.SubPicture{Final: true}
 		sp.Pic.Index = int32(total)
-		st.port.Send(id, &cluster.Message{
+		st.port.Send(st.cfg.Grid.TileNode(t), &cluster.Message{
 			Kind:    cluster.MsgSubPicture,
 			Seq:     -1,
 			Tag:     st.port.ID(),
@@ -340,10 +274,10 @@ func (st *Stage) Picture(msg *cluster.Message) error {
 		spFlags = cluster.FlagReplay // decoders deduplicate and do not ack
 	}
 	b.Timed(metrics.PhaseServe, func() {
-		for t, id := range st.cfg.DecoderNodes {
-			payload := ss.res.Marshal(ship[t])
+		for t, sp := range ship {
+			payload := ss.res.Marshal(sp)
 			ss.res.SPBytes += int64(len(payload))
-			st.port.Send(id, &cluster.Message{
+			st.port.Send(st.cfg.Grid.TileNode(t), &cluster.Message{
 				Kind:    cluster.MsgSubPicture,
 				Seq:     msg.Seq,
 				Tag:     msg.Tag,
@@ -367,7 +301,7 @@ func (st *Stage) Picture(msg *cluster.Message) error {
 // the gate moves on and the respawned decoder catches up through its queue
 // and gap concealment.
 func (st *Stage) gate(session int) error {
-	nd := len(st.cfg.DecoderNodes)
+	nd := st.cfg.Grid.M * st.cfg.Grid.N
 	var deadline time.Duration // zero: fail-stop blocks
 	if rh := st.cfg.Recovery; rh != nil {
 		deadline = rh.Cfg.PictureDeadline
@@ -380,7 +314,7 @@ func (st *Stage) gate(session int) error {
 			break
 		}
 		if !ok {
-			return fmt.Errorf("splitter %d: fabric aborted while waiting for decoder acks", st.cfg.Index)
+			return fmt.Errorf("%v: fabric aborted while waiting for decoder acks", &st.cfg.Config)
 		}
 		if st.onAck != nil {
 			st.onAck(m)

@@ -101,9 +101,9 @@ func TestTinyHaloDetected(t *testing.T) {
 	// MaxFCode -1 clamps to fcode 1 => 32 px halo, while the stream uses
 	// fcode 3 vectors (up to 32 px reach + interpolation): boundary vectors
 	// may or may not exceed the window depending on content. Either a clean
-	// "increase HaloPx" error or success is acceptable; a hang or panic is
+	// "increase MaxFCode" error or success is acceptable; a hang or panic is
 	// not. (The error path is deterministic for the fixed seed used here.)
-	if err != nil && !strings.Contains(err.Error(), "HaloPx") && !strings.Contains(err.Error(), "reference window") {
+	if err != nil && !strings.Contains(err.Error(), "MaxFCode") && !strings.Contains(err.Error(), "reference window") {
 		t.Fatalf("unexpected error kind: %v", err)
 	}
 }

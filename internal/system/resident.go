@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tiledwall/internal/cluster"
 	"tiledwall/internal/service"
 )
 
@@ -83,7 +84,7 @@ func (w *ResidentWall) result(sres *service.SessionResult, streamBytes int64) *R
 		Decoders:    sres.Decoders,
 		Frames:      sres.Frames,
 		StreamBytes: streamBytes,
-		RootNodeID:  0,
+		RootNodeID:  cluster.RootNode,
 		NodeStats:   w.svc.Transport().Stats(),
 		// The batch Result reports one run's total interventions: the
 		// session's own charges (concealment, splitter-gate timeouts) plus
@@ -94,12 +95,9 @@ func (w *ResidentWall) result(sres *service.SessionResult, streamBytes int64) *R
 		TileEmissions: sres.TileEmissions,
 		Warnings:      warnings(w.cfg),
 		transport:     w.svc.Transport(),
-	}
-	for i := 0; i < w.cfg.K; i++ {
-		res.SplitterNodeIDs = append(res.SplitterNodeIDs, 1+i)
-	}
-	for t := 0; t < w.cfg.M*w.cfg.N; t++ {
-		res.DecoderNodeIDs = append(res.DecoderNodeIDs, 1+w.cfg.K+t)
+
+		SplitterNodeIDs: w.cfg.Grid().SplitterNodes(),
+		DecoderNodeIDs:  w.cfg.Grid().TileNodes(),
 	}
 	return res
 }
