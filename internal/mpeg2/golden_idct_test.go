@@ -8,18 +8,25 @@ import (
 // The golden-kernel IDCT suite: IDCTFast must be bit-exact — not close —
 // against the generic IDCT for every coefficient class it can be dispatched
 // on, under both the exact mask (ACMaskOf) and conservatively overset masks.
+// Each block also goes through idctFastGo directly, so hosts whose IDCTFast
+// takes the AVX2 kernel still test the pure-Go mask dispatch.
 
 func requireSameBlock(t *testing.T, name string, in *[64]int32, mask uint8) {
 	t.Helper()
 	ref := *in
-	fast := *in
 	IDCT(&ref)
-	IDCTFast(&fast, mask)
-	if fast != ref {
-		for i := range ref {
-			if ref[i] != fast[i] {
-				t.Fatalf("%s (mask %08b): first divergence at position %d: ref %d fast %d\ninput %v",
-					name, mask, i, ref[i], fast[i], *in)
+	for _, k := range []struct {
+		name string
+		idct func(*[64]int32, uint8)
+	}{{"IDCTFast", IDCTFast}, {"idctFastGo", idctFastGo}} {
+		fast := *in
+		k.idct(&fast, mask)
+		if fast != ref {
+			for i := range ref {
+				if ref[i] != fast[i] {
+					t.Fatalf("%s %s (mask %08b): first divergence at position %d: ref %d fast %d\ninput %v",
+						k.name, name, mask, i, ref[i], fast[i], *in)
+				}
 			}
 		}
 	}

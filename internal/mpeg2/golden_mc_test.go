@@ -6,8 +6,10 @@ import (
 	"testing"
 )
 
-// Golden motion-compensation suite: every specialised half-pel kernel must
-// be bit-exact against samplePlaneRef, the original scalar implementation,
+// Golden motion-compensation suite: every specialised half-pel kernel — the
+// pure-Go SWAR kernels (samplePlaneGo, avgRowsGo) and the architecture's
+// samplePlane and avgRows, which are the SSE2 kernels on amd64 — must be
+// bit-exact against samplePlaneRef, the original scalar implementation,
 // across both block geometries (16×16 luma, 8×8 chroma), all four phases,
 // randomised source strides, offsets and pixel content, and destinations
 // that are either packed (stride = block width) or a window into a wider
@@ -67,32 +69,41 @@ func TestGoldenSamplePlane(t *testing.T) {
 			for hx := 0; hx <= 1; hx++ {
 				want := append([]uint8(nil), frame...)
 				got := append([]uint8(nil), frame...)
+				swar := append([]uint8(nil), frame...)
 				samplePlaneRef(want[di:], ds, w, h, src, stride, si, hx, hy)
 				samplePlane(got[di:], ds, w, h, src, stride, si, hx, hy)
+				samplePlaneGo(swar[di:], ds, w, h, src, stride, si, hx, hy)
 				requireSameBytes(t, "samplePlane", want, got)
+				requireSameBytes(t, "samplePlaneGo", want, swar)
 			}
 		}
 	}
 }
 
-// TestGoldenSamplePlaneExtremes drives the SWAR averages through all-0x00,
-// all-0xff and alternating patterns where inter-lane carry bugs surface.
+// TestGoldenSamplePlaneExtremes drives the byte averages through all-0x00,
+// all-0xff and alternating patterns where inter-lane carry bugs surface, at
+// both block widths.
 func TestGoldenSamplePlaneExtremes(t *testing.T) {
-	const w, h, stride = 16, 16, 24
+	const stride = 24
 	patterns := [][2]uint8{{0, 0}, {255, 255}, {0, 255}, {255, 0}, {1, 254}, {127, 128}}
-	for _, p := range patterns {
-		src := make([]uint8, stride*(h+1)+w+1)
-		for i := range src {
-			src[i] = p[i%2]
-		}
-		for hy := 0; hy <= 1; hy++ {
-			for hx := 0; hx <= 1; hx++ {
-				want := make([]uint8, w*h)
-				got := make([]uint8, w*h)
-				samplePlaneRef(want, w, w, h, src, stride, 0, hx, hy)
-				samplePlane(got, w, w, h, src, stride, 0, hx, hy)
-				if !bytes.Equal(want, got) {
-					t.Fatalf("pattern %v phase (hx=%d,hy=%d): kernels diverge", p, hx, hy)
+	for _, w := range []int{8, 16} {
+		h := w
+		for _, p := range patterns {
+			src := make([]uint8, stride*(h+1)+w+1)
+			for i := range src {
+				src[i] = p[i%2]
+			}
+			for hy := 0; hy <= 1; hy++ {
+				for hx := 0; hx <= 1; hx++ {
+					want := make([]uint8, w*h)
+					got := make([]uint8, w*h)
+					swar := make([]uint8, w*h)
+					samplePlaneRef(want, w, w, h, src, stride, 0, hx, hy)
+					samplePlane(got, w, w, h, src, stride, 0, hx, hy)
+					samplePlaneGo(swar, w, w, h, src, stride, 0, hx, hy)
+					if !bytes.Equal(want, got) || !bytes.Equal(want, swar) {
+						t.Fatalf("w=%d pattern %v phase (hx=%d,hy=%d): kernels diverge", w, p, hx, hy)
+					}
 				}
 			}
 		}
@@ -153,5 +164,44 @@ func TestGoldenAvgRows(t *testing.T) {
 		got := append([]uint8(nil), frame...)
 		avgRows(got[di:], ds, src, w, h)
 		requireSameBytes(t, "avgRows", want, got)
+		swar := append([]uint8(nil), frame...)
+		avgRowsGo(swar[di:], ds, src, w, h)
+		requireSameBytes(t, "avgRowsGo", want, swar)
 	}
+}
+
+// FuzzSamplePlane holds samplePlane to samplePlaneRef on fuzzer-chosen
+// widths, phases, strides, offsets and source contents, into a strided
+// destination whose samples outside the block must stay untouched.
+func FuzzSamplePlane(f *testing.F) {
+	f.Add([]byte{}, true, uint8(3), uint8(0), uint16(0), uint8(0))
+	f.Add([]byte{0xff, 0x00, 0x80, 0x7f}, false, uint8(1), uint8(5), uint16(9), uint8(3))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, true, uint8(2), uint8(63), uint16(1000), uint8(40))
+	f.Fuzz(func(t *testing.T, data []byte, wide bool, phase, strideB uint8, siB uint16, dsB uint8) {
+		w := 8
+		if wide {
+			w = 16
+		}
+		h := w
+		hx, hy := int(phase&1), int(phase>>1&1)
+		stride := w + 1 + int(strideB%64)
+		need := h*stride + w + 1
+		src := make([]uint8, need+int(siB%512))
+		for i := range src {
+			if len(data) > 0 {
+				src[i] = data[i%len(data)] + uint8(i/len(data))
+			}
+		}
+		si := int(siB) % (len(src) - need + 1)
+		ds := w + int(dsB%32)
+		frame := make([]uint8, h*ds+w)
+		for i := range frame {
+			frame[i] = uint8(i * 7)
+		}
+		want := append([]uint8(nil), frame...)
+		got := append([]uint8(nil), frame...)
+		samplePlaneRef(want[w/2:], ds, w, h, src, stride, si, hx, hy)
+		samplePlane(got[w/2:], ds, w, h, src, stride, si, hx, hy)
+		requireSameBytes(t, "samplePlane", want, got)
+	})
 }

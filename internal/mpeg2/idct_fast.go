@@ -20,10 +20,11 @@ package mpeg2
 // occupied costs only speed), but a bit must never be clear while its row
 // holds a nonzero AC coefficient.
 
-// IDCTFast computes the 8x8 inverse DCT of block in place (raster order),
-// dispatching on the AC occupancy mask. acMask == 0 means positions 1..63
-// are all zero; acMask with bits 4..6 clear means rows 4..6 are zero.
-func IDCTFast(block *[64]int32, acMask uint8) {
+// idctFastGo is the pure-Go IDCTFast: the portable path (kernels_other.go)
+// and, on amd64 hosts without AVX2, the fallback for every non-DC-only
+// mask. acMask == 0 means positions 1..63 are all zero; acMask with bits
+// 4..6 clear means rows 4..6 are zero.
+func idctFastGo(block *[64]int32, acMask uint8) {
 	switch {
 	case acMask == 0:
 		idctDCOnly(block)
@@ -46,10 +47,16 @@ func idctDCOnly(b *[64]int32) {
 		// the block already holds its transform.
 		return
 	}
-	v := (dc<<3 + 32) >> 6
+	v := idctDC(dc)
 	for i := range b {
 		b[i] = v
 	}
+}
+
+// idctDC is the value the transform of a DC-only block holds at all 64
+// positions.
+func idctDC(dc int32) int32 {
+	return (dc<<3 + 32) >> 6
 }
 
 // idctTopRows handles blocks whose nonzero coefficients all lie in rows

@@ -7,10 +7,12 @@ import (
 
 // Kernel benchmarks for the hot-path overhaul: the three IDCT coefficient
 // classes the fast dispatch distinguishes (the sparse one with and without
-// a mismatch-toggled coefficient 63), and the four half-pel motion
-// compensation phases. Run with the rest of the continuous-benchmark layer:
+// a mismatch-toggled coefficient 63), the four half-pel motion compensation
+// phases at both block sizes (16×16 luma, 8×8 chroma), the bidirectional
+// average, and the residual store and adds. Run with the rest of the
+// continuous-benchmark layer:
 //
-//	go test -bench 'IDCT|MotionComp' -benchmem ./internal/mpeg2/
+//	go test -bench 'IDCT|MotionComp|Residual' -benchmem ./internal/mpeg2/
 
 func BenchmarkIDCTDCOnly(b *testing.B) {
 	var blk [64]int32
@@ -105,5 +107,74 @@ func BenchmarkMotionCompHVRef(b *testing.B) {
 	b.SetBytes(16 * 16)
 	for i := 0; i < b.N; i++ {
 		samplePlaneRef(dst, 16, 16, 16, src, stride, stride*4+8, 1, 1)
+	}
+}
+
+// benchChroma is benchMotionComp for one 8×8 chroma prediction, from a
+// plane of half the luma stride.
+func benchChroma(b *testing.B, hx, hy int) {
+	src, stride, dst := benchPlane()
+	stride /= 2
+	b.ReportAllocs()
+	b.SetBytes(8 * 8)
+	for i := 0; i < b.N; i++ {
+		samplePlane(dst, 8, 8, 8, src, stride, stride*4+8, hx, hy)
+	}
+}
+
+func BenchmarkMotionCompChromaCopy(b *testing.B) { benchChroma(b, 0, 0) }
+func BenchmarkMotionCompChromaH(b *testing.B)    { benchChroma(b, 1, 0) }
+func BenchmarkMotionCompChromaV(b *testing.B)    { benchChroma(b, 0, 1) }
+func BenchmarkMotionCompChromaHV(b *testing.B)   { benchChroma(b, 1, 1) }
+
+// BenchmarkMotionCompBidir averages a packed 16×16 backward prediction into
+// a forward one in a frame plane: the luma half of a B macroblock's
+// bidirectional step.
+func BenchmarkMotionCompBidir(b *testing.B) {
+	src, stride, _ := benchPlane()
+	bwd := src[:256]
+	b.ReportAllocs()
+	b.SetBytes(16 * 16)
+	for i := 0; i < b.N; i++ {
+		avgRows(src[stride*8+16:], stride, bwd, 16, 16)
+	}
+}
+
+// benchResidual returns an IDCT-range residual block and an 8×8 block in a
+// frame plane to apply it to.
+func benchResidual() (blk [64]int32, d []uint8, stride int) {
+	rng := rand.New(rand.NewSource(5))
+	for i := range blk {
+		blk[i] = int32(rng.Intn(512) - 256)
+	}
+	src, stride, _ := benchPlane()
+	return blk, src[stride*4+8:], stride
+}
+
+// BenchmarkResidualPut stores an intra block's transform.
+func BenchmarkResidualPut(b *testing.B) {
+	blk, d, stride := benchResidual()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		putBlock(d, stride, &blk)
+	}
+}
+
+// BenchmarkResidualAdd adds an inter block's residual to its prediction.
+func BenchmarkResidualAdd(b *testing.B) {
+	blk, d, stride := benchResidual()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		addBlock(d, stride, &blk)
+	}
+}
+
+// BenchmarkResidualAddDC is the whole residual step of a DC-only inter
+// block: its one transform value, added to the prediction.
+func BenchmarkResidualAddDC(b *testing.B) {
+	_, d, stride := benchResidual()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		addDC(d, stride, idctDC(int32(i&255)-128))
 	}
 }

@@ -5,16 +5,18 @@ import "encoding/binary"
 // Motion-compensation kernels. samplePlane is the hot path of every inter
 // macroblock: it writes a 16×16 luma (or 8×8 chroma) prediction from a
 // reference window with one of four half-sample phases (§7.6.4), straight
-// into the destination frame. The specialised kernels below replace the
-// per-pixel scalar loops with row-wise copies and SWAR byte averages;
-// samplePlaneRef keeps the original scalar form as the golden reference
-// (golden_mc_test.go proves the kernels bit-exact against it).
+// into the destination frame. The pure-Go kernels below replace the
+// per-pixel scalar loops with row-wise copies and SWAR byte averages; they
+// are the portable path (kernels_other.go) and the golden reference for the
+// amd64 SSE2 kernels (kernels_amd64.s). samplePlaneRef keeps the original
+// scalar form as the golden reference of both (golden_mc_test.go proves
+// every kernel bit-exact against it).
 
-// samplePlane copies a w×h block from src (starting at index si, given
+// samplePlaneGo copies a w×h block from src (starting at index si, given
 // stride) into dst (row stride ds) with optional half-sample interpolation.
 // Callers guarantee (via PixelBuf.Contains) that src holds (h+hy) rows of
-// (w+hx) samples from si, and that dst does not overlap src.
-func samplePlane(dst []uint8, ds, w, h int, src []uint8, stride, si, hx, hy int) {
+// (w+hx) samples from si, and that dst does not overlap src. w is 8 or 16.
+func samplePlaneGo(dst []uint8, ds, w, h int, src []uint8, stride, si, hx, hy int) {
 	switch {
 	case hx == 0 && hy == 0:
 		copyRows(dst, ds, w, h, src, stride, si)
@@ -147,11 +149,11 @@ func hvHalfRows(dst []uint8, ds, w, h int, src []uint8, stride, si int) {
 	}
 }
 
-// avgRows replaces each sample of the w×h block in dst (row stride ds) with
+// avgRowsGo replaces each sample of the w×h block in dst (row stride ds) with
 // its rounding average against the packed block src (row stride w): the
 // in-place bidirectional average of B-macroblock prediction (§7.6.7.1).
 // w is a multiple of 8.
-func avgRows(dst []uint8, ds int, src []uint8, w, h int) {
+func avgRowsGo(dst []uint8, ds int, src []uint8, w, h int) {
 	for r := 0; r < h; r++ {
 		d := dst[r*ds : r*ds+w]
 		s := src[r*w : r*w+w]

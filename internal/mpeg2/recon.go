@@ -30,7 +30,9 @@ func (rc *Reconstructor) Reset(pic *PictureHeader) {
 	rc.pic = pic
 }
 
-func clip255(v int32) uint8 {
+// clip255 clamps v to a sample. It takes an int64 so a residual sum never
+// wraps: the residual kernels clip the exact sum for every int32 residual.
+func clip255(v int64) uint8 {
 	if v < 0 {
 		return 0
 	}
@@ -38,6 +40,45 @@ func clip255(v int32) uint8 {
 		return 255
 	}
 	return uint8(v)
+}
+
+// Residual kernels: the pure-Go forms of the store of an intra block, the
+// residual add of an inter block and the residual add of a DC-only inter
+// block, each onto the 8×8 block at d (row stride stride). They are the
+// portable path (kernels_other.go) and the golden reference for the amd64
+// SSE2 kernels, whose saturating packs compute the same clip255 of the
+// exact sum (DESIGN.md §9).
+
+// putBlockGo stores the clipped transform blk.
+func putBlockGo(d []uint8, stride int, blk *[64]int32) {
+	for r := 0; r < 8; r++ {
+		dr := d[r*stride : r*stride+8 : r*stride+8]
+		src := blk[r*8 : r*8+8 : r*8+8]
+		for c := 0; c < 8; c++ {
+			dr[c] = clip255(int64(src[c]))
+		}
+	}
+}
+
+// addBlockGo adds the residual blk to the prediction in place.
+func addBlockGo(d []uint8, stride int, blk *[64]int32) {
+	for r := 0; r < 8; r++ {
+		dr := d[r*stride : r*stride+8 : r*stride+8]
+		res := blk[r*8 : r*8+8 : r*8+8]
+		for c := 0; c < 8; c++ {
+			dr[c] = clip255(int64(dr[c]) + int64(res[c]))
+		}
+	}
+}
+
+// addDCGo adds the constant residual v to the prediction in place.
+func addDCGo(d []uint8, stride int, v int32) {
+	for r := 0; r < 8; r++ {
+		dr := d[r*stride : r*stride+8 : r*stride+8]
+		for c := 0; c < 8; c++ {
+			dr[c] = clip255(int64(dr[c]) + int64(v))
+		}
+	}
 }
 
 // blockOffsets maps block index 0..3 to the luma offset within a macroblock.
@@ -89,13 +130,7 @@ func (rc *Reconstructor) intra(dst *PixelBuf, mbx, mby int, blocks *[6][64]int32
 		blk := &blocks[i]
 		IDCTFast(blk, masks[i])
 		d, stride := blockPlane(dst, mbx*16, mby*16, i)
-		for r := 0; r < 8; r++ {
-			dr := d[r*stride : r*stride+8 : r*stride+8]
-			src := blk[r*8 : r*8+8 : r*8+8]
-			for c := 0; c < 8; c++ {
-				dr[c] = clip255(src[c])
-			}
-		}
+		putBlock(d, stride, blk)
 	}
 }
 
@@ -133,21 +168,23 @@ func (rc *Reconstructor) inter(dst, fwd, bwd *PixelBuf, mbx, mby int, m MotionIn
 		predict(bwd, x, y, m.MVBwd, dY, dst.W, dCb, dCr, cs)
 	}
 
-	// Add the residual of each coded block to the prediction in place.
+	// Add the residual of each coded block to the prediction in place. A
+	// DC-only block's transform is one constant, added without filling the
+	// block.
 	for i := 0; i < 6; i++ {
 		if cbp&(1<<uint(5-i)) == 0 {
 			continue
 		}
 		blk := &blocks[i]
-		IDCTFast(blk, masks[i])
 		d, stride := blockPlane(dst, x, y, i)
-		for r := 0; r < 8; r++ {
-			dr := d[r*stride : r*stride+8 : r*stride+8]
-			res := blk[r*8 : r*8+8 : r*8+8]
-			for c := 0; c < 8; c++ {
-				dr[c] = clip255(int32(dr[c]) + res[c])
+		if masks[i] == 0 {
+			if v := idctDC(blk[0]); v != 0 {
+				addDC(d, stride, v)
 			}
+			continue
 		}
+		IDCTFast(blk, masks[i])
+		addBlock(d, stride, blk)
 	}
 	return nil
 }

@@ -329,12 +329,11 @@ type sliceWorker struct {
 	sd mpeg2.SliceDecoder
 	mb mpeg2.Macroblock
 
-	open     []openPiece
-	tileSet  []int
-	skipSet  []int
-	orphans  []int
-	meiTiles []int
-	seen     meiSeen // worker-local dedup, one epoch per slice
+	open    []openPiece
+	tileSet []int
+	skipSet []int
+	orphans []int
+	seen    meiSeen // worker-local dedup, one epoch per slice
 
 	busy     time.Duration
 	err      error
@@ -453,7 +452,7 @@ func (k *sliceWorker) splitSlice(unit []byte, ref mpeg2.SliceRef, acc *sliceAcc)
 
 		// Exchange instructions for this coded macroblock.
 		if picType != mpeg2.PictureI && !mb.Intra() {
-			k.addMEIForMB(ctx, acc, mbx, mby, mb.Motion(), picType)
+			k.addMEIForMB(ctx, acc, k.tileSet, mbx, mby, mb.Motion(), picType)
 		}
 	}
 	// Slice end: close everything (a conformant slice ends with a coded
@@ -511,7 +510,7 @@ func (k *sliceWorker) routeSkipped(ctx *mpeg2.PictureContext, acc *sliceAcc, mb 
 			k.orphans = append(k.orphans, t)
 		}
 		if ctx.Pic.PicType == mpeg2.PictureB {
-			k.addMEIForMB(ctx, acc, sx, mby, mb.PrevMotion, mpeg2.PictureB)
+			k.addMEIForMB(ctx, acc, k.skipSet, sx, mby, mb.PrevMotion, mpeg2.PictureB)
 		}
 	}
 	for _, t := range k.orphans {
@@ -550,26 +549,26 @@ func (k *sliceWorker) closePiece(acc *sliceAcc, t int, unit []byte, trailing int
 }
 
 // addMEIForMB computes the reference cells needed by the macroblock at
-// (mbx, mby) with motion m, for every tile that will decode it, and records
+// (mbx, mby) with motion m, for every tile that will decode it (tiles, the
+// caller's geo.TilesForMB of the macroblock), and records
 // a discovery for cells outside the tile. The worker-local dedup only
 // filters within-slice repeats; cross-slice dedup happens at the merge,
 // where the global first-occurrence order is known.
-func (k *sliceWorker) addMEIForMB(ctx *mpeg2.PictureContext, acc *sliceAcc, mbx, mby int, m mpeg2.MotionInfo, picType mpeg2.PictureType) {
+func (k *sliceWorker) addMEIForMB(ctx *mpeg2.PictureContext, acc *sliceAcc, tiles []int, mbx, mby int, m mpeg2.MotionInfo, picType mpeg2.PictureType) {
 	if !m.Fwd && !m.Bwd && picType == mpeg2.PictureP {
 		// Parser guarantees P macroblocks always carry a forward prediction
 		// ("no MC" becomes a zero vector), but be safe.
 		m.Fwd = true
 	}
-	k.meiTiles = k.sp.geo.TilesForMB(mbx, mby, k.meiTiles[:0])
 	if m.Fwd {
-		k.addMEIForVector(ctx, acc, mbx, mby, m.MVFwd, subpic.RefFwd)
+		k.addMEIForVector(ctx, acc, tiles, mbx, mby, m.MVFwd, subpic.RefFwd)
 	}
 	if m.Bwd {
-		k.addMEIForVector(ctx, acc, mbx, mby, m.MVBwd, subpic.RefBwd)
+		k.addMEIForVector(ctx, acc, tiles, mbx, mby, m.MVBwd, subpic.RefBwd)
 	}
 }
 
-func (k *sliceWorker) addMEIForVector(ctx *mpeg2.PictureContext, acc *sliceAcc, mbx, mby int, mv [2]int32, ref subpic.RefSel) {
+func (k *sliceWorker) addMEIForVector(ctx *mpeg2.PictureContext, acc *sliceAcc, tiles []int, mbx, mby int, mv [2]int32, ref subpic.RefSel) {
 	geo := k.sp.geo
 	// Luma reference footprint (the chroma footprint is contained within the
 	// same macroblock cells; see recon.go).
@@ -592,7 +591,7 @@ func (k *sliceWorker) addMEIForVector(ctx *mpeg2.PictureContext, acc *sliceAcc, 
 	if cy1 > maxY {
 		cy1 = maxY
 	}
-	for _, t := range k.meiTiles {
+	for _, t := range tiles {
 		for cy := cy0; cy <= cy1; cy++ {
 			for cx := cx0; cx <= cx1; cx++ {
 				if geo.TileHasMB(t, cx, cy) {
