@@ -174,8 +174,9 @@ func BenchmarkAblationMEIVolume(b *testing.B) {
 				}
 				if i == b.N-1 {
 					var inter int64
-					for _, x := range res.DecoderNodeIDs {
-						for _, y := range res.DecoderNodeIDs {
+					tiles := res.Config.Grid().TileNodes()
+					for _, x := range tiles {
+						for _, y := range tiles {
 							inter += res.PairBytes(x, y)
 						}
 					}
@@ -209,7 +210,7 @@ func BenchmarkAblationMEIBatching(b *testing.B) {
 				}
 				if i == b.N-1 {
 					var msgs, bytes int64
-					for _, id := range res.DecoderNodeIDs {
+					for _, id := range res.Config.Grid().TileNodes() {
 						msgs += res.NodeStats[id].MsgsSent
 						bytes += res.NodeStats[id].BytesSent
 					}

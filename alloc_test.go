@@ -83,7 +83,7 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 // allocations per picture of playing it again.
 func wallAllocsPerPicture(t *testing.T, cfg system.Config, data []byte) float64 {
 	t.Helper()
-	w, err := system.NewResidentWall(cfg)
+	w, err := service.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -233,7 +233,8 @@ func BenchmarkFig9Bandwidth(b *testing.B) {
 		if i == b.N-1 {
 			secs := res.Modeled().Elapsed.Seconds()
 			var maxDec, sumDec float64
-			for _, id := range res.DecoderNodeIDs {
+			tiles := res.Config.Grid().TileNodes()
+			for _, id := range tiles {
 				v := float64(res.NodeStats[id].BytesSent+res.NodeStats[id].BytesRecv) / secs / 1e6
 				sumDec += v
 				if v > maxDec {
@@ -241,8 +242,8 @@ func BenchmarkFig9Bandwidth(b *testing.B) {
 				}
 			}
 			b.ReportMetric(maxDec, "maxDecMB/s")
-			b.ReportMetric(sumDec/float64(len(res.DecoderNodeIDs)), "avgDecMB/s")
-			sp := res.NodeStats[res.SplitterNodeIDs[0]]
+			b.ReportMetric(sumDec/float64(len(tiles)), "avgDecMB/s")
+			sp := res.NodeStats[res.Config.Grid().SplitterNodes()[0]]
 			b.ReportMetric(float64(sp.BytesSent)/float64(sp.BytesRecv), "sphOverhead")
 		}
 	}

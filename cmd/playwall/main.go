@@ -181,11 +181,11 @@ func main() {
 	// Build the wall explicitly rather than through system.Run so the health
 	// state can be read before teardown — the recovery report is identical
 	// over the in-process fabric and TCP (one pipeline, DESIGN.md §6).
-	rw, err := system.NewResidentWall(cfg)
+	rw, err := service.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := rw.Play(data)
+	res, err := system.Play(rw, cfg, data)
 	if err != nil {
 		rw.Close()
 		log.Fatal(err)
@@ -227,11 +227,11 @@ func main() {
 
 	secs := tp.Elapsed.Seconds()
 	fmt.Printf("  bandwidth over modelled playback time (MB/s):\n")
-	for i, id := range res.DecoderNodeIDs {
+	for i, id := range res.Config.Grid().TileNodes() {
 		st := res.NodeStats[id]
 		fmt.Printf("  D%-3d recv %7.2f  send %7.2f\n", i, float64(st.BytesRecv)/secs/1e6, float64(st.BytesSent)/secs/1e6)
 	}
-	for i, id := range res.SplitterNodeIDs {
+	for i, id := range res.Config.Grid().SplitterNodes() {
 		st := res.NodeStats[id]
 		fmt.Printf("  S%-3d recv %7.2f  send %7.2f\n", i, float64(st.BytesRecv)/secs/1e6, float64(st.BytesSent)/secs/1e6)
 	}
@@ -317,7 +317,7 @@ func playSessions(data []byte, cfg system.Config, n int, sub wall.TileSet, trick
 	if cfg.MaxSessions < n {
 		cfg.MaxSessions = n
 	}
-	w, err := system.NewResidentWall(cfg)
+	w, err := service.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func playSessions(data []byte, cfg system.Config, n int, sub wall.TileSet, trick
 	wg.Wait()
 	elapsed := time.Since(start)
 	if cfg.Recovery.Enabled {
-		fmt.Printf("  recovery: %s, health %v\n", w.Service().Recovery(), w.Health())
+		fmt.Printf("  recovery: %s, health %v\n", w.Recovery(), w.Health())
 	}
 	if err := w.Close(); err != nil {
 		log.Fatal(err)

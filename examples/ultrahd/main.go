@@ -72,11 +72,11 @@ func main() {
 
 	secs := tp.Elapsed.Seconds()
 	fmt.Printf("\nper-node bandwidth, MB/s (Fig. 9):\n")
-	for i, id := range res.DecoderNodeIDs {
+	for i, id := range res.Config.Grid().TileNodes() {
 		st := res.NodeStats[id]
 		fmt.Printf("  D%-3d recv %7.2f  send %7.2f\n", i, float64(st.BytesRecv)/secs/1e6, float64(st.BytesSent)/secs/1e6)
 	}
-	for i, id := range res.SplitterNodeIDs {
+	for i, id := range res.Config.Grid().SplitterNodes() {
 		st := res.NodeStats[id]
 		fmt.Printf("  S%-3d recv %7.2f  send %7.2f\n", i, float64(st.BytesRecv)/secs/1e6, float64(st.BytesSent)/secs/1e6)
 	}

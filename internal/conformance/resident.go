@@ -136,7 +136,7 @@ func RunResidentChaos(stream []byte, configs []system.Config, opt ResidentChaosO
 			}
 		}
 		res.Config = cfg
-		w, err := system.NewResidentWall(cfg)
+		w, err := service.New(cfg)
 		if err != nil {
 			res.Sessions = []ResidentSessionOutcome{{Name: "wall", Err: err}}
 			out = append(out, res)
@@ -161,7 +161,7 @@ func RunResidentChaos(stream []byte, configs []system.Config, opt ResidentChaosO
 		}
 		var wg sync.WaitGroup
 		if len(hits) > 0 {
-			if tp, ok := w.Service().Transport().(*cluster.TCPTransport); ok {
+			if tp, ok := w.Transport().(*cluster.TCPTransport); ok {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
@@ -198,7 +198,7 @@ func RunResidentChaos(stream []byte, configs []system.Config, opt ResidentChaosO
 		}
 		wg.Wait()
 		res.Sessions = outcomes
-		res.WallRecovery = w.Service().Recovery()
+		res.WallRecovery = w.Recovery()
 		res.Health = w.Health()
 		res.CloseErr = w.Close()
 		out = append(out, res)
@@ -251,7 +251,7 @@ func RunCorruptIsolation(stream []byte, base system.Config, transport string, ki
 	picW, picH := dec.Seq().MBWidth()*16, dec.Seq().MBHeight()*16
 	const good = 2
 	cfg := recoveryForIsolation(base, transport, good+1)
-	w, werr := system.NewResidentWall(cfg)
+	w, werr := service.New(cfg)
 	if werr != nil {
 		return nil, nil, nil, nil, werr
 	}
@@ -316,7 +316,7 @@ var errSiblingDegraded = errors.New("good session degraded by sibling corruption
 // isolationDiagnostics captures, while the wall is still open, what one
 // failed isolation run needs for diagnosis: the wall's recovery counters
 // and health, the corrupt session's outcome and every goroutine's stack.
-func isolationDiagnostics(w *system.ResidentWall, corruptErr error) string {
+func isolationDiagnostics(w *service.Wall, corruptErr error) string {
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
@@ -327,5 +327,5 @@ func isolationDiagnostics(w *system.ResidentWall, corruptErr error) string {
 		buf = make([]byte, 2*len(buf))
 	}
 	return fmt.Sprintf("wall recovery: %+v\nwall health: %v\ncorrupt session outcome: %v\ngoroutines:\n%s",
-		w.Service().Recovery(), w.Health(), corruptErr, buf)
+		w.Recovery(), w.Health(), corruptErr, buf)
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tiledwall/internal/service"
-	"tiledwall/internal/system"
 )
 
 // TestResidentChaosSoak is the resident-service chaos oracle on both
@@ -130,7 +129,7 @@ func TestWallHealthAndRetryAfter(t *testing.T) {
 	}
 	cfg := recoveryForIsolation(ResidentChaosConfigs()[0], "fabric", 1)
 	cfg.MaxSessions = 1
-	w, err := system.NewResidentWall(cfg)
+	w, err := service.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func runROISession(stream []byte, cfg system.Config, ref []mpeg2.DecodedPicture,
 	cfg.OnTileFrame = tap.hook
 	res := ROIResult{Config: cfg, Transport: cfg.Transport}
 
-	w, err := system.NewResidentWall(cfg)
+	w, err := service.New(cfg)
 	if err != nil {
 		return res, err
 	}
@@ -339,7 +339,7 @@ func RunTrickOracle(stream []byte, configs []system.Config) ([]TrickResult, erro
 // playTrick plays one full-subscription trick-play session and returns the
 // assembled wall frames plus the session accounting.
 func playTrick(stream []byte, cfg system.Config, mode service.TrickMode) ([]*mpeg2.PixelBuf, *service.SessionResult, error) {
-	w, err := system.NewResidentWall(cfg)
+	w, err := service.New(cfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -58,7 +58,7 @@ func RunSessionMatrix(stream []byte, configs []system.Config, sessions int) ([]M
 // playSessions opens one resident wall and feeds `sessions` concurrent
 // copies of the stream, each in a different chunking pattern.
 func playSessions(stream []byte, cfg system.Config, sessions int) ([][]*mpeg2.PixelBuf, error) {
-	w, err := system.NewResidentWall(cfg)
+	w, err := service.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +88,7 @@ func playSessions(stream []byte, cfg system.Config, sessions int) ([][]*mpeg2.Pi
 // playChunked feeds one session in deterministic ragged chunks whose sizes
 // depend on the session index, so concurrent sessions hit the scanner with
 // different split points (including mid-start-code splits).
-func playChunked(w *system.ResidentWall, stream []byte, idx int) ([]*mpeg2.PixelBuf, error) {
+func playChunked(w *service.Wall, stream []byte, idx int) ([]*mpeg2.PixelBuf, error) {
 	res, err := playChunkedResult(w, stream, idx)
 	if err != nil {
 		return nil, err
@@ -98,7 +98,7 @@ func playChunked(w *system.ResidentWall, stream []byte, idx int) ([]*mpeg2.Pixel
 
 // playChunkedResult is playChunked returning the full session result (the
 // chaos axes read Recovery and TileEmissions, not just frames).
-func playChunkedResult(w *system.ResidentWall, stream []byte, idx int) (*service.SessionResult, error) {
+func playChunkedResult(w *service.Wall, stream []byte, idx int) (*service.SessionResult, error) {
 	sess, err := w.Open(fmt.Sprintf("conformance-%d", idx))
 	if err != nil {
 		return nil, err

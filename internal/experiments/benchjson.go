@@ -253,7 +253,7 @@ func BenchJSON(o Options, now time.Time) (*BenchReport, error) {
 func roiBench(data []byte) (*ROIBench, error) {
 	const rounds = 3
 	cfg := system.Config{K: 2, M: 6, N: 4, SplitWorkers: 1}
-	w, err := system.NewResidentWall(cfg)
+	w, err := service.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -442,17 +442,17 @@ func recoveryBench(data []byte) (*RecoveryBench, error) {
 	cfgB := system.Config{K: 2, M: 2, N: 2, SplitWorkers: 1}
 	cfgR := cfgB
 	cfgR.Recovery.Enabled = true
-	wb, err := system.NewResidentWall(cfgB)
+	wb, err := service.New(cfgB)
 	if err != nil {
 		return nil, err
 	}
 	defer wb.Close()
-	wr, err := system.NewResidentWall(cfgR)
+	wr, err := service.New(cfgR)
 	if err != nil {
 		return nil, err
 	}
 	defer wr.Close()
-	round := func(w *system.ResidentWall, best *float64) error {
+	round := func(w *service.Wall, best *float64) error {
 		res, err := w.Play(data)
 		if err != nil {
 			return err
@@ -497,7 +497,7 @@ func serviceBench(data []byte) (*ServiceBench, error) {
 	cfg := system.Config{K: 1, M: 4, N: 4, SplitWorkers: 1, MaxSessions: sessions}
 
 	t0 := time.Now()
-	w, err := system.NewResidentWall(cfg)
+	w, err := service.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -538,7 +538,7 @@ func serviceBench(data []byte) (*ServiceBench, error) {
 	}
 
 	var wg sync.WaitGroup
-	results := make([]*system.Result, sessions)
+	results := make([]*service.SessionResult, sessions)
 	errs := make([]error, sessions)
 	start := time.Now()
 	for i := 0; i < sessions; i++ {

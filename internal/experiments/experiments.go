@@ -17,6 +17,7 @@ import (
 	"sync"
 
 	"tiledwall/internal/catalog"
+	"tiledwall/internal/cluster"
 	"tiledwall/internal/metrics"
 	"tiledwall/internal/mpeg2"
 	"tiledwall/internal/system"
@@ -335,13 +336,13 @@ func Fig9(streamID, k, m, n int, o Options) ([]BandwidthRow, error) {
 			RecvMBps: float64(st.BytesRecv) / secs / 1e6,
 		})
 	}
-	for i, id := range res.DecoderNodeIDs {
+	for i, id := range res.Config.Grid().TileNodes() {
 		add(fmt.Sprintf("D%d", i), id)
 	}
-	for i, id := range res.SplitterNodeIDs {
+	for i, id := range res.Config.Grid().SplitterNodes() {
 		add(fmt.Sprintf("S%d", i), id)
 	}
-	add("root", res.RootNodeID)
+	add("root", cluster.RootNode)
 	return rows, nil
 }
 

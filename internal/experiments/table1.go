@@ -66,8 +66,9 @@ func Table1(streamID int, m, n int, o Options) ([]Table1Row, error) {
 	}
 	pics := float64(res.Throughput.Pictures)
 	var inter int64
-	for _, a := range res.DecoderNodeIDs {
-		for _, b := range res.DecoderNodeIDs {
+	tiles := res.Config.Grid().TileNodes()
+	for _, a := range tiles {
+		for _, b := range tiles {
 			inter += res.PairBytes(a, b)
 		}
 	}

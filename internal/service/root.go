@@ -264,13 +264,15 @@ func (w *Wall) runRoot() error {
 				Payload: it.payload,
 			})
 			if _, corrupt := err.(*splitter.SplitError); corrupt && rv != nil {
+				// It shipped as skip markers, whose acks the next picture's
+				// gate takes.
 				w.failSession(byID, s.id, err.Error(), final)
 			} else if err != nil {
 				return err
 			} else {
-				shipped = true
 				s.shippedPics++
 			}
+			shipped = true
 			s.releaseToken()
 			return nil
 		}

@@ -390,7 +390,7 @@ func (w *Wall) Open(name string) (*Session, error) {
 		tokens:    make(chan struct{}, w.cfg.MaxInFlightPictures),
 		drained:   make(chan struct{}),
 		failedCh:  make(chan struct{}),
-		splitters: make([]*splitter.SecondResult, maxInt(1, w.cfg.K)),
+		splitters: make([]*splitter.SecondResult, max(1, w.cfg.K)),
 		decoders:  make([]*pdec.Result, w.cfg.M*w.cfg.N),
 	}
 	for i := 0; i < cap(s.tokens); i++ {
@@ -400,6 +400,22 @@ func (w *Wall) Open(name string) (*Session, error) {
 	w.loadAct.Store(int64(w.active))
 	w.sessions[s.id] = s
 	return s, nil
+}
+
+// Play decodes one complete stream as one session: open, feed, close. Safe
+// to call from concurrent goroutines, up to MaxSessions. The result's
+// Recovery holds the session's own interventions; the wall-level ones
+// (restarts, replays, root credit timeouts) accrue on Wall.Recovery.
+func (w *Wall) Play(stream []byte) (*SessionResult, error) {
+	sess, err := w.Open("play")
+	if err != nil {
+		return nil, err
+	}
+	if err := sess.Feed(stream); err != nil {
+		sess.Close()
+		return nil, err
+	}
+	return sess.Close()
 }
 
 // retryAfterLocked estimates how long a rejected Open should back off: the
@@ -508,11 +524,4 @@ func (w *Wall) onDecoderResult(session, tile int, res *pdec.Result) {
 		s.decoders[tile] = res
 	}
 	w.mu.Unlock()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

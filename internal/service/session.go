@@ -189,28 +189,30 @@ type SessionResult struct {
 	Subscriptions []SubscriptionEvent
 }
 
-// Modeled returns the pipeline-limit throughput: pictures over the busiest
-// node's busy time, the batch Result.Modeled for one session.
+// Modeled returns the pipeline-model throughput, what the evaluation tables
+// report: Throughput's pictures over the busiest node's timed busy phases,
+// the rate of the slowest stage, F = min(k/ts, 1/td) (DESIGN.md §7). A
+// result with no timed node work reports Throughput unchanged.
 func (r *SessionResult) Modeled() metrics.Throughput {
 	var busiest time.Duration
 	if r.Root != nil {
 		busiest = r.Root.ScanTime + r.Root.CopyTime + r.Root.SendTime
 	}
 	for _, sr := range r.Splitters {
-		if sr != nil && sr.Breakdown.Busy() > busiest {
-			busiest = sr.Breakdown.Busy()
+		if sr != nil {
+			busiest = max(busiest, sr.Breakdown.Busy())
 		}
 	}
 	for _, dr := range r.Decoders {
-		if dr != nil && dr.Breakdown.Busy() > busiest {
-			busiest = dr.Breakdown.Busy()
+		if dr != nil {
+			busiest = max(busiest, dr.Breakdown.Busy())
 		}
 	}
-	return metrics.Throughput{
-		Pictures:         r.Pictures,
-		Elapsed:          busiest,
-		PixelsPerPicture: r.Throughput.PixelsPerPicture,
+	out := r.Throughput
+	if busiest > 0 {
+		out.Elapsed = busiest
 	}
+	return out
 }
 
 // Feed hands the session the next chunk of the elementary stream. Chunks may

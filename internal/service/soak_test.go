@@ -16,7 +16,6 @@ import (
 	"tiledwall/internal/conformance"
 	"tiledwall/internal/mpeg2"
 	"tiledwall/internal/service"
-	"tiledwall/internal/system"
 	"tiledwall/internal/video"
 )
 
@@ -49,7 +48,7 @@ func genStreams(t *testing.T, seeds []int64) []soakStream {
 
 // feedChunked drives one stream through an open session in ragged chunks and
 // returns the assembled frames.
-func feedChunked(w *system.ResidentWall, st soakStream, name string, chunk int) ([]*mpeg2.PixelBuf, error) {
+func feedChunked(w *service.Wall, st soakStream, name string, chunk int) ([]*mpeg2.PixelBuf, error) {
 	sess, err := w.Open(name)
 	if err != nil {
 		return nil, err
@@ -89,7 +88,7 @@ func verifyFrames(ref []mpeg2.DecodedPicture, got []*mpeg2.PixelBuf) error {
 // what keeps the decodes bit-exact.
 func TestSoakMultiSession(t *testing.T) {
 	streams := genStreams(t, []int64{1, 3, 8, 11})
-	walls := []system.Config{
+	walls := []service.Config{
 		{K: 0, M: 2, N: 2},
 		{K: 2, M: 2, N: 2},
 		{K: 3, M: 2, N: 2, Overlap: 16},
@@ -101,7 +100,7 @@ func TestSoakMultiSession(t *testing.T) {
 			t.Parallel()
 			cfg.CollectFrames = true
 			cfg.MaxSessions = len(streams)
-			w, err := system.NewResidentWall(cfg)
+			w, err := service.New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +142,7 @@ func TestSoakMultiSession(t *testing.T) {
 // byte-verified against the serial reference like the fabric soak above.
 func TestSoakTCPLoopback(t *testing.T) {
 	streams := genStreams(t, []int64{3, 11})
-	walls := []system.Config{
+	walls := []service.Config{
 		{K: 0, M: 2, N: 2, Transport: "tcp"},
 		{K: 2, M: 2, N: 2, SplitWorkers: 2, Transport: "tcp"},
 	}
@@ -153,7 +152,7 @@ func TestSoakTCPLoopback(t *testing.T) {
 			t.Parallel()
 			cfg.CollectFrames = true
 			cfg.MaxSessions = len(streams)
-			w, err := system.NewResidentWall(cfg)
+			w, err := service.New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -282,7 +281,7 @@ func TestSoakTCPPeerKill(t *testing.T) {
 // rejected with the typed sentinel, a slot frees on session close, and a
 // closed wall admits nothing.
 func TestAdmissionControl(t *testing.T) {
-	w, err := system.NewResidentWall(system.Config{K: 1, M: 1, N: 1, MaxSessions: 2})
+	w, err := service.New(service.Config{K: 1, M: 1, N: 1, MaxSessions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

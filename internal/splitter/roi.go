@@ -145,6 +145,17 @@ func (rs *ROIScratch) Apply(sps []*subpic.SubPicture, live wall.TileSet, iOnly b
 	return rs.out[:nt], skipped
 }
 
+// skipAll returns a skip marker for picture index of every one of nt tiles,
+// valid until the next Apply or skipAll on the same scratch.
+func (rs *ROIScratch) skipAll(nt, index int) []*subpic.SubPicture {
+	rs.grow(nt)
+	for t := 0; t < nt; t++ {
+		rs.sps[t] = subpic.SubPicture{Pic: subpic.PicInfo{Index: int32(index)}, Skipped: true}
+		rs.out[t] = &rs.sps[t]
+	}
+	return rs.out[:nt]
+}
+
 // ParseSubscribe decodes a FlagSubscribe control payload: one trick-mode
 // byte followed by the tile set's wire form (empty = full subscription).
 func ParseSubscribe(payload []byte) (TrickMode, wall.TileSet, error) {

@@ -141,8 +141,8 @@ func (st *Stage) Handle(msg cluster.Message) (bool, error) {
 		}
 		// A corrupt picture unit fails its session alone: notify the root
 		// (which surfaces a typed error to the feeder) and keep serving the
-		// other sessions. Nothing is shipped, so the decoders conceal the
-		// gap.
+		// other sessions. The picture shipped as skip markers, so the
+		// go-ahead chain stays whole.
 		st.port.Send(cluster.RootNode, &cluster.Message{
 			Kind:    cluster.MsgAck,
 			Seq:     cluster.SessionFailSeq,
@@ -238,7 +238,9 @@ func (st *Stage) Final(session, total int) bool {
 // waits for one go-ahead per decoder, except for the wall's globally first
 // picture (FlagFirstPicture) and for replays (their go-aheads were consumed
 // by the dead incarnation, or will never be sent — replayed sub-pictures
-// are not acked). A picture that does not split returns a *SplitError.
+// are not acked). A picture that does not split returns a *SplitError;
+// under recovery it first passes its gate and ships a skip marker to every
+// tile.
 func (st *Stage) Picture(msg *cluster.Message) error {
 	ss := st.sessions[msg.Session]
 	replay := msg.Flags&cluster.FlagReplay != 0
@@ -248,10 +250,7 @@ func (st *Stage) Picture(msg *cluster.Message) error {
 	var sps []*subpic.SubPicture
 	var err error
 	b.Timed(metrics.PhaseWork, func() { sps, err = ss.ms.Split(msg.Payload, msg.Seq) })
-	if err != nil {
-		// This consumer is done with the picture payload; the root's retainer
-		// may still hold its own reference, in which case the release only
-		// drops this delivery's.
+	if err != nil && st.cfg.Recovery == nil {
 		cluster.PutSlab(msg.Payload)
 		return &SplitError{Err: err}
 	}
@@ -266,7 +265,16 @@ func (st *Stage) Picture(msg *cluster.Message) error {
 	// Partial subscription: rewrite what ships per tile (skip markers for
 	// unmaterialized tiles, SEND-only shells for halo sources, NoEmit stamps
 	// on unwatched anchors). The full-subscription path returns sps as-is.
-	ship, nSkipped := ss.roi.Apply(sps, ss.live, ss.trick == TrickIOnly)
+	// A picture that did not split ships a skip marker to every tile: each
+	// acks it to the ANID, so the next picture's gate, whichever session it
+	// serves, does not wait out its deadline.
+	var ship []*subpic.SubPicture
+	var nSkipped int
+	if err == nil {
+		ship, nSkipped = ss.roi.Apply(sps, ss.live, ss.trick == TrickIOnly)
+	} else {
+		ship = ss.roi.skipAll(st.cfg.Grid.M*st.cfg.Grid.N, msg.Seq)
+	}
 	ss.res.SkippedSubPics += int64(nSkipped)
 
 	var spFlags uint8
@@ -287,12 +295,16 @@ func (st *Stage) Picture(msg *cluster.Message) error {
 			})
 		}
 	})
-	ss.res.Pictures++
-	b.Pictures++
 	// The sub-pictures aliased the picture payload until serialisation; this
 	// delivery's reference can now be released (a root retainer still holds
-	// its own until the receipt ack lands).
+	// its own until the receipt ack lands), also for a picture that did not
+	// split.
 	cluster.PutSlab(msg.Payload)
+	if err != nil {
+		return &SplitError{Err: err}
+	}
+	ss.res.Pictures++
+	b.Pictures++
 	return nil
 }
 

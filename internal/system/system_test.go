@@ -115,7 +115,7 @@ func TestBandwidthAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range res.SplitterNodeIDs {
+	for _, id := range res.Config.Grid().SplitterNodes() {
 		st := res.NodeStats[id]
 		if st.BytesRecv == 0 || st.BytesSent == 0 {
 			t.Errorf("splitter node %d has zero traffic: %+v", id, st)
@@ -124,7 +124,7 @@ func TestBandwidthAccounting(t *testing.T) {
 			t.Errorf("splitter node %d: send %d should exceed receive %d (SPH overhead)", id, st.BytesSent, st.BytesRecv)
 		}
 	}
-	for _, id := range res.DecoderNodeIDs {
+	for _, id := range res.Config.Grid().TileNodes() {
 		if res.NodeStats[id].BytesRecv == 0 {
 			t.Errorf("decoder node %d received nothing", id)
 		}
@@ -257,8 +257,9 @@ func TestMacroblockLevelHasNoRedistribution(t *testing.T) {
 	// Decoder-to-decoder traffic exists (MEI) but is far below one frame per
 	// picture.
 	var interDecoder int64
-	for _, a := range res.DecoderNodeIDs {
-		for _, b := range res.DecoderNodeIDs {
+	tiles := res.Config.Grid().TileNodes()
+	for _, a := range tiles {
+		for _, b := range tiles {
 			interDecoder += res.PairBytes(a, b)
 		}
 	}

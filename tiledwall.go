@@ -14,14 +14,18 @@
 //	internal/encoder     closed-loop MPEG-2 encoder (test content generation)
 //	internal/video       synthetic scene generators (Table 4 analogues)
 //	internal/catalog     the 16-stream catalogue and wall configurations
-//	internal/cluster     in-process message fabric with GM semantics
+//	internal/cluster     in-process GM-like message fabric, TCP transport
 //	internal/wall        tile geometry, overlap, frame assembly
 //	internal/subpic      sub-pictures: SPH headers and MEI instructions
+//	internal/node        the one serve loop of splitter and tile-decoder nodes
 //	internal/splitter    root + second-level splitters, bit-exact SP cutting
 //	internal/pdec        tile decoders (MEI execution, halo windows)
-//	internal/system      pipeline assembly, baselines, §4.6 calibration
-//	internal/service     resident wall service, session multiplexing
-//	internal/experiments the Table/Figure regeneration harness
+//	internal/recovery    leases, supervisor, replay retainers, chaos plans
+//	internal/metrics     phase breakdowns, throughput, recovery counters
+//	internal/service     the resident wall (Wall), sessions, root, recovery
+//	internal/fleet       sessions sharded across warm walls
+//	internal/system      batch Run and its Result, §4.6 calibration
+//	internal/experiments the Table/Figure regeneration harness, baselines
 //
 // Quick start (see examples/quickstart for the runnable version):
 //
@@ -141,10 +145,14 @@ const (
 // Wall is a resident decoding service: the pipeline is built once by NewWall
 // and serves any number of streams — sequentially or concurrently — until
 // Close. Play on a warm wall skips the per-run pipeline construction that
-// dominates short batch runs.
-type Wall struct {
-	w *system.ResidentWall
-}
+// dominates short batch runs; Open starts a session for incremental
+// feeding; Health and Recovery report its fault tolerance.
+type Wall = service.Wall
+
+// SessionResult reports one session on a Wall (Wall.Play, Session.Close).
+// Its Recovery holds the session's own interventions; the wall-level ones
+// are on Wall.Recovery.
+type SessionResult = service.SessionResult
 
 // Session is an incrementally-fed stream on a resident wall (Wall.Open).
 type Session = service.Session
@@ -188,29 +196,7 @@ type SubscriptionEvent = service.SubscriptionEvent
 // (replay + concealment), a corrupt stream fails only its own session
 // (ErrSessionFailed), faults past the budget disrupt rather than hang
 // (ErrSessionDisrupted), and Wall.Health reports the state machine.
-func NewWall(cfg WallConfig) (*Wall, error) {
-	w, err := system.NewResidentWall(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Wall{w: w}, nil
-}
-
-// Play decodes one complete stream as one session on the resident wall.
-// Safe to call from concurrent goroutines, up to the wall's MaxSessions.
-func (w *Wall) Play(stream []byte) (*WallResult, error) { return w.w.Play(stream) }
-
-// Open starts a session for incremental feeding: Session.Feed accepts chunks
-// split at arbitrary byte boundaries, Session.Close drains and reports.
-func (w *Wall) Open(name string) (*Session, error) { return w.w.Open(name) }
-
-// Close drains open sessions, shuts the pipeline down, and reports the abort
-// cause if any node failed.
-func (w *Wall) Close() error { return w.w.Close() }
-
-// Health reports the wall's fault-tolerance state (always Healthy when
-// Recovery is disabled).
-func (w *Wall) Health() Health { return w.w.Health() }
+func NewWall(cfg WallConfig) (*Wall, error) { return service.New(cfg) }
 
 // Decode runs the serial reference decoder, returning pictures in display
 // order.
