@@ -7,6 +7,7 @@ package tiledwall
 
 import (
 	"io"
+	"runtime"
 	"testing"
 
 	"tiledwall/internal/experiments"
@@ -147,6 +148,82 @@ func TestFabricWallAllocs(t *testing.T) {
 	perPicture := wallAllocsPerPicture(t, system.Config{K: 1, M: 4, N: 4, SplitWorkers: 1}, data)
 	if perPicture > 27 {
 		t.Fatalf("1-1-(4,4) fabric wall allocates %.2f objects per picture, budget is 27", perPicture)
+	}
+}
+
+// fabricWall starts the 1-1-(4,4) fabric wall of TestFabricWallAllocs, and
+// returns it with that test's stream after one warm-up session.
+func fabricWall(t *testing.T) (*service.Wall, []byte) {
+	t.Helper()
+	data, _, err := experiments.Stream(8, experiments.Options{Frames: 36, Scale: 2, Seed: 1}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := service.New(system.Config{K: 1, M: 4, N: 4, SplitWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	if _, err := w.Play(data); err != nil {
+		t.Fatal(err)
+	}
+	return w, data
+}
+
+// TestSessionRetentionAlloc pins what a closed session's result keeps
+// alive: counters only. Each tile's result is its own small allocation, not
+// a pointer into the tile's decoder, so a caller that keeps results (a
+// benchmark that reads them after its heap sample, a dashboard) does not
+// keep every tile's reference windows. The measure is the slope of the live
+// heap, after two collections, between 2 and 6 kept results; a result that
+// pinned the windows costs ≈ 3.6 MB each on this wall.
+func TestSessionRetentionAlloc(t *testing.T) {
+	w, data := fabricWall(t)
+	var kept []*service.SessionResult
+	liveAt := func(n int) int64 {
+		for len(kept) < n {
+			res, err := w.Play(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept = append(kept, res)
+		}
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	h2 := liveAt(2)
+	h6 := liveAt(6)
+	perResult := (h6 - h2) / 4
+	t.Logf("live heap %d B with 2 kept results, %d B with 6: %d B per result", h2, h6, perResult)
+	if perResult > 64<<10 {
+		t.Fatalf("a kept session result retains %d B, budget is %d", perResult, 64<<10)
+	}
+	runtime.KeepAlive(kept)
+}
+
+// TestSessionBytesAlloc pins a tile session's pixel memory on the wall of
+// TestFabricWallAllocs: two halo-extended anchor windows and a B target
+// without halo per tile, and no display copy under fail-stop, where the
+// emitted frame is the one copy of each shown tile picture. Three windows
+// and a display buffer per tile read ≈ 3.95 MB per session.
+func TestSessionBytesAlloc(t *testing.T) {
+	w, data := fabricWall(t)
+	const sessions = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < sessions; i++ {
+		if _, err := w.Play(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perSession := float64(after.TotalAlloc-before.TotalAlloc) / sessions
+	t.Logf("%.2f MB allocated per session", perSession/1e6)
+	if perSession > 3.0e6 {
+		t.Fatalf("a 1-1-(4,4) session allocates %.2f MB, budget is 3.0 MB", perSession/1e6)
 	}
 }
 

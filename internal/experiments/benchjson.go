@@ -400,7 +400,7 @@ func fleetBench(data []byte) (*FleetBench, error) {
 				var res *service.SessionResult
 				if res, err = s.Close(); err == nil {
 					mu.Lock()
-					pics += res.Pictures
+					pics += res.Throughput.Pictures
 					mu.Unlock()
 				}
 			}

@@ -147,6 +147,37 @@ func TestGoldenBidirectionalInPlace(t *testing.T) {
 	}
 }
 
+// TestGoldenPredict holds predict, which checks a macroblock's three
+// windows once and runs the architecture's kernels, bit-exact against
+// samplePlaneRef on each plane, for random vectors that reach every luma
+// and chroma phase, into packed and frame-plane destinations.
+func TestGoldenPredict(t *testing.T) {
+	rng := rand.New(rand.NewSource(9302))
+	ref := NewPixelBuf(32, 16, 96, 80)
+	for _, p := range [][]uint8{ref.Y, ref.Cb, ref.Cr} {
+		rng.Read(p)
+	}
+	for trial := 0; trial < 1000; trial++ {
+		x, y := 64, 48
+		mv := [2]int32{int32(rng.Intn(61) - 30), int32(rng.Intn(61) - 30)}
+		if err := checkPrediction(nil, ref, x, y, mv); err != nil {
+			t.Fatal(err)
+		}
+		py, ys, yi := randomDest(rng, 16, 16)
+		pcb, cs, ci := randomDest(rng, 8, 8)
+		pcr := randomBytes(rng, len(pcb))
+		want := [3][]uint8{append([]uint8(nil), py...), append([]uint8(nil), pcb...), append([]uint8(nil), pcr...)}
+		ryi, hx, hy, rci, chx, chy := predictSource(ref, x, y, mv)
+		samplePlaneRef(want[0][yi:], ys, 16, 16, ref.Y, ref.W, ryi, hx, hy)
+		samplePlaneRef(want[1][ci:], cs, 8, 8, ref.Cb, ref.W/2, rci, chx, chy)
+		samplePlaneRef(want[2][ci:], cs, 8, 8, ref.Cr, ref.W/2, rci, chx, chy)
+		predict(ref, x, y, mv, py[yi:], ys, pcb[ci:], pcr[ci:], cs)
+		requireSameBytes(t, "predict luma", want[0], py)
+		requireSameBytes(t, "predict Cb", want[1], pcb)
+		requireSameBytes(t, "predict Cr", want[2], pcr)
+	}
+}
+
 func TestGoldenAvgRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(9302))
 	for trial := 0; trial < 2000; trial++ {

@@ -105,6 +105,12 @@ func TestGoldenResidualKernels(t *testing.T) {
 func TestGoldenKernelBounds(t *testing.T) {
 	var blk [64]int32
 	src := make([]uint8, 17*17)
+	// predict reads one macroblock of ref at (16, 16) with a vector that
+	// takes the half-sample phase in both directions, luma and chroma.
+	ref := NewPixelBuf(0, 0, 48, 48)
+	mv := [2]int32{3, 3}
+	var py [256]uint8
+	var pcb, pcr [64]uint8
 	cases := []struct {
 		name string
 		call func()
@@ -114,6 +120,25 @@ func TestGoldenKernelBounds(t *testing.T) {
 		{"samplePlane src offset", func() { samplePlane(make([]uint8, 256), 16, 16, 16, src, 17, 1, 1, 1) }},
 		{"samplePlane negative offset", func() { samplePlane(make([]uint8, 64), 8, 8, 8, src, 17, -1, 0, 0) }},
 		{"samplePlane negative stride", func() { samplePlane(make([]uint8, 64), -8, 8, 8, src, 17, 0, 0, 0) }},
+		{"predict short luma dst", func() { predict(ref, 16, 16, mv, py[:255], 16, pcb[:], pcr[:], 8) }},
+		{"predict short Cb dst", func() { predict(ref, 16, 16, mv, py[:], 16, pcb[:63], pcr[:], 8) }},
+		{"predict short Cr dst", func() { predict(ref, 16, 16, mv, py[:], 16, pcb[:], pcr[:63], 8) }},
+		{"predict short luma ref", func() {
+			r := *ref
+			r.Y = r.Y[:(16+16)*48+16+16]
+			predict(&r, 16, 16, mv, py[:], 16, pcb[:], pcr[:], 8)
+		}},
+		{"predict short Cb ref", func() {
+			r := *ref
+			r.Cb = r.Cb[:(8+8)*24+8+8]
+			predict(&r, 16, 16, mv, py[:], 16, pcb[:], pcr[:], 8)
+		}},
+		{"predict short Cr ref", func() {
+			r := *ref
+			r.Cr = r.Cr[:(8+8)*24+8+8]
+			predict(&r, 16, 16, mv, py[:], 16, pcb[:], pcr[:], 8)
+		}},
+		{"predict negative index", func() { predict(ref, 0, 0, [2]int32{-2, -2}, py[:], 16, pcb[:], pcr[:], 8) }},
 		{"avgRows short dst", func() { avgRows(make([]uint8, 63), 8, make([]uint8, 64), 8, 8) }},
 		{"avgRows short src", func() { avgRows(make([]uint8, 64), 8, make([]uint8, 63), 8, 8) }},
 		{"putBlock short", func() { putBlock(make([]uint8, 7*16+7), 16, &blk) }},

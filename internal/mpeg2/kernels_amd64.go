@@ -74,13 +74,38 @@ func samplePlane(dst []uint8, ds, w, h int, src []uint8, stride, si, hx, hy int)
 		!rowsFit(len(dst), ds, w, h) || si < 0 || si > len(src) || !rowsFit(len(src)-si, stride, w+hx, h+hy) {
 		panic("mpeg2: samplePlane: block outside its slices")
 	}
-	d, s := &dst[0], &src[si]
-	switch {
-	case hx == 0 && hy == 0:
+	mcRows(&dst[0], ds, &src[si], stride, w, h, hx, hy)
+}
+
+// predict writes the motion-compensated prediction of the macroblock at
+// luma position (x, y) from ref with vector mv (half-sample units): 16×16
+// luma into py (row stride ys), 8×8 chroma into pcb and pcr (row stride
+// cs). The caller has checked the vector with checkPrediction. The luma
+// and both chroma windows are checked here once, then the three kernels
+// run.
+func predict(ref *PixelBuf, x, y int, mv [2]int32, py []uint8, ys int, pcb, pcr []uint8, cs int) {
+	yi, hx, hy, ci, chx, chy := predictSource(ref, x, y, mv)
+	cw, nc := ref.W/2, min(len(ref.Cb), len(ref.Cr))
+	if !rowsFit(len(py), ys, 16, 16) || !rowsFit(len(pcb), cs, 8, 8) || !rowsFit(len(pcr), cs, 8, 8) ||
+		uint(yi) > uint(len(ref.Y)) || !rowsFit(len(ref.Y)-yi, ref.W, 16+hx, 16+hy) ||
+		uint(ci) > uint(nc) || !rowsFit(nc-ci, cw, 8+chx, 8+chy) {
+		panic("mpeg2: predict: macroblock outside its slices")
+	}
+	mcRows(&py[0], ys, &ref.Y[yi], ref.W, 16, 16, hx, hy)
+	mcRows(&pcb[0], cs, &ref.Cb[ci], cw, 8, 8, chx, chy)
+	mcRows(&pcr[0], cs, &ref.Cr[ci], cw, 8, 8, chx, chy)
+}
+
+// mcRows runs the motion-compensation kernel of half-sample phase (hx, hy)
+// on a w×h block whose bounds its caller (samplePlane or predict) has
+// checked.
+func mcRows(d *uint8, ds int, s *uint8, stride, w, h, hx, hy int) {
+	switch hy<<1 | hx {
+	case 0:
 		copyRowsSSE2(d, ds, s, stride, w, h)
-	case hy == 0:
+	case 1:
 		hHalfRowsSSE2(d, ds, s, stride, w, h)
-	case hx == 0:
+	case 2:
 		vHalfRowsSSE2(d, ds, s, stride, w, h)
 	default:
 		hvHalfRowsSSE2(d, ds, s, stride, w, h)

@@ -8,8 +8,8 @@ import (
 // Kernel benchmarks for the hot-path overhaul: the three IDCT coefficient
 // classes the fast dispatch distinguishes (the sparse one with and without
 // a mismatch-toggled coefficient 63), the four half-pel motion compensation
-// phases at both block sizes (16×16 luma, 8×8 chroma), the bidirectional
-// average, and the residual store and adds. Run with the rest of the
+// phases at both block sizes (16×16 luma, 8×8 chroma), one whole macroblock's
+// prediction, the bidirectional average, and the residual store and adds. Run with the rest of the
 // continuous-benchmark layer:
 //
 //	go test -bench 'IDCT|MotionComp|Residual' -benchmem ./internal/mpeg2/
@@ -126,6 +126,28 @@ func BenchmarkMotionCompChromaCopy(b *testing.B) { benchChroma(b, 0, 0) }
 func BenchmarkMotionCompChromaH(b *testing.B)    { benchChroma(b, 1, 0) }
 func BenchmarkMotionCompChromaV(b *testing.B)    { benchChroma(b, 0, 1) }
 func BenchmarkMotionCompChromaHV(b *testing.B)   { benchChroma(b, 1, 1) }
+
+// BenchmarkMotionCompMacroblock predicts one macroblock from one reference
+// (16×16 luma and both 8×8 chroma blocks), cycling through vectors that
+// take every luma phase: the per-reference step of motion compensation,
+// bounds checks included.
+func BenchmarkMotionCompMacroblock(b *testing.B) {
+	ref := NewPixelBuf(0, 0, 64, 64)
+	rng := rand.New(rand.NewSource(6))
+	for _, p := range [][]uint8{ref.Y, ref.Cb, ref.Cr} {
+		for i := range p {
+			p[i] = byte(rng.Intn(256))
+		}
+	}
+	var py [256]uint8
+	var pcb, pcr [64]uint8
+	mvs := [4][2]int32{{2, -4}, {3, 2}, {-2, 1}, {3, 3}}
+	b.ReportAllocs()
+	b.SetBytes(16*16 + 2*8*8)
+	for i := 0; i < b.N; i++ {
+		predict(ref, 16, 16, mvs[i&3], py[:], 16, pcb[:], pcr[:], 8)
+	}
+}
 
 // BenchmarkMotionCompBidir averages a packed 16×16 backward prediction into
 // a forward one in a frame plane: the luma half of a B macroblock's

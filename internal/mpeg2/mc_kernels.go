@@ -2,8 +2,9 @@ package mpeg2
 
 import "encoding/binary"
 
-// Motion-compensation kernels. samplePlane is the hot path of every inter
-// macroblock: it writes a 16×16 luma (or 8×8 chroma) prediction from a
+// Motion-compensation kernels, the hot path of every inter macroblock:
+// predict runs one per plane, each writing a 16×16 luma (or 8×8 chroma)
+// prediction from a
 // reference window with one of four half-sample phases (§7.6.4), straight
 // into the destination frame. The pure-Go kernels below replace the
 // per-pixel scalar loops with row-wise copies and SWAR byte averages; they

@@ -210,27 +210,17 @@ func checkPrediction(dst, ref *PixelBuf, x, y int, mv [2]int32) error {
 	return nil
 }
 
-// predict writes the motion-compensated prediction of the macroblock at
-// luma position (x, y) from ref with vector mv (half-sample units): 16×16
-// luma into py (row stride ys), 8×8 chroma into pcb and pcr (row stride
-// cs). The caller has checked the vector with checkPrediction.
-func predict(ref *PixelBuf, x, y int, mv [2]int32, py []uint8, ys int, pcb, pcr []uint8, cs int) {
-	// Luma.
-	sx := x + int(mv[0]>>1)
-	sy := y + int(mv[1]>>1)
-	samplePlane(py, ys, 16, 16, ref.Y, ref.W, ref.lumaIndex(sx, sy), int(mv[0]&1), int(mv[1]&1))
-
+// predictSource locates the samples the macroblock at luma position (x, y)
+// predicts from in ref with vector mv (half-sample units): the luma index
+// and half-sample phases (hx, hy), and the chroma index and phases (chx,
+// chy) of both chroma planes.
+func predictSource(ref *PixelBuf, x, y int, mv [2]int32) (yi, hx, hy, ci, chx, chy int) {
+	yi = ref.lumaIndex(x+int(mv[0]>>1), y+int(mv[1]>>1))
 	// Chroma: vectors are halved with truncation toward zero (§7.6.3.7).
 	cmvx := mv[0] / 2
 	cmvy := mv[1] / 2
-	csx := x/2 + int(cmvx>>1)
-	csy := y/2 + int(cmvy>>1)
-	chx := int(cmvx & 1)
-	chy := int(cmvy & 1)
-	cw := ref.W / 2
-	ci := ref.chromaIndex(csx, csy)
-	samplePlane(pcb, cs, 8, 8, ref.Cb, cw, ci, chx, chy)
-	samplePlane(pcr, cs, 8, 8, ref.Cr, cw, ci, chx, chy)
+	ci = ref.chromaIndex(x/2+int(cmvx>>1), y/2+int(cmvy>>1))
+	return yi, int(mv[0] & 1), int(mv[1] & 1), ci, int(cmvx & 1), int(cmvy & 1)
 }
 
 // mv/2 truncation toward zero for negative values is what Go's integer

@@ -51,8 +51,15 @@ type Decoder struct {
 	// fail-stop.
 	rec *metrics.Recovery
 
-	bufs             [3]*mpeg2.PixelBuf // ring of halo-extended windows
-	cur, refA, refB  int                // indices into bufs
+	// fwd and bwd are the halo-extended anchor windows: the older and the
+	// newer reference, the forward and backward references of a B picture.
+	// An I or P picture decodes into fwd, whose picture is already emitted
+	// and no longer referenced, and the two then swap. bpic is the B
+	// pictures' target: they are never references, so it covers only the
+	// tile's rectangle, with no halo.
+	fwd, bwd, bpic *mpeg2.PixelBuf
+	// display is the freeze frame concealment emits: the last decoded tile
+	// pixels, kept under fault masking only (nil under fail-stop).
 	display          *mpeg2.PixelBuf
 	pendingAnchor    bool
 	pendingAnchorIdx int
@@ -66,7 +73,7 @@ type Decoder struct {
 	stash []*subpic.BlockBundle
 
 	// The stream total once a Final marker has been seen (-1 before), and
-	// how many of refA/refB hold trustworthy pixels: 0 until the first
+	// how many of fwd/bwd hold trustworthy pixels: 0 until the first
 	// anchor, 1 once P pictures are decodable, 2 once B pictures are. A
 	// respawned incarnation restarts at 0 and conceals until an I picture
 	// and then a P restore the chain.
@@ -98,15 +105,19 @@ func newDecoder(srv *server, session int, seq *mpeg2.SequenceHeader, geo *wall.G
 	y0 := max(rect.Y0-halo, 0)
 	x1 := min(rect.X1+halo, geo.PicW)
 	y1 := min(rect.Y1+halo, geo.PicH)
-	// All three windows are live from the start, so MEI SEND/RECV stays
+	// Both anchor windows are live from the start, so MEI SEND/RECV stays
 	// structurally valid even while the reference chain is untrusted;
-	// validAnchors gates what may actually be decoded.
-	d := &Decoder{srv: srv, session: session, seq: seq, rect: rect, cur: 0, refA: 1, refB: 2, finalTotal: -1}
-	for i := range d.bufs {
-		d.bufs[i] = mpeg2.NewPixelBuf(x0, y0, x1-x0, y1-y0)
+	// validAnchors gates what may actually be decoded. Tile rectangles are
+	// macroblock-aligned and the splitter routes a tile only the
+	// macroblocks that overlap it, so the B target holds every macroblock
+	// the tile decodes.
+	d := &Decoder{srv: srv, session: session, seq: seq, rect: rect, finalTotal: -1,
+		fwd:  mpeg2.NewPixelBuf(x0, y0, x1-x0, y1-y0),
+		bwd:  mpeg2.NewPixelBuf(x0, y0, x1-x0, y1-y0),
+		bpic: mpeg2.NewPixelBuf(rect.X0, rect.Y0, rect.W(), rect.H()),
 	}
-	d.display = mpeg2.NewPixelBuf(rect.X0, rect.Y0, rect.W(), rect.H())
 	if rh := srv.cfg.Recovery; rh != nil {
+		d.display = mpeg2.NewPixelBuf(rect.X0, rect.Y0, rect.W(), rect.H())
 		d.rec = rh.Rec(session)
 		d.spStash = map[int]stashedSubPic{}
 		d.finalsFrom = map[int]bool{}
@@ -116,11 +127,13 @@ func newDecoder(srv *server, session int, seq *mpeg2.SequenceHeader, geo *wall.G
 
 // Finish ends the session on this tile: it releases what the reorder stash
 // still holds past the final total, flushes the display-reorder tail (the
-// held anchor frame) and returns the accumulated result.
+// held anchor frame) and returns a copy of the accumulated result, so a
+// caller that keeps it does not keep the session's windows.
 func (d *Decoder) Finish() *Result {
 	d.releaseStash()
 	d.flushPending()
-	return &d.res
+	res := d.res
+	return &res
 }
 
 // fault is where fail-stop and fault-masking part ways. At each point where
@@ -143,8 +156,13 @@ func (d *Decoder) HandleSubPicture(msg *cluster.Message) (bool, error) {
 	sp := &d.srv.sp
 	if err := subpic.UnmarshalInto(sp, msg.Payload); err != nil {
 		// Fault masking drops an undecodable sub-picture; the deadline path
-		// conceals its picture once later ones arrive.
+		// conceals its picture once later ones arrive. It still acks a data
+		// sub-picture, so the splitter holding the next picture is not left
+		// waiting out its credit timeout; finals carry Seq -1 and never ack.
 		cluster.PutSlab(msg.Payload)
+		if d.masking() && msg.Seq >= 0 {
+			d.ack(msg)
+		}
 		return false, d.fault(fmt.Errorf("tile %d: %w", d.srv.cfg.Index, err))
 	}
 	if sp.Final {
@@ -167,15 +185,7 @@ func (d *Decoder) HandleSubPicture(msg *cluster.Message) (bool, error) {
 		}
 		return d.doneByTotal(), nil
 	}
-	// Ack to the ANID node: grants the splitter holding the next picture its
-	// go-ahead (credit) — the ordering protocol of §4.5. Replays are not
-	// acked: the original ack (or the upstream credit timeout) already
-	// settled the flow-control ledger.
-	if msg.Flags&cluster.FlagReplay == 0 {
-		d.res.Breakdown.Timed(metrics.PhaseAck, func() {
-			d.send(msg.Tag, &cluster.Message{Kind: cluster.MsgAck, Seq: msg.Seq, Session: msg.Session})
-		})
-	}
+	d.ack(msg)
 	if idx := int(sp.Pic.Index); idx != d.nextPic {
 		if !d.masking() {
 			return false, fmt.Errorf("tile %d: picture %d arrived, expected %d (ordering protocol violated)",
@@ -194,6 +204,19 @@ func (d *Decoder) HandleSubPicture(msg *cluster.Message) (bool, error) {
 	return d.masking() && d.doneByTotal(), nil
 }
 
+// ack acks a data sub-picture to its ANID node: it grants the splitter
+// holding the next picture its go-ahead (credit) — the ordering protocol of
+// §4.5. Replays are not acked: the original ack (or the upstream credit
+// timeout) already settled the flow-control ledger.
+func (d *Decoder) ack(msg *cluster.Message) {
+	if msg.Flags&cluster.FlagReplay != 0 {
+		return
+	}
+	d.res.Breakdown.Timed(metrics.PhaseAck, func() {
+		d.send(msg.Tag, &cluster.Message{Kind: cluster.MsgAck, Seq: msg.Seq, Session: msg.Session})
+	})
+}
+
 // doneByTotal reports whether every picture of the stream has been handled.
 func (d *Decoder) doneByTotal() bool {
 	return d.finalTotal >= 0 && d.nextPic >= d.finalTotal
@@ -210,12 +233,22 @@ func (d *Decoder) advance(sp *subpic.SubPicture, payload []byte) error {
 	return err
 }
 
-// refFor maps a reference selector to a buffer index for the picture type.
-func (d *Decoder) refFor(sel subpic.RefSel, picType mpeg2.PictureType) int {
+// refFor maps a reference selector to its anchor window for the picture
+// type: a P picture's one reference is the newer anchor.
+func (d *Decoder) refFor(sel subpic.RefSel, picType mpeg2.PictureType) *mpeg2.PixelBuf {
 	if picType == mpeg2.PictureB && sel == subpic.RefFwd {
-		return d.refA
+		return d.fwd
 	}
-	return d.refB
+	return d.bwd
+}
+
+// target is the window a picture of type t decodes into: the B target, or
+// the older anchor for an I or P picture.
+func (d *Decoder) target(t mpeg2.PictureType) *mpeg2.PixelBuf {
+	if t == mpeg2.PictureB {
+		return d.bpic
+	}
+	return d.fwd
 }
 
 // decodePicture runs one in-order sub-picture: exchange, decode, display
@@ -272,19 +305,21 @@ func (d *Decoder) decodePicture(sp *subpic.SubPicture) error {
 		return nil
 	}
 
-	if !sp.NoEmit {
+	cur := d.target(ph.PicType)
+	if d.display != nil && !sp.NoEmit {
 		b.Timed(metrics.PhaseWork, func() {
-			// Display: blit the tile's visible rectangle (models the frame
-			// buffer upload the paper counts inside Work). NoEmit pictures —
-			// decoded for reference exactness on unwatched tiles — skip it.
-			d.display.CopyRect(d.bufs[d.cur], d.rect.X0, d.rect.Y0, d.rect.W(), d.rect.H())
+			// Fault masking keeps the freeze frame: blit the tile's visible
+			// rectangle, the frame buffer upload the paper counts inside
+			// Work. NoEmit pictures — decoded for reference exactness on
+			// unwatched tiles — skip it.
+			d.display.CopyRect(cur, d.rect.X0, d.rect.Y0, d.rect.W(), d.rect.H())
 		})
 	}
 
 	// Reordering and reference management, as in the serial decoder.
 	if ph.PicType == mpeg2.PictureB {
 		if !sp.NoEmit {
-			d.emitFrame(idx, d.bufs[d.cur])
+			d.emitFrame(idx, cur)
 		}
 		return nil
 	}
@@ -310,10 +345,11 @@ func anchorsFor(t mpeg2.PictureType) int {
 	return 0
 }
 
-// rotate advances the three-buffer ring after an anchor: the decoded picture
-// becomes the backward reference, the old forward reference is recycled.
+// rotate swaps the anchor windows after an anchor: the picture just decoded
+// into fwd becomes the backward reference, the old backward reference the
+// forward one.
 func (d *Decoder) rotate() {
-	d.cur, d.refA, d.refB = d.refA, d.refB, d.cur
+	d.fwd, d.bwd = d.bwd, d.fwd
 }
 
 // flushPending emits the held anchor, if any. A held NoEmit anchor —
@@ -322,7 +358,7 @@ func (d *Decoder) rotate() {
 func (d *Decoder) flushPending() {
 	if d.pendingAnchor {
 		if d.pendingAnchorEmit {
-			d.emitFrame(d.pendingAnchorIdx, d.bufs[d.refB])
+			d.emitFrame(d.pendingAnchorIdx, d.bwd)
 		}
 		d.pendingAnchor = false
 	}
@@ -330,15 +366,32 @@ func (d *Decoder) flushPending() {
 
 // emitFrame hands a copy of the tile pixels to the collector. The copy comes
 // from the pixel-buffer pool and belongs to the collector, which may Release
-// it for reuse once done with it.
+// it for reuse once done with it. Under fail-stop the copy is the frame
+// buffer upload, timed in Work; with no collector it goes into the server's
+// upload frame, so Work counts one upload either way. Under fault masking
+// the freeze-frame blit is the upload, and the copy is made only for a
+// collector.
 func (d *Decoder) emitFrame(picIndex int, buf *mpeg2.PixelBuf) {
 	d.displayCount++
-	if d.srv.cfg.OnFrame == nil {
+	onFrame := d.srv.cfg.OnFrame
+	var out *mpeg2.PixelBuf
+	switch {
+	case onFrame != nil:
+		out = mpeg2.AcquirePixelBuf(d.rect.X0, d.rect.Y0, d.rect.W(), d.rect.H())
+	case d.display == nil:
+		out = d.srv.uploadFrame(d.rect)
+	default:
 		return
 	}
-	out := mpeg2.AcquirePixelBuf(d.rect.X0, d.rect.Y0, d.rect.W(), d.rect.H())
-	out.CopyRect(buf, d.rect.X0, d.rect.Y0, d.rect.W(), d.rect.H())
-	d.srv.cfg.OnFrame(d.session, picIndex, d.srv.cfg.Index, out)
+	upload := func() { out.CopyRect(buf, d.rect.X0, d.rect.Y0, d.rect.W(), d.rect.H()) }
+	if d.display == nil {
+		d.res.Breakdown.Timed(metrics.PhaseWork, upload)
+	} else {
+		upload()
+	}
+	if onFrame != nil {
+		onFrame(d.session, picIndex, d.srv.cfg.Index, out)
+	}
 }
 
 // marshalBundle serialises bb into a slab (the receiving tile releases it
@@ -358,7 +411,7 @@ func (d *Decoder) executeSends(sp *subpic.SubPicture, picType mpeg2.PictureType)
 		}
 		ref := d.refFor(in.Ref, picType)
 		if srv.cfg.UnbatchedSends {
-			d.bufs[ref].ExtractMacroblock(int(in.MBX), int(in.MBY), srv.xferPix[:])
+			ref.ExtractMacroblock(int(in.MBX), int(in.MBY), srv.xferPix[:])
 			bb := subpic.BlockBundle{
 				PicIndex: sp.Pic.Index,
 				Cells:    []subpic.BlockCell{{Ref: in.Ref, MBX: in.MBX, MBY: in.MBY}},
@@ -387,7 +440,7 @@ func (d *Decoder) executeSends(sp *subpic.SubPicture, picType mpeg2.PictureType)
 		} else {
 			bu.pixels = append(bu.pixels, make([]byte, mpeg2.MacroblockBytes)...)
 		}
-		d.bufs[ref].ExtractMacroblock(int(in.MBX), int(in.MBY), bu.pixels[off:])
+		ref.ExtractMacroblock(int(in.MBX), int(in.MBY), bu.pixels[off:])
 	}
 	for _, peer := range srv.sendOrder {
 		bu := srv.sendBundles[peer]
@@ -429,7 +482,7 @@ func (d *Decoder) drainRecvs(sp *subpic.SubPicture, picType mpeg2.PictureType, w
 			return d.fault(fmt.Errorf("tile %d: malformed block bundle", d.srv.cfg.Index))
 		}
 		for i, c := range bb.Cells {
-			buf := d.bufs[d.refFor(c.Ref, picType)]
+			buf := d.refFor(c.Ref, picType)
 			if !buf.Contains(int(c.MBX)*16, int(c.MBY)*16, 16, 16) {
 				d.concealMBs(1)
 				if err := d.fault(fmt.Errorf("tile %d: RECV cell (%d,%d) outside halo window [%d,%d %dx%d] — increase MaxFCode",
@@ -517,15 +570,15 @@ func detach(bb *subpic.BlockBundle) *subpic.BlockBundle {
 	}
 }
 
-// decodePieces decodes every partial slice of the sub-picture into the
-// current window of the ring.
+// decodePieces decodes every partial slice of the sub-picture into its
+// picture type's target window.
 func (d *Decoder) decodePieces(ctx *mpeg2.PictureContext, sp *subpic.SubPicture) error {
 	var fwd, bwd *mpeg2.PixelBuf
 	switch ctx.Pic.PicType {
 	case mpeg2.PictureP:
-		fwd = d.bufs[d.refB]
+		fwd = d.bwd
 	case mpeg2.PictureB:
-		fwd, bwd = d.bufs[d.refA], d.bufs[d.refB]
+		fwd, bwd = d.fwd, d.bwd
 	}
-	return d.srv.pieces.Decode(ctx, sp, d.bufs[d.cur], fwd, bwd)
+	return d.srv.pieces.Decode(ctx, sp, d.target(ctx.Pic.PicType), fwd, bwd)
 }

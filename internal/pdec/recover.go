@@ -37,10 +37,9 @@ type stashedSubPic struct {
 func (d *Decoder) ResumeAt(next int, holes []int) {
 	d.nextPic = next
 	d.validAnchors = 0
-	for _, b := range d.bufs {
+	for _, b := range [...]*mpeg2.PixelBuf{d.fwd, d.bwd, d.bpic, d.display} {
 		b.Fill(128, 128, 128)
 	}
-	d.display.Fill(128, 128, 128)
 	for _, idx := range holes {
 		d.concealEmit(idx)
 	}
@@ -161,8 +160,8 @@ func (d *Decoder) concealKnown(idx int, picType mpeg2.PictureType) {
 }
 
 // concealUnknown handles a picture that never arrived: its type is unknown,
-// so the ring is not rotated (the contents are untrusted either way) and the
-// anchor trust conservatively drops to zero.
+// so the anchors are not swapped (the contents are untrusted either way)
+// and the anchor trust conservatively drops to zero.
 func (d *Decoder) concealUnknown(idx int) {
 	d.flushPending()
 	d.concealEmit(idx)

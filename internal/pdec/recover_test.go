@@ -208,3 +208,33 @@ func TestRecoverNeverAcksReplaysOrFinals(t *testing.T) {
 		t.Fatalf("acks for %v, want only picture 1", acked)
 	}
 }
+
+// TestRecoverAcksCorruptSubPicture: a data sub-picture that fails to
+// unmarshal is dropped but acked to its ANID, exactly once; a corrupt replay
+// and a corrupt final ack nothing, by the rules for intact ones.
+func TestRecoverAcksCorruptSubPicture(t *testing.T) {
+	fab := cluster.New(3, cluster.Config{})
+	var frames []int
+	d := recoverDecoder(t, fab, 1, &metrics.Recovery{}, &frames)
+	garbage := []byte{1, 2, 3}
+	fab.Port(0).Send(1, &cluster.Message{Kind: cluster.MsgSubPicture, Seq: 0, Tag: 2, Payload: garbage})
+	mustStep(t, d, false)
+	fab.Port(0).Send(1, &cluster.Message{Kind: cluster.MsgSubPicture, Seq: 0, Tag: 2, Flags: cluster.FlagReplay, Payload: garbage})
+	mustStep(t, d, false)
+	fab.Port(0).Send(1, &cluster.Message{Kind: cluster.MsgSubPicture, Seq: -1, Tag: 2, Flags: cluster.FlagSessionFinal, Payload: garbage})
+	mustStep(t, d, false)
+	if _, ok := fab.Port(0).TryRecv(cluster.MsgAck); ok {
+		t.Fatal("ack sent to the message sender instead of the ANID")
+	}
+	var acked []int
+	for {
+		m, ok := fab.Port(2).TryRecv(cluster.MsgAck)
+		if !ok {
+			break
+		}
+		acked = append(acked, m.Seq)
+	}
+	if !equalInts(acked, []int{0}) {
+		t.Fatalf("acks for %v, want one for picture 0", acked)
+	}
+}

@@ -60,6 +60,10 @@ type server struct {
 	pieces  PieceDecoder
 	bb      subpic.BlockBundle
 	xferPix [mpeg2.MacroblockBytes]byte
+	// upload is the frame a shown tile picture is copied into under
+	// fail-stop when no collector takes frames: the modelled frame-buffer
+	// upload. It is made anew only when a session's tile size differs.
+	upload *mpeg2.PixelBuf
 	// sendOrder and sendBundles accumulate one picture's outgoing exchange,
 	// one bundle per peer, emptied (storage kept) once it has shipped.
 	sendOrder   []int
@@ -96,6 +100,17 @@ func Serve(port cluster.Port, cfg ServeConfig) error {
 // Open creates the session's decoder (node.Role).
 func (srv *server) Open(session int, _ []byte, seq *mpeg2.SequenceHeader, geo *wall.Geometry) {
 	srv.sessions[session] = newDecoder(srv, session, seq, geo)
+}
+
+// uploadFrame returns the server's upload frame placed over the tile
+// rectangle r.
+func (srv *server) uploadFrame(r wall.Rect) *mpeg2.PixelBuf {
+	if b := srv.upload; b != nil && b.W == r.W() && b.H == r.H() {
+		b.X0, b.Y0 = r.X0, r.Y0
+		return b
+	}
+	srv.upload = mpeg2.NewPixelBuf(r.X0, r.Y0, r.W(), r.H())
+	return srv.upload
 }
 
 // Resume starts a re-joined session at its emission frontier (node.Role).

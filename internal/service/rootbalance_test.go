@@ -255,8 +255,8 @@ func runRootWithStubs(t *testing.T, sizes []int, k int, dynamic bool) [][]stubRe
 	for i := range logs {
 		wantPics += len(logs[i])
 	}
-	if c.res.Pictures != len(sizes) || c.res.Pictures != wantPics {
-		t.Fatalf("root reports %d pictures, stubs saw %d, stream has %d", c.res.Pictures, wantPics, len(sizes))
+	if c.res.Throughput.Pictures != len(sizes) || c.res.Throughput.Pictures != wantPics {
+		t.Fatalf("root reports %d pictures, stubs saw %d, stream has %d", c.res.Throughput.Pictures, wantPics, len(sizes))
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

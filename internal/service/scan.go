@@ -30,32 +30,38 @@ type unitScanner struct {
 
 func newUnitScanner() unitScanner { return unitScanner{picStart: -1} }
 
-// feed appends chunk and emits every picture unit completed by it.
+// feed scans chunk, after what the previous feeds left unfinished, and emits
+// every picture unit completed by it. With nothing left over the chunk is
+// scanned in place, and only its unfinished tail is copied.
 func (sc *unitScanner) feed(chunk []byte, onHeader, onUnit func([]byte) error) error {
-	sc.buf = append(sc.buf, chunk...)
+	data, inPlace := chunk, len(sc.buf) == 0
+	if !inPlace {
+		sc.buf = append(sc.buf, chunk...)
+		data = sc.buf
+	}
 	pos := sc.scanned
 	for {
-		off := bits.NextStartCode(sc.buf, pos)
+		off := bits.NextStartCode(data, pos)
 		if off < 0 {
 			break
 		}
-		code := sc.buf[off+3]
+		code := data[off+3]
 		switch {
 		case code == bits.PictureStartCode:
 			if !sc.headerDone {
 				sc.headerDone = true
-				if err := onHeader(sc.buf[:off]); err != nil {
+				if err := onHeader(data[:off]); err != nil {
 					return err
 				}
 			} else if sc.picStart >= 0 {
-				if err := onUnit(sc.buf[sc.picStart:off]); err != nil {
+				if err := onUnit(data[sc.picStart:off]); err != nil {
 					return err
 				}
 			}
 			sc.picStart = off
 		case code == bits.GroupStartCode, code == bits.SequenceHeaderCod, code == bits.SequenceEndCode:
 			if sc.picStart >= 0 {
-				if err := onUnit(sc.buf[sc.picStart:off]); err != nil {
+				if err := onUnit(data[sc.picStart:off]); err != nil {
 					return err
 				}
 				sc.picStart = -1
@@ -66,14 +72,8 @@ func (sc *unitScanner) feed(chunk []byte, onHeader, onUnit func([]byte) error) e
 	// A start-code prefix may straddle the chunk boundary: NextStartCode
 	// needs the code byte in bounds, so the last three bytes stay unscanned
 	// until more data arrives.
-	sc.scanned = len(sc.buf) - 3
-	if sc.scanned < pos {
-		sc.scanned = pos
-	}
-	if sc.scanned < 0 {
-		sc.scanned = 0
-	}
-	sc.compact()
+	sc.scanned = max(len(data)-3, pos, 0)
+	sc.keep(data, inPlace)
 	return nil
 }
 
@@ -89,26 +89,24 @@ func (sc *unitScanner) flush(onUnit func([]byte) error) error {
 	return onUnit(u)
 }
 
-// compact drops consumed bytes so the buffer holds at most the open picture
-// unit (or the growing header prefix) plus the unscanned tail.
-func (sc *unitScanner) compact() {
+// keep leaves in the buffer only what the next feed needs of data: the open
+// picture unit (or the growing header prefix) plus the unscanned tail. data
+// is the buffer itself unless it was scanned in place.
+func (sc *unitScanner) keep(data []byte, inPlace bool) {
 	var from int
 	switch {
 	case !sc.headerDone:
-		return // the whole prefix is still needed for onHeader
+		// The whole prefix is still needed for onHeader.
 	case sc.picStart >= 0:
 		from = sc.picStart
 	default:
 		from = sc.scanned
 	}
-	if from <= 0 {
-		return
+	if from > 0 || inPlace {
+		sc.buf = append(sc.buf[:0], data[from:]...)
 	}
-	sc.buf = append(sc.buf[:0], sc.buf[from:]...)
 	if sc.picStart >= 0 {
 		sc.picStart -= from
 	}
-	if sc.scanned -= from; sc.scanned < 0 {
-		sc.scanned = 0
-	}
+	sc.scanned -= from
 }

@@ -30,7 +30,9 @@ func buildStream(payloads ...[]byte) (stream []byte, header []byte, units [][]by
 }
 
 // scanCollect feeds the stream to a fresh scanner in fixed-size chunks and
-// returns what came out of the callbacks.
+// returns what came out of the callbacks. Each chunk is fed from one reused
+// buffer and clobbered after its feed, as a caller may do, so a scanner that
+// kept aliasing a chunk would emit corrupt units.
 func scanCollect(t *testing.T, stream []byte, chunkSize int) (header []byte, units [][]byte) {
 	t.Helper()
 	sc := newUnitScanner()
@@ -42,13 +44,18 @@ func scanCollect(t *testing.T, stream []byte, chunkSize int) (header []byte, uni
 		units = append(units, append([]byte(nil), b...))
 		return nil
 	}
+	var chunk []byte
 	for off := 0; off < len(stream); off += chunkSize {
 		end := off + chunkSize
 		if end > len(stream) {
 			end = len(stream)
 		}
-		if err := sc.feed(stream[off:end], onHeader, onUnit); err != nil {
+		chunk = append(chunk[:0], stream[off:end]...)
+		if err := sc.feed(chunk, onHeader, onUnit); err != nil {
 			t.Fatalf("feed: %v", err)
+		}
+		for i := range chunk {
+			chunk[i] = 0xFF
 		}
 	}
 	if err := sc.flush(onUnit); err != nil {

@@ -151,8 +151,7 @@ func (s *Session) Name() string { return s.name }
 
 // SessionResult is what a closed session decoded and how fast.
 type SessionResult struct {
-	Name     string
-	Pictures int
+	Name string
 	// Throughput measures wall-clock Open→drain, so it includes any time the
 	// feeder idled between chunks.
 	Throughput metrics.Throughput
@@ -177,7 +176,7 @@ type SessionResult struct {
 	// tile count when no partial subscription was set).
 	SubscribedTiles int
 	// ShippedPictures counts pictures that reached the pipeline; with trick
-	// play active it is smaller than Pictures.
+	// play active it is smaller than Throughput.Pictures.
 	ShippedPictures int
 	// SkippedPictures counts pictures the root dropped for trick play.
 	SkippedPictures int
@@ -303,8 +302,7 @@ func (s *Session) Close() (*SessionResult, error) {
 	}
 	s.rootRes.Pictures = s.pics
 	res := &SessionResult{
-		Name:     s.name,
-		Pictures: s.pics,
+		Name: s.name,
 		Throughput: metrics.Throughput{
 			Pictures:         s.pics,
 			Elapsed:          time.Since(s.openedAt),
@@ -329,7 +327,10 @@ func (s *Session) Close() (*SessionResult, error) {
 		}
 	}
 	if s.w.cfg.K > 0 {
-		res.Root = &s.rootRes
+		// A copy: a pointer into the session would keep its scan buffer
+		// (the fed stream) alive for as long as the caller keeps the result.
+		root := s.rootRes
+		res.Root = &root
 	}
 	strict := true
 	if rv := s.w.rv; rv != nil {

@@ -50,7 +50,7 @@ func TestMergedResult(t *testing.T) {
 			}
 		}},
 		{"modeled busiest 0", func(t *testing.T) {
-			r := &service.SessionResult{Pictures: 10, Throughput: metrics.Throughput{
+			r := &service.SessionResult{Throughput: metrics.Throughput{
 				Pictures: 10, Elapsed: 2 * time.Second, PixelsPerPicture: 64}}
 			if got := r.Modeled(); got != r.Throughput || got.FPS() != 5 {
 				t.Errorf("Modeled %+v (%.1f fps), want Throughput %+v unchanged", got, got.FPS(), r.Throughput)
@@ -76,12 +76,13 @@ func TestMergedResult(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r.ShippedPictures >= r.Pictures {
-				t.Fatalf("drop-B shipped %d of %d pictures", r.ShippedPictures, r.Pictures)
+			pics := r.Throughput.Pictures
+			if r.ShippedPictures >= pics {
+				t.Fatalf("drop-B shipped %d of %d pictures", r.ShippedPictures, pics)
 			}
 			// Dropped pictures count: the model is the stream's rate.
-			if got := r.Modeled(); got.Pictures != r.Pictures || got.Elapsed != busiest(r) {
-				t.Errorf("Modeled %+v, want %d pictures over %v", got, r.Pictures, busiest(r))
+			if got := r.Modeled(); got.Pictures != pics || got.Elapsed != busiest(r) {
+				t.Errorf("Modeled %+v, want %d pictures over %v", got, pics, busiest(r))
 			}
 		}},
 		{"run sums session and wall recovery", func(t *testing.T) {
