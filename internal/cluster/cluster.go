@@ -7,8 +7,8 @@
 //     the ANID ack-redirect protocol);
 //   - zero-copy transfer (payload slices are handed over, never copied;
 //     the message header itself travels by value);
-//   - receive into posted buffers, modelled by per-kind receive queues with
-//     bounded depth;
+//   - receive into posted buffers, modelled by one unbounded inbox per
+//     (port, kind) whose depth the credit protocols bound;
 //   - per-link byte accounting for the bandwidth experiments (Fig. 9) and
 //     optional bandwidth throttling.
 //
@@ -166,12 +166,6 @@ type Config struct {
 	StallTimeout time.Duration
 }
 
-// queueDepth bounds each node's receive queue per kind (posted buffers per
-// sender-role); sends block when the receiver's queue for that kind is
-// full. It is deep enough that the paper's credit protocol, not the
-// transport, is what limits the pipeline.
-const queueDepth = 64
-
 // ErrStalled is the abort cause recorded by the StallTimeout watchdog when
 // fabric traffic dries up while nodes are still blocked.
 var ErrStalled = errors.New("cluster: fabric stalled (no traffic within StallTimeout)")
@@ -191,11 +185,7 @@ func New(n int, cfg Config) *Fabric {
 	}
 	f.core.init(n)
 	for i := range f.nodes {
-		e := &endpoint{id: i, c: &f.core, out: f}
-		for k := range e.in {
-			e.in[k] = make(chan Message, queueDepth)
-		}
-		f.nodes[i] = e
+		f.nodes[i] = &endpoint{id: i, c: &f.core, in: newInboxes(), out: f}
 	}
 	f.watch(cfg.StallTimeout, f.Abort)
 	return f
@@ -209,21 +199,17 @@ func (f *Fabric) Shutdown() { f.stopWatch() }
 // Port returns the port of node id.
 func (f *Fabric) Port(id int) Port { return Port{f.nodes[id]} }
 
-// send delivers m to its destination's queue for its kind. It blocks only
-// when that queue is full (transport backpressure; the protocols are
-// designed so their own credit scheme keeps queues shallow).
+// send delivers m to its destination's inbox for its kind; it never blocks
+// (the protocols' credit schemes keep inboxes shallow).
 func (f *Fabric) send(m Message) {
 	f.touch()
 	if f.cfg.BandwidthBps > 0 {
 		time.Sleep(time.Duration(float64(m.wireBytes()) / f.cfg.BandwidthBps * 1e9))
 	}
 	f.account(m.From, m.To, &m)
-	select {
-	case f.nodes[m.To].in[m.Kind] <- m:
-	case <-f.done:
-	}
+	f.nodes[m.To].in[m.Kind].push(m)
 }
 
-// Abort unblocks every pending receive and send so node loops can unwind
-// after a peer failed. The first recorded cause wins.
+// Abort unblocks every pending receive so node loops can unwind after a
+// peer failed. The first recorded cause wins.
 func (f *Fabric) Abort(cause error) { f.abort(cause) }

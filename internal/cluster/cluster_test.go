@@ -112,27 +112,6 @@ func TestAbortUnblocksRecv(t *testing.T) {
 	}
 }
 
-func TestAbortUnblocksSend(t *testing.T) {
-	f := New(2, Config{})
-	for i := 0; i < queueDepth; i++ {
-		f.Port(0).Send(1, &Message{Kind: MsgPicture}) // fills the queue
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		f.Port(0).Send(1, &Message{Kind: MsgPicture}) // would block
-	}()
-	f.Abort(errors.New("stop"))
-	doneCh := make(chan struct{})
-	go func() { wg.Wait(); close(doneCh) }()
-	select {
-	case <-doneCh:
-	case <-time.After(time.Second):
-		t.Fatal("Send did not unblock on abort")
-	}
-}
-
 func TestShutdownIdempotent(t *testing.T) {
 	// Repeated and concurrent Shutdown calls must all be safe: pipeline
 	// drivers defer Shutdown while error paths may already have called it.

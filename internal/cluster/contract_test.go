@@ -3,7 +3,9 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -83,22 +85,19 @@ func TestTransportContractFIFO(t *testing.T) {
 				}
 			}(s)
 		}
-		// One consumer per kind: the port contract allows selecting across
-		// kind queues, and a sequential per-kind drain would deadlock against
-		// the fabric's bounded queues (which is the protocols' job to avoid).
+		// One consumer drains the kinds one after another: sends never
+		// block, so the senders finish whatever order the receiver takes.
 		recv := tr.Port(0)
 		errs := make(chan error, len(kinds))
 		var rg sync.WaitGroup
-		for k := range kinds {
-			rg.Add(1)
-			go func(kind MsgKind) {
-				defer rg.Done()
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			for _, kind := range kinds {
 				last := map[int]int{} // sender -> last seq
 				for got := 0; got < (nodes-1)*perSender/len(kinds); got++ {
-					var m Message
-					select {
-					case m = <-recv.Queue(kind):
-					case <-recv.Done():
+					m, ok := recv.Recv(kind)
+					if !ok {
 						errs <- fmt.Errorf("kind %v: transport aborted: %v", kind, tr.AbortCause())
 						return
 					}
@@ -116,8 +115,8 @@ func TestTransportContractFIFO(t *testing.T) {
 						return
 					}
 				}
-			}(kinds[k])
-		}
+			}
+		}()
 		rg.Wait()
 		close(errs)
 		for err := range errs {
@@ -162,8 +161,8 @@ func TestTransportContractAbort(t *testing.T) {
 			t.Fatalf("AbortCause = %v, want first cause %v", got, cause)
 		}
 		// Send after abort must not block or panic. (Whether the message is
-		// still delivered is unspecified: the fabric's select may pick the
-		// queue when it has space, the TCP port drops it.)
+		// still queued is unspecified: the fabric queues it, the TCP port
+		// drops it; no receive delivers it.)
 		tr.Port(0).Send(1, &Message{Kind: MsgAck})
 	})
 }
@@ -322,20 +321,133 @@ func TestTransportContractAccounting(t *testing.T) {
 	}
 }
 
-// TestTransportContractQueueSelect: Queue exposes a channel usable in a
-// select together with Done, the shape the service root is built on.
+// TestTransportContractQueueSelect: Ready exposes an inbox's doorbell,
+// usable in a select together with Done — the shape the service root is
+// built on — and TryRecv then takes the queued message.
 func TestTransportContractQueueSelect(t *testing.T) {
 	forEachTransport(t, 2, 0, func(t *testing.T, tr Transport) {
 		tr.Port(1).Send(0, &Message{Kind: MsgAck, Seq: 42})
-		select {
-		case m := <-tr.Port(0).Queue(MsgAck):
-			if m.Seq != 42 {
-				t.Fatalf("queue delivered seq %d, want 42", m.Seq)
+		port := tr.Port(0)
+		deadline := time.After(5 * time.Second)
+		for {
+			select {
+			case <-port.Ready(MsgAck):
+			case <-port.Done():
+				t.Fatalf("transport aborted: %v", tr.AbortCause())
+			case <-deadline:
+				t.Fatal("queued message never rang the Ready doorbell")
 			}
-		case <-tr.Port(0).Done():
-			t.Fatalf("transport aborted: %v", tr.AbortCause())
+			if m, ok := port.TryRecv(MsgAck); ok {
+				if m.Seq != 42 {
+					t.Fatalf("queue delivered seq %d, want 42", m.Seq)
+				}
+				return
+			}
+		}
+	})
+}
+
+// TestTransportContractSendNeverBlocks: inboxes are unbounded, so a sender
+// never waits for its receiver — 1,000 sends to a port nobody reads all
+// return — and Abort still releases a receive parked on another kind, and
+// turns every receive, even of a kind with messages queued, into !ok.
+func TestTransportContractSendNeverBlocks(t *testing.T) {
+	forEachTransport(t, 2, 0, func(t *testing.T, tr Transport) {
+		sent := make(chan struct{})
+		go func() {
+			for i := 0; i < 1000; i++ {
+				tr.Port(0).Send(1, &Message{Kind: MsgPicture, Seq: i})
+			}
+			close(sent)
+		}()
+		select {
+		case <-sent:
+		case <-time.After(10 * time.Second):
+			t.Fatal("1,000 sends to an unread port did not return")
+		}
+		parked := make(chan bool)
+		go func() {
+			_, ok := tr.Port(1).Recv(MsgAck)
+			parked <- ok
+		}()
+		time.Sleep(20 * time.Millisecond)
+		tr.Abort(errors.New("stop"))
+		select {
+		case ok := <-parked:
+			if ok {
+				t.Fatal("a parked Recv delivered a message after Abort")
+			}
 		case <-time.After(5 * time.Second):
-			t.Fatal("queued message never surfaced on Queue channel")
+			t.Fatal("a parked Recv was not released by Abort")
+		}
+		if _, ok := tr.Port(1).Recv(MsgPicture); ok {
+			t.Fatal("Recv after Abort delivered a queued message")
+		}
+	})
+}
+
+// TestTransportContractInboxStress: three senders and one consumer that
+// mixes every way of receiving — Recv, TryRecv, RecvTimeout and a select on
+// the Ready doorbell that takes a single message per token. Each sender's
+// messages arrive in order, and a doorbell wait never sleeps through a
+// message already sent: every pop that leaves messages behind must leave a
+// token behind too. Run it under -race.
+func TestTransportContractInboxStress(t *testing.T) {
+	const senders, perSender = 3, 2000
+	forEachTransport(t, senders+1, 0, func(t *testing.T, tr Transport) {
+		var sentN atomic.Int64
+		for s := 1; s <= senders; s++ {
+			go func(port Port) {
+				for i := 0; i < perSender; i++ {
+					port.Send(0, &Message{Kind: MsgBlocks, Seq: i})
+					sentN.Add(1)
+					if i%64 == 0 {
+						runtime.Gosched()
+					}
+				}
+			}(tr.Port(s))
+		}
+		port := tr.Port(0)
+		next := make([]int, senders+1)
+		got := 0
+		check := func(m Message) {
+			if m.Seq != next[m.From] {
+				t.Fatalf("sender %d: seq %d, want %d", m.From, m.Seq, next[m.From])
+			}
+			next[m.From]++
+			got++
+		}
+		for i := 0; got < senders*perSender; i++ {
+			switch i % 4 {
+			case 0:
+				m, ok := port.Recv(MsgBlocks)
+				if !ok {
+					t.Fatalf("transport aborted: %v", tr.AbortCause())
+				}
+				check(m)
+			case 1:
+				if m, ok := port.TryRecv(MsgBlocks); ok {
+					check(m)
+				}
+			case 2:
+				m, ok, timedOut := port.RecvTimeout(MsgBlocks, time.Millisecond)
+				if ok {
+					check(m)
+				} else if !timedOut {
+					t.Fatalf("transport aborted: %v", tr.AbortCause())
+				}
+			case 3:
+				select {
+				case <-port.Ready(MsgBlocks):
+					if m, ok := port.TryRecv(MsgBlocks); ok {
+						check(m)
+					}
+				case <-time.After(2 * time.Second):
+					if n := sentN.Load(); n > int64(got) {
+						t.Fatalf("lost wake-up: %d sent, %d received, doorbell silent for 2 s", n, got)
+					}
+				}
+			}
 		}
 	})
 }
@@ -379,6 +491,20 @@ func TestTransportContractSendRecvAllocs(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(500, hop); allocs != 0 {
 			t.Fatalf("Send+Recv allocates %v objects per message, want 0", allocs)
+		}
+		// A burst grows the inbox to its peak once; the grown ring is then
+		// reused, so the hop stays allocation-free.
+		const burst = 200
+		for i := 0; i < burst; i++ {
+			from.Send(1, &Message{Kind: MsgSubPicture, Seq: i})
+		}
+		for i := 0; i < burst; i++ {
+			if m, ok := to.Recv(MsgSubPicture); !ok || m.Seq != i {
+				t.Fatalf("burst message %d: seq %d, ok %v", i, m.Seq, ok)
+			}
+		}
+		if allocs := testing.AllocsPerRun(500, hop); allocs != 0 {
+			t.Fatalf("after a %d-message burst, Send+Recv allocates %v objects per message, want 0", burst, allocs)
 		}
 		if !inFreeList(sent) {
 			t.Fatal("the sender's payload slab did not come back to its class")

@@ -9,8 +9,9 @@ import (
 // core is what both transports embed: the traffic ledger (per-node and
 // per-pair counters, per-session bytes), the stall watchdog and the activity
 // count it samples, the abort domain's record (first cause, Done), and the
-// blocking receives over one port's queue. Abort itself stays with each
-// transport (TCP's teardown differs); the watchdog calls back into it.
+// blocking receives over one port's inbox (inbox.go). Abort itself stays
+// with each transport (TCP's teardown differs); the watchdog calls back into
+// it.
 //
 // Every message is accounted exactly once per process: the fabric and a TCP
 // port account at send; a TCP port accounts at receive only messages from a
@@ -166,40 +167,6 @@ func (c *core) watch(timeout time.Duration, abort func(error)) {
 
 // stopWatch stops the watchdog, if one is armed; safe to call repeatedly.
 func (c *core) stopWatch() { c.stop1.Do(func() { close(c.stop) }) }
-
-// recv blocks on one port's receive queue q; ok is false after abort.
-func (c *core) recv(q <-chan Message) (Message, bool) {
-	select {
-	case m := <-q:
-		c.touch()
-		return m, true
-	case <-c.done:
-		return Message{}, false
-	}
-}
-
-// recvTimeout waits up to d on q with the port's reusable timer; see
-// Port.RecvTimeout.
-func (c *core) recvTimeout(q <-chan Message, tm *recvTimer, d time.Duration) (m Message, ok, timedOut bool) {
-	// Fast path: no timer when a message is already queued.
-	select {
-	case m = <-q:
-		c.touch()
-		return m, true, false
-	default:
-	}
-	select {
-	case m = <-q:
-		tm.stop()
-		c.touch()
-		return m, true, false
-	case <-tm.start(d):
-		return Message{}, false, true
-	case <-c.done:
-		tm.stop()
-		return Message{}, false, false
-	}
-}
 
 // recvTimer is a port's one receive-deadline timer. A port has a single
 // receiving goroutine (Port), so one timer serves every timed receive and

@@ -42,7 +42,7 @@ var errLinkDown = errors.New("link down")
 type link struct {
 	t    *TCPTransport
 	node int
-	q    *fifo[outItem]
+	q    *fifo
 	// replace swaps in a live connection after old failed, or returns nil
 	// when the link is gone for good: the port end redials, the hub end waits
 	// for the node's redial to attach.
@@ -57,7 +57,7 @@ type link struct {
 }
 
 func newLink(t *TCPTransport, node int, hubEnd bool) *link {
-	l := &link{t: t, node: node, q: newFIFO[outItem]()}
+	l := &link{t: t, node: node, q: newFIFO()}
 	l.cond.L = &l.mu
 	l.replace = l.redial
 	if hubEnd {
@@ -256,28 +256,24 @@ func (l *link) kill() {
 }
 
 // fifo is an unbounded, closable queue with one consumer: a link's outbound
-// frames, or one receive kind's messages on their way from a port's reader
-// to the consumer's channel. Unbounded is deliberate: the credit protocol,
-// not the transport, bounds what is in flight. A bounded outbound queue
-// would add blocking edges the deadlock-freedom argument does not account
-// for, and a bounded receive queue would let a slow consumer of one kind
-// block the reader while another kind is waited on — head-of-line blocking
-// the fabric's per-kind queues do not have.
-type fifo[T any] struct {
+// frames. Unbounded is deliberate: the credit protocol, not the transport,
+// bounds what is in flight, and a bounded outbound queue would add blocking
+// edges the deadlock-freedom argument does not account for.
+type fifo struct {
 	mu     sync.Mutex
 	cond   sync.Cond
-	items  []T
+	items  []outItem
 	closed bool
 }
 
-func newFIFO[T any]() *fifo[T] {
-	q := &fifo[T]{}
+func newFIFO() *fifo {
+	q := &fifo{}
 	q.cond.L = &q.mu
 	return q
 }
 
 // put enqueues v; false (nothing queued) after close.
-func (q *fifo[T]) put(v T) bool {
+func (q *fifo) put(v outItem) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -291,7 +287,7 @@ func (q *fifo[T]) put(v T) bool {
 // take blocks until something is queued or the queue is closed, then swaps
 // everything queued for spare, an emptied slice the consumer hands back for
 // reuse. done reports a closed queue: what take returned is the last of it.
-func (q *fifo[T]) take(spare []T) (items []T, done bool) {
+func (q *fifo) take(spare []outItem) (items []outItem, done bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(q.items) == 0 && !q.closed {
@@ -302,41 +298,9 @@ func (q *fifo[T]) take(spare []T) (items []T, done bool) {
 }
 
 // close ends the queue; the consumer takes what remains, then sees done.
-func (q *fifo[T]) close() {
+func (q *fifo) close() {
 	q.mu.Lock()
 	q.closed = true
 	q.cond.Broadcast()
 	q.mu.Unlock()
-}
-
-// pump moves one receive kind's messages from a port's reader to the
-// consumer's channel in order, so the reader never waits on a slow consumer.
-type pump struct {
-	q  *fifo[Message]
-	ch chan Message
-}
-
-func newPump(done <-chan struct{}) *pump {
-	p := &pump{q: newFIFO[Message](), ch: make(chan Message, 1)}
-	go p.run(done)
-	return p
-}
-
-func (p *pump) run(abort <-chan struct{}) {
-	var msgs []Message
-	for {
-		var done bool
-		msgs, done = p.q.take(msgs)
-		for _, m := range msgs {
-			select {
-			case p.ch <- m:
-			case <-abort:
-				return
-			}
-		}
-		if done {
-			return
-		}
-		clear(msgs)
-	}
 }

@@ -28,7 +28,7 @@ import (
 //   - per-sender FIFO: a sender's frames traverse one ordered byte stream to
 //     the hub, the hub routes them in arrival order into one ordered
 //     per-destination queue, and the destination dispatches in stream order;
-//   - no transport-level deadlock: receive queues are unbounded (the credit
+//   - no transport-level deadlock: receive inboxes are unbounded (the credit
 //     protocol, not the transport, bounds memory), so a full queue can never
 //     create a cross-kind dependency the protocols don't know about;
 //   - single abort domain: any link failure aborts the local transport,
@@ -198,11 +198,7 @@ func (t *TCPTransport) connectLocal(addr string) error {
 		return fail(err)
 	}
 	for _, p := range dialed {
-		p.ep = endpoint{id: p.node, c: &t.core, out: p}
-		for k := range p.pumps {
-			p.pumps[k] = newPump(t.done)
-			p.ep.in[k] = p.pumps[k].ch
-		}
+		p.ep = endpoint{id: p.node, c: &t.core, in: newInboxes(), out: p}
 		t.ports[p.node] = p
 		p.mu.Lock()
 		p.attachLocked(p.conn, p.br)
@@ -285,15 +281,6 @@ func (t *TCPTransport) abortTeardown(cause error) {
 	for _, c := range conns {
 		c.Close()
 	}
-	closePumps(ports)
-}
-
-func closePumps(ports []*tcpPort) {
-	for _, p := range ports {
-		for _, pm := range p.pumps {
-			pm.q.close()
-		}
-	}
 }
 
 // Shutdown tears a cleanly-drained transport down: flush and half-close
@@ -320,7 +307,6 @@ func (t *TCPTransport) Shutdown() {
 		if t.hub != nil {
 			t.hub.shutdown()
 		}
-		closePumps(ports)
 	})
 }
 
@@ -432,14 +418,13 @@ func (t *TCPTransport) handshake(conn *net.TCPConn, id int) (*bufio.Reader, erro
 }
 
 // tcpPort is one node's endpoint: the port end of its link to the hub, plus
-// a reader dispatching inbound messages into per-kind pumps, whose outputs
-// are the Port's receive queues. In Recoverable mode either I/O goroutine
-// may replace the connection by redialing.
+// a reader pushing inbound messages straight into the Port's per-kind
+// inboxes. In Recoverable mode either I/O goroutine may replace the
+// connection by redialing.
 type tcpPort struct {
 	*link
-	pumps [numKinds]*pump
-	ep    endpoint
-	rd    frameReader
+	ep endpoint
+	rd frameReader
 }
 
 // send frames the message onto this port's link. The write itself happens
@@ -457,9 +442,10 @@ func (p *tcpPort) send(m Message) {
 	p.q.put(outItem{msg: m})
 }
 
-// reader decodes inbound frames and dispatches messages into the per-kind
-// pumps. Message payloads were read into slab-pool slices, so the
-// consumer's PutSlab keeps the receive path zero-alloc in steady state.
+// reader decodes inbound frames and pushes messages into the per-kind
+// inboxes; a push never waits on the consumer. Message payloads were read
+// into slab-pool slices, so the consumer's PutSlab keeps the receive path
+// zero-alloc in steady state.
 func (p *tcpPort) reader() {
 	t := p.t
 	for {
@@ -501,7 +487,7 @@ func (p *tcpPort) reader() {
 				// so account it here (local senders were accounted at send).
 				t.account(m.From, p.node, m)
 			}
-			p.pumps[m.Kind].q.put(*m)
+			p.ep.in[m.Kind].push(*m)
 		case frameAbort:
 			t.Abort(fr.Abort)
 			return

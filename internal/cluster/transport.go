@@ -15,13 +15,13 @@ import "time"
 type Port struct{ e *endpoint }
 
 // endpoint is what a transport plugs into a Port: the node id, the abort
-// domain and ledger, the per-kind receive queues (the fabric's posted
-// buffers, or a TCP port's pump outputs), the sending half and the port's
+// domain and ledger, the per-kind inboxes (the fabric's sends and a TCP
+// port's reader push into the same type), the sending half and the port's
 // one receive timer.
 type endpoint struct {
 	id    int
 	c     *core
-	in    [numKinds]chan Message
+	in    *[numKinds]inbox
 	out   sender
 	timer recvTimer
 }
@@ -34,9 +34,10 @@ type sender interface{ send(m Message) }
 // ID returns the node id.
 func (p Port) ID() int { return p.e.id }
 
-// Send delivers a copy of msg, addressed from this port to node to. On the
-// fabric it blocks only when the receiver's queue for the kind is full; on
-// TCP it never blocks on the network (the link writer batches).
+// Send delivers a copy of msg, addressed from this port to node to. It
+// never blocks on the receiver: inboxes are unbounded, and the credit
+// protocols bound what is queued. On TCP the link writer batches the frame
+// onto the network.
 func (p Port) Send(to int, msg *Message) {
 	m := *msg
 	m.From, m.To = p.e.id, to
@@ -46,17 +47,13 @@ func (p Port) Send(to int, msg *Message) {
 // Recv blocks until a message of the given kind arrives; ok is false once
 // the transport has aborted.
 func (p Port) Recv(kind MsgKind) (m Message, ok bool) {
-	return p.e.c.recv(p.e.in[kind])
+	m, ok, _ = p.e.c.recv(&p.e.in[kind], nil, 0)
+	return m, ok
 }
 
 // TryRecv returns a queued message of the given kind, if any.
 func (p Port) TryRecv(kind MsgKind) (m Message, ok bool) {
-	select {
-	case m = <-p.e.in[kind]:
-		return m, true
-	default:
-		return Message{}, false
-	}
+	return p.e.in[kind].pop()
 }
 
 // RecvTimeout waits up to d for a message of the given kind, with the port's
@@ -64,18 +61,15 @@ func (p Port) TryRecv(kind MsgKind) (m Message, ok bool) {
 // protocols' wait. ok means delivered; otherwise timedOut tells a passed
 // deadline from an abort.
 func (p Port) RecvTimeout(kind MsgKind, d time.Duration) (m Message, ok, timedOut bool) {
-	if d <= 0 {
-		m, ok = p.Recv(kind)
-		return m, ok, false
-	}
-	return p.e.c.recvTimeout(p.e.in[kind], &p.e.timer, d)
+	return p.e.c.recv(&p.e.in[kind], &p.e.timer, d)
 }
 
-// Queue exposes the receive channel for one kind so a node process can
-// select across kinds and local work (the service root multiplexes acks with
-// session hand-offs this way). Combine with Done for abort handling.
-// Receiving from the channel is equivalent to TryRecv/Recv for ownership.
-func (p Port) Queue(kind MsgKind) <-chan Message { return p.e.in[kind] }
+// Ready is the doorbell of one kind's inbox, so a node process can select
+// across kinds and local work (the service root multiplexes acks with
+// session hand-offs this way); combine it with Done for abort handling. A
+// token means a message may be queued: drain with TryRecv until it reports
+// none. A token can be stale, which costs one empty TryRecv.
+func (p Port) Ready(kind MsgKind) <-chan struct{} { return p.e.in[kind].bell }
 
 // Done is closed when the transport aborts.
 func (p Port) Done() <-chan struct{} { return p.e.c.done }

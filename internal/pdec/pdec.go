@@ -394,67 +394,45 @@ func (d *Decoder) emitFrame(picIndex int, buf *mpeg2.PixelBuf) {
 	}
 }
 
-// marshalBundle serialises bb into a slab (the receiving tile releases it
-// after injecting the pixels).
-func marshalBundle(bb *subpic.BlockBundle) []byte {
-	return bb.AppendTo(cluster.GetSlab(bb.WireSize()))
-}
-
-// executeSends ships owed reference macroblocks, one bundle per peer.
+// executeSends ships owed reference macroblocks: one bundle per peer, or
+// one per macroblock under UnbatchedSends. Each bundle is built in the slab
+// it is sent in (the receiving tile releases it after injecting the
+// pixels): the cells are counted per bundle first, then every macroblock is
+// extracted straight into its bundle's pixel area.
 func (d *Decoder) executeSends(sp *subpic.SubPicture, picType mpeg2.PictureType) {
 	srv := d.srv
-	grid := &srv.cfg.Grid
-	srv.sendOrder = srv.sendOrder[:0]
+	bs := srv.bundles[:0]
 	for _, in := range sp.MEI {
-		if in.Kind != subpic.MEISend {
-			continue
-		}
-		ref := d.refFor(in.Ref, picType)
-		if srv.cfg.UnbatchedSends {
-			ref.ExtractMacroblock(int(in.MBX), int(in.MBY), srv.xferPix[:])
-			bb := subpic.BlockBundle{
-				PicIndex: sp.Pic.Index,
-				Cells:    []subpic.BlockCell{{Ref: in.Ref, MBX: in.MBX, MBY: in.MBY}},
-				Pixels:   srv.xferPix[:],
+		if in.Kind == subpic.MEISend {
+			i := srv.bundleFor(bs, in.Peer, len(bs))
+			if i == len(bs) {
+				bs = append(bs, outBundle{peer: in.Peer})
 			}
-			d.send(grid.TileNode(int(in.Peer)), &cluster.Message{
-				Kind:    cluster.MsgBlocks,
-				Seq:     int(sp.Pic.Index),
-				Payload: marshalBundle(&bb),
-			})
-			continue
+			bs[i].n++
 		}
-		peer := int(in.Peer)
-		bu := srv.sendBundles[peer]
-		if bu == nil {
-			bu = &sendBundle{}
-			srv.sendBundles[peer] = bu
-		}
-		if len(bu.cells) == 0 {
-			srv.sendOrder = append(srv.sendOrder, peer)
-		}
-		bu.cells = append(bu.cells, subpic.BlockCell{Ref: in.Ref, MBX: in.MBX, MBY: in.MBY})
-		off := len(bu.pixels)
-		if n := off + mpeg2.MacroblockBytes; n <= cap(bu.pixels) {
-			bu.pixels = bu.pixels[:n]
-		} else {
-			bu.pixels = append(bu.pixels, make([]byte, mpeg2.MacroblockBytes)...)
-		}
-		ref.ExtractMacroblock(int(in.MBX), int(in.MBY), bu.pixels[off:])
 	}
-	for _, peer := range srv.sendOrder {
-		bu := srv.sendBundles[peer]
-		bb := subpic.BlockBundle{PicIndex: sp.Pic.Index, Cells: bu.cells, Pixels: bu.pixels}
-		d.send(grid.TileNode(peer), &cluster.Message{
+	for i := range bs {
+		bs[i].wire = subpic.PutBundleHeader(cluster.GetSlab(subpic.BundleSize(bs[i].n)), sp.Pic.Index, bs[i].n)
+	}
+	next := 0
+	for _, in := range sp.MEI {
+		if in.Kind == subpic.MEISend {
+			b := &bs[srv.bundleFor(bs, in.Peer, next)]
+			next++
+			pix := subpic.PutCell(b.wire, b.n, b.put, subpic.BlockCell{Ref: in.Ref, MBX: in.MBX, MBY: in.MBY})
+			d.refFor(in.Ref, picType).ExtractMacroblock(int(in.MBX), int(in.MBY), pix)
+			b.put++
+		}
+	}
+	for i := range bs {
+		d.send(srv.cfg.Grid.TileNode(int(bs[i].peer)), &cluster.Message{
 			Kind:    cluster.MsgBlocks,
 			Seq:     int(sp.Pic.Index),
-			Payload: marshalBundle(&bb),
+			Payload: bs[i].wire,
 		})
-		// The payload copy is on the wire; reset the accumulator for the
-		// next picture, keeping its storage.
-		bu.cells = bu.cells[:0]
-		bu.pixels = bu.pixels[:0]
+		bs[i] = outBundle{}
 	}
+	srv.bundles = bs[:0]
 }
 
 // drainRecvs waits for every expected macroblock, stashing bundles from

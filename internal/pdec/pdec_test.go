@@ -1,6 +1,8 @@
 package pdec
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 
 	"tiledwall/internal/cluster"
@@ -143,5 +145,75 @@ func TestDecoderRejectsMissingReference(t *testing.T) {
 	fab.Port(0).Send(1, &cluster.Message{Kind: cluster.MsgSubPicture, Seq: 0, Tag: 0, Payload: sp.Marshal()})
 	if _, err := step(d); err == nil {
 		t.Fatal("P picture before anchor accepted")
+	}
+}
+
+// TestBundleInPlaceMatchesAppendTo: the exchange bundles executeSends builds
+// in their outgoing slabs are byte-identical to BlockBundle.AppendTo of the
+// same cells and pixels, so the wire format is unchanged — batched (one
+// bundle per peer, cells in MEI order) and unbatched (one per macroblock).
+func TestBundleInPlaceMatchesAppendTo(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, unbatched := range []bool{false, true} {
+		fab := cluster.New(5, cluster.Config{})
+		d := testDecoder(t, fab.Port(1), ServeConfig{UnbatchedSends: unbatched})
+		pix := make([]byte, mpeg2.MacroblockBytes)
+		for _, w := range []*mpeg2.PixelBuf{d.fwd, d.bwd} {
+			for mby := 0; mby < w.H/16; mby++ {
+				for mbx := 0; mbx < w.W/16; mbx++ {
+					rng.Read(pix)
+					w.InjectMacroblock(mbx, mby, pix)
+				}
+			}
+		}
+		for trial := 0; trial < 40; trial++ {
+			sp := &subpic.SubPicture{}
+			sp.Pic.Index = int32(rng.Intn(1000))
+			picType := []mpeg2.PictureType{mpeg2.PictureP, mpeg2.PictureB}[rng.Intn(2)]
+			type sent struct {
+				peer uint16
+				bb   *subpic.BlockBundle
+			}
+			var want []sent // in send order
+			for n := rng.Intn(30); n > 0; n-- {
+				in := subpic.MEIInstr{Kind: subpic.MEISend, Ref: subpic.RefSel(rng.Intn(2)),
+					MBX: uint16(rng.Intn(4)), MBY: uint16(rng.Intn(4)), Peer: uint16(1 + rng.Intn(3))}
+				if rng.Intn(4) == 0 {
+					in.Kind = subpic.MEIRecv // not sent
+				}
+				sp.MEI = append(sp.MEI, in)
+				if in.Kind != subpic.MEISend {
+					continue
+				}
+				i := len(want)
+				for j := range want {
+					if !unbatched && want[j].peer == in.Peer {
+						i = j
+					}
+				}
+				if i == len(want) {
+					want = append(want, sent{in.Peer, &subpic.BlockBundle{PicIndex: sp.Pic.Index}})
+				}
+				bb := want[i].bb
+				bb.Cells = append(bb.Cells, subpic.BlockCell{Ref: in.Ref, MBX: in.MBX, MBY: in.MBY})
+				d.refFor(in.Ref, picType).ExtractMacroblock(int(in.MBX), int(in.MBY), pix)
+				bb.Pixels = append(bb.Pixels, pix...)
+			}
+			d.executeSends(sp, picType)
+			for i, w := range want {
+				m, ok := fab.Port(int(1 + w.peer)).TryRecv(cluster.MsgBlocks)
+				if !ok {
+					t.Fatalf("unbatched=%v trial %d: bundle %d to peer %d not sent", unbatched, trial, i, w.peer)
+				}
+				if !bytes.Equal(m.Payload, w.bb.AppendTo(nil)) {
+					t.Fatalf("unbatched=%v trial %d: bundle %d to peer %d differs from AppendTo", unbatched, trial, i, w.peer)
+				}
+			}
+			for p := 2; p <= 4; p++ {
+				if _, ok := fab.Port(p).TryRecv(cluster.MsgBlocks); ok {
+					t.Fatalf("unbatched=%v trial %d: extra bundle to node %d", unbatched, trial, p)
+				}
+			}
+		}
 	}
 }

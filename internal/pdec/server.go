@@ -54,35 +54,49 @@ type server struct {
 	// session) to the next. Kept here they grow once per node instead of
 	// once per session, and steady-state decoding allocates nothing per
 	// macroblock.
-	sp      subpic.SubPicture
-	ph      mpeg2.PictureHeader
-	ctx     mpeg2.PictureContext
-	pieces  PieceDecoder
-	bb      subpic.BlockBundle
-	xferPix [mpeg2.MacroblockBytes]byte
+	sp     subpic.SubPicture
+	ph     mpeg2.PictureHeader
+	ctx    mpeg2.PictureContext
+	pieces PieceDecoder
+	bb     subpic.BlockBundle
 	// upload is the frame a shown tile picture is copied into under
 	// fail-stop when no collector takes frames: the modelled frame-buffer
 	// upload. It is made anew only when a session's tile size differs.
 	upload *mpeg2.PixelBuf
-	// sendOrder and sendBundles accumulate one picture's outgoing exchange,
-	// one bundle per peer, emptied (storage kept) once it has shipped.
-	sendOrder   []int
-	sendBundles map[int]*sendBundle
+	// bundles holds one picture's outgoing exchange while it is built,
+	// emptied once it has shipped.
+	bundles []outBundle
 }
 
-// sendBundle accumulates one outgoing per-peer exchange bundle.
-type sendBundle struct {
-	cells  []subpic.BlockCell
-	pixels []byte
+// outBundle is one outgoing exchange bundle under construction in its slab:
+// n cells in all, put of them written.
+type outBundle struct {
+	peer   uint16
+	n, put int
+	wire   []byte
+}
+
+// bundleFor returns the index in bs of peer's bundle, len(bs) if it has
+// none yet; under UnbatchedSends every macroblock is a bundle of its own,
+// and the bundle is the one at seq, the macroblock's place among the sends.
+func (srv *server) bundleFor(bs []outBundle, peer uint16, seq int) int {
+	if srv.cfg.UnbatchedSends {
+		return seq
+	}
+	for i := range bs {
+		if bs[i].peer == peer {
+			return i
+		}
+	}
+	return len(bs)
 }
 
 func newServer(port cluster.Port, cfg ServeConfig) *server {
 	srv := &server{
-		cfg:         cfg,
-		port:        port,
-		sessions:    map[int]*Decoder{},
-		pending:     map[int][]cluster.Message{},
-		sendBundles: map[int]*sendBundle{},
+		cfg:      cfg,
+		port:     port,
+		sessions: map[int]*Decoder{},
+		pending:  map[int][]cluster.Message{},
 	}
 	srv.pieces.Tile = cfg.Index
 	return srv

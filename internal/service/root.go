@@ -182,6 +182,16 @@ func (w *Wall) runRoot() error {
 		onAck(m)
 		return nil
 	}
+	// drainAcks takes every queued ack without blocking.
+	drainAcks := func() {
+		for {
+			m, ok := port.TryRecv(cluster.MsgAck)
+			if !ok {
+				return
+			}
+			onAck(m)
+		}
+	}
 	rr := 0
 	choose := func() int {
 		if !w.cfg.DynamicBalance {
@@ -285,13 +295,7 @@ func (w *Wall) runRoot() error {
 		s.rootRes.WaitTime += time.Since(t0)
 		// Drain any further acks without blocking so Dynamic sees fresh
 		// credit counts.
-		for {
-			m, ok := port.TryRecv(cluster.MsgAck)
-			if !ok {
-				break
-			}
-			onAck(m)
-		}
+		drainAcks()
 		credits[a]--
 		next := choose()
 
@@ -322,8 +326,8 @@ func (w *Wall) runRoot() error {
 	}
 	for {
 		select {
-		case m := <-port.Queue(cluster.MsgAck):
-			onAck(m)
+		case <-port.Ready(cluster.MsgAck):
+			drainAcks()
 		case idx := <-respawn:
 			// A splitter respawned: first restore every live session's
 			// subscription/trick state (the predecessor's copy died with it;

@@ -59,7 +59,7 @@ type MBSplitter struct {
 	r      bits.Reader
 	slices []mpeg2.SliceRef
 	accs   []sliceAcc
-	seen   meiSeen // merge-level dedup, one epoch per picture
+	seen   meiSeen // merge-level dedup, one scope per picture
 	outPcs [][]subpic.Piece
 	outMEI [][]subpic.MEIInstr
 	sps    []*subpic.SubPicture // Reuse-mode output storage
@@ -333,7 +333,7 @@ type sliceWorker struct {
 	tileSet []int
 	skipSet []int
 	orphans []int
-	seen    meiSeen // worker-local dedup, one epoch per slice
+	seen    meiSeen // worker-local dedup, one scope per slice
 
 	busy     time.Duration
 	err      error

@@ -49,6 +49,31 @@ func (b *BlockBundle) AppendTo(out []byte) []byte {
 	return out
 }
 
+// BundleSize returns the wire size of a bundle of n macroblocks.
+func BundleSize(n int) int { return 8 + n*(6+mpeg2.MacroblockBytes) }
+
+// PutBundleHeader starts an n-cell bundle of picture pic in place: it
+// extends slab (empty, with capacity >= BundleSize(n)) to the bundle's full
+// size and writes the header. Each cell then goes in with PutCell. A bundle
+// whose cells are all put is byte-identical to AppendTo's.
+func PutBundleHeader(slab []byte, pic int32, n int) []byte {
+	b := slab[:BundleSize(n)]
+	binary.LittleEndian.PutUint32(b, uint32(pic))
+	binary.LittleEndian.PutUint32(b[4:], uint32(n))
+	return b
+}
+
+// PutCell writes cell i of the n-cell bundle b and returns the cell's
+// pixel area, mpeg2.MacroblockBytes long, for the caller to fill.
+func PutCell(b []byte, n, i int, c BlockCell) []byte {
+	e := b[8+6*i : 8+6*i+6]
+	e[0], e[1] = byte(c.Ref), 0
+	binary.LittleEndian.PutUint16(e[2:], c.MBX)
+	binary.LittleEndian.PutUint16(e[4:], c.MBY)
+	off := 8 + 6*n + i*mpeg2.MacroblockBytes
+	return b[off : off+mpeg2.MacroblockBytes]
+}
+
 // UnmarshalBlocks parses a bundle.
 func UnmarshalBlocks(data []byte) (*BlockBundle, error) {
 	b := &BlockBundle{}
