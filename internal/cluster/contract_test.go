@@ -454,16 +454,33 @@ func TestTransportContractInboxStress(t *testing.T) {
 
 // inFreeList reports whether b's backing array sits in its slab class's free
 // list (a slab given back to the pool and not yet taken again).
-func inFreeList(b []byte) bool {
+func inFreeList(b []byte) bool { return slabFreeCount(b) > 0 }
+
+// slabFreeCount counts how often the backing array of b sits in its class's
+// free list: more than once is a double release.
+func slabFreeCount(b []byte) int {
 	cl := &slabClasses[slabClass(cap(b))]
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
+	n := 0
 	for _, s := range cl.free {
 		if unsafe.SliceData(s[:1]) == unsafe.SliceData(b[:1]) {
-			return true
+			n++
 		}
 	}
-	return false
+	return n
+}
+
+// flushWriter returns once every message the sender's TCP link writer took
+// before the call is written and released: it sends an ack and receives it,
+// and the ack rides a later batch, which the writer takes only after the
+// earlier batches' writes returned and their items were released.
+func flushWriter(t *testing.T, tr Transport, from, to int) {
+	t.Helper()
+	tr.Port(from).Send(to, &Message{Kind: MsgAck, Seq: -7})
+	if _, ok := tr.Port(to).Recv(MsgAck); !ok {
+		t.Fatalf("flush ack %d->%d not delivered: %v", from, to, tr.AbortCause())
+	}
 }
 
 // TestTransportContractSendRecvAllocs pins messages as values: once warm,
@@ -471,7 +488,7 @@ func inFreeList(b []byte) bool {
 // nothing on either transport — no message object, no frame, no header
 // scratch — and the sender's slab is back in its class afterwards: on the
 // fabric through the consumer's release of the very same payload, on TCP
-// through the link writer's release once the payload is encoded.
+// through the link writer's release once the payload is on the wire.
 func TestTransportContractSendRecvAllocs(t *testing.T) {
 	forEachTransport(t, 2, 0, func(t *testing.T, tr Transport) {
 		from, to := tr.Port(0), tr.Port(1)
@@ -506,6 +523,7 @@ func TestTransportContractSendRecvAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(500, hop); allocs != 0 {
 			t.Fatalf("after a %d-message burst, Send+Recv allocates %v objects per message, want 0", burst, allocs)
 		}
+		flushWriter(t, tr, 0, 1)
 		if !inFreeList(sent) {
 			t.Fatal("the sender's payload slab did not come back to its class")
 		}

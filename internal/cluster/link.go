@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"net"
+	"slices"
 	"sync"
 )
 
@@ -20,11 +21,11 @@ type outItem struct {
 	slab bool // raw came from the slab pool; release after writing
 }
 
-// release gives up what the item held once it is encoded, or will never be:
-// a routed frame's slab, and a message's payload when its consumer would
-// release it (Message.consumerReleases). The payload's bytes now live in the
-// batch buffer, so the link writer is the consumer of the sender's slab —
-// the receiving process reads into a slab of its own.
+// release gives up what the item held once it is on the wire, or will never
+// be: a routed frame's slab, and a message's payload when its consumer would
+// release it (Message.consumerReleases). The writer sends the payload
+// straight from the sender's slab, so it is that slab's consumer once the
+// write has returned — the receiving process reads into a slab of its own.
 func (it *outItem) release() {
 	switch {
 	case it.slab:
@@ -54,6 +55,12 @@ type link struct {
 	br         *bufio.Reader // port end: the reader's side of conn
 	done       chan struct{} // closed when the writer exits; nil until it starts
 	readerDone chan struct{} // hub end: closed when conn's reader exits
+
+	// The writer's batch, reused from one batch to the next: the message
+	// frames' headers, the batch's frame pieces (each header, then the
+	// payload or raw slab itself) and the copy of them a write consumes.
+	hdrs      []byte
+	bufs, vec net.Buffers
 }
 
 func newLink(t *TCPTransport, node int, hubEnd bool) *link {
@@ -85,41 +92,28 @@ func (l *link) attachLocked(c *net.TCPConn, br *bufio.Reader) {
 	}
 }
 
-// writer drains the queue, encoding every pending frame into one buffer and
-// writing it with a single syscall — the batching that keeps many small
-// credit/ack messages from costing a syscall each. The flush policy is
-// write-on-idle: a batch is cut exactly when the previous write finished and
-// the queue has something, so an idle link flushes immediately and a busy
-// link coalesces automatically. A closed queue is flushed, then the write
-// side half-closed (FIN).
+// writer drains the queue, putting every pending frame on the wire with one
+// writev — the batching that keeps many small credit/ack messages from
+// costing a syscall each — straight from the slabs the payloads live in.
+// The flush policy is write-on-idle: a batch is cut exactly when the
+// previous write finished and the queue has something, so an idle link
+// flushes immediately and a busy link coalesces automatically. A batch's
+// items are released once its write has returned. A closed queue is
+// flushed, then the write side half-closed (FIN).
 func (l *link) writer() {
 	defer close(l.done)
 	var items []outItem
-	var buf []byte
 	for {
 		var done bool
 		items, done = l.q.take(items)
-		buf = buf[:0]
+		err := l.send(items)
 		for i := range items {
-			it := &items[i]
-			if it.raw != nil {
-				buf = append(buf, it.raw...)
-			} else {
-				var err error
-				if buf, err = AppendMessageFrame(buf, &it.msg); err != nil {
-					l.t.Abort(err)
-					return
-				}
-			}
-			it.release()
+			items[i].release()
 		}
 		clear(items)
-		if len(buf) > 0 {
-			if err := l.write(buf); err != nil {
-				l.t.linkError("write", l.node, err)
-				l.discard()
-				return
-			}
+		if err != nil {
+			l.discard()
+			return
 		}
 		if done {
 			if c, _ := l.current(); c != nil {
@@ -127,33 +121,55 @@ func (l *link) writer() {
 			}
 			return
 		}
-		// A batch can be arbitrarily large (a burst of sub-pictures); don't
-		// pin its buffer forever.
-		if cap(buf) > 4<<20 {
-			buf = nil
-		}
 	}
 }
 
-// write puts one encoded batch on the wire. In Recoverable mode a failed
-// write replaces the connection and re-sends the whole batch on the new
-// one: the receiving end discards any partial frame the dead connection
-// delivered (its stream breaks mid-frame), so the worst case is a
-// duplicated leading frame, which the layers above absorb (acks are
-// idempotent, data receivers deduplicate).
-func (l *link) write(buf []byte) error {
-	conn, _ := l.current()
-	for {
+// send writes one batch with one writev: a message frame as its header,
+// encoded into the link's scratch, and its payload slab; a raw frame as its
+// own slab. A message that cannot be encoded aborts the transport. Each
+// write attempt is given a fresh copy of the batch's pieces, vec, because a
+// write consumes the net.Buffers it is given. In Recoverable mode a failed
+// write replaces the connection and re-sends the whole batch from its
+// original pieces on the new one: the receiving end discards any partial
+// frame the dead connection delivered (its stream breaks mid-frame), so the
+// worst case is a duplicated leading frame, which the layers above absorb
+// (acks are idempotent, data receivers deduplicate).
+func (l *link) send(items []outItem) error {
+	// Room for every header up front: the appends below never move hdrs,
+	// so the header slices already in bufs stay valid.
+	hdrs := slices.Grow(l.hdrs[:0], len(items)*msgFrameHeaderBytes)
+	bufs := l.bufs[:0]
+	for i := range items {
+		it := &items[i]
+		if it.raw != nil {
+			bufs = append(bufs, it.raw)
+			continue
+		}
+		var err error
+		if hdrs, err = appendMessageHeader(hdrs, &it.msg); err != nil {
+			l.t.Abort(err)
+			return err
+		}
+		bufs = append(bufs, hdrs[len(hdrs)-msgFrameHeaderBytes:])
+		if len(it.msg.Payload) > 0 {
+			bufs = append(bufs, it.msg.Payload)
+		}
+	}
+	n := len(bufs)
+	l.hdrs, l.bufs = hdrs, slices.Grow(bufs, n) // bufs[n:2n] holds vec
+	defer clear(l.bufs[:2*n])                   // hold no slab past its release
+	for conn, _ := l.current(); ; conn = l.replace(conn) {
 		err := errLinkDown
 		if conn != nil {
-			if _, err = conn.Write(buf); err == nil {
+			l.vec = append(l.bufs[n:n], l.bufs...)
+			if _, err = l.vec.WriteTo(conn); err == nil {
 				return nil
 			}
 		}
 		if !l.t.recoverable() {
+			l.t.linkError("write", l.node, err)
 			return err
 		}
-		conn = l.replace(conn)
 	}
 }
 

@@ -83,6 +83,11 @@ const (
 	dialRetryMax     = time.Second
 )
 
+// readBufferBytes sizes each connection's read buffer, at both ends. Small
+// frames (headers, acks) are read through it; a payload larger than it is
+// read straight into its slab.
+const readBufferBytes = 4 << 10
+
 // TCPTransport implements Transport over TCP links through a hub.
 type TCPTransport struct {
 	core
@@ -392,7 +397,7 @@ func (t *TCPTransport) handshake(conn *net.TCPConn, id int) (*bufio.Reader, erro
 		conn.Close()
 		return nil, fmt.Errorf("%w: node %d hello: %v", ErrHandshake, id, err)
 	}
-	br := bufio.NewReaderSize(conn, 64<<10)
+	br := bufio.NewReaderSize(conn, readBufferBytes)
 	var rd frameReader
 	fr, err := rd.read(br)
 	if err != nil {

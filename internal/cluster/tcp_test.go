@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -550,7 +554,7 @@ func TestTCPRecoverableHubBacklog(t *testing.T) {
 
 // TestTCPWriterReleaseRule: the link writer gives a payload back to the
 // pool exactly when the message's consumer would (Message.consumerReleases).
-// A data message's slab comes back once it is encoded. The control payloads
+// A data message's slab comes back once it is written. The control payloads
 // one sender shares across destinations — a session-open header, a
 // subscription — and ack payloads are never released by their consumers; a
 // writer-side release of each destination's copy would put one backing array
@@ -577,19 +581,8 @@ func TestTCPWriterReleaseRule(t *testing.T) {
 				PutSlab(r.Payload)
 			}
 		}
+		flushWriter(t, tr, 0, 1)
 		return got
-	}
-	freeCount := func(b []byte) int {
-		cl := &slabClasses[slabClass(cap(b))]
-		cl.mu.Lock()
-		defer cl.mu.Unlock()
-		n := 0
-		for _, s := range cl.free {
-			if unsafe.SliceData(s[:1]) == unsafe.SliceData(b[:1]) {
-				n++
-			}
-		}
-		return n
 	}
 	for _, m := range []*Message{
 		{Kind: MsgPicture, Flags: FlagSessionOpen, Session: 1},
@@ -599,7 +592,7 @@ func TestTCPWriterReleaseRule(t *testing.T) {
 	} {
 		m.Payload = GetSlab(size)[:size]
 		got := deliver(m, 1, 2)
-		if n := freeCount(m.Payload); n != 0 {
+		if n := slabFreeCount(m.Payload); n != 0 {
 			t.Fatalf("flags %#x kind %v: the shared payload is in the free list %d times", m.Flags, m.Kind, n)
 		}
 		if unsafe.SliceData(got[0]) == unsafe.SliceData(got[1]) {
@@ -614,7 +607,7 @@ func TestTCPWriterReleaseRule(t *testing.T) {
 	} {
 		m.Payload = GetSlab(size)[:size]
 		deliver(m, 1)
-		if n := freeCount(m.Payload); n != 1 {
+		if n := slabFreeCount(m.Payload); n != 1 {
 			t.Fatalf("flags %#x kind %v: the sender's slab is in the free list %d times, want once", m.Flags, m.Kind, n)
 		}
 	}
@@ -668,5 +661,272 @@ func TestTCPRecoverableStrayHello(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("node 1 silent %v after a stray hello took its link over (abort %v)", dialTimeout, tr.AbortCause())
 		}
+	}
+}
+
+// TestTCPWriterWireBytes: the link writer puts a message frame on the wire
+// as its encoded header followed by the payload slab itself, and a routed
+// frame as its own slab, in one writev per batch. Random batches of both,
+// written over a real loopback connection, must arrive as exactly the bytes
+// AppendMessageFrame encodes for them, in queue order. Each message's
+// expected bytes are encoded before it is queued, and the test draws the
+// next payloads from the same slab classes, so a writer that released a
+// slab before its write would put the test's later bytes on the wire.
+func TestTCPWriterWireBytes(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	client, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	got := make(chan []byte, 1)
+	go func() {
+		b, _ := io.ReadAll(server)
+		got <- b
+	}()
+
+	tr := newTCPTransport(TCPConfig{NumNodes: 8}, handshakeTimeout)
+	l := newLink(tr, 1, false)
+	l.mu.Lock()
+	l.attachLocked(client.(*net.TCPConn), nil)
+	l.mu.Unlock()
+
+	rng := rand.New(rand.NewSource(1))
+	sizes := []int{0, 1, 31, 700, readBufferBytes - 1, readBufferBytes + 1, 40 << 10}
+	flags := []byte{0, FlagSessionOpen, FlagSubscribe, FlagSessionFinal}
+	var want []byte
+	for batch := 0; batch < 150; batch++ {
+		// The writer waits for mu before each write, so what is queued
+		// meanwhile joins one batch.
+		l.mu.Lock()
+		for i := rng.Intn(12); i >= 0; i-- {
+			m := Message{
+				Kind:    MsgKind(rng.Intn(int(numKinds))),
+				Flags:   flags[rng.Intn(len(flags))],
+				From:    rng.Intn(8),
+				To:      rng.Intn(8),
+				Session: rng.Intn(1 << 20),
+				Seq:     rng.Intn(1<<20) - 1<<19,
+				Tag:     rng.Intn(1 << 16),
+			}
+			if n := sizes[rng.Intn(len(sizes))]; n > 0 {
+				m.Payload = GetSlab(n)[:n]
+				rng.Read(m.Payload)
+			}
+			frame, err := AppendMessageFrame(nil, &m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, frame...)
+			if rng.Intn(3) == 0 {
+				// A routed frame, as the hub queues it: the raw frame in a
+				// slab of its own, released after the write.
+				raw := append(GetSlab(len(frame))[:0], frame...)
+				if m.consumerReleases() {
+					PutSlab(m.Payload)
+				}
+				l.q.put(outItem{raw: raw, slab: true})
+			} else {
+				l.q.put(outItem{msg: m})
+			}
+		}
+		l.mu.Unlock()
+	}
+	l.close(nil)
+	l.wait()
+	var b []byte
+	select {
+	case b = <-got:
+	case <-time.After(10 * time.Second):
+		t.Fatal("writer never half-closed the connection")
+	}
+	if err := tr.AbortCause(); err != nil {
+		t.Fatalf("transport aborted: %v", err)
+	}
+	if !bytes.Equal(b, want) {
+		i := 0
+		for i < len(b) && i < len(want) && b[i] == want[i] {
+			i++
+		}
+		t.Fatalf("wire bytes differ from AppendMessageFrame's at offset %d (%d bytes sent, %d expected)", i, len(b), len(want))
+	}
+}
+
+// TestTCPRecoverableBatchResend: a connection that dies while a
+// multi-frame batch is part-way through its writev is replaced, and the
+// whole batch is re-sent from its original slabs. A stand-in hub reads the
+// batch's first frames and a few kilobytes more, then resets the
+// connection; on the redialed connection every frame must arrive intact and
+// in order, leading duplicates allowed. The batch's payload slabs, larger
+// than the read buffer, must stay out of the free list until the re-send
+// and then be in it exactly once. A writer that released them before the
+// write fails the first check; one that re-sent the net.Buffers the failed
+// write consumed starts the new connection mid-frame.
+func TestTCPRecoverableBatchResend(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// accept plays the hub's side of one handshake; before it answers, it
+	// calls atHello (if set).
+	accept := func(atHello func()) (*net.TCPConn, *bufio.Reader, error) {
+		c, err := ln.Accept()
+		if err != nil {
+			return nil, nil, err
+		}
+		conn := c.(*net.TCPConn)
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		br := bufio.NewReaderSize(conn, readBufferBytes)
+		var rd frameReader
+		if fr, err := rd.read(br); err != nil || fr.Type != frameHello {
+			conn.Close()
+			return nil, nil, fmt.Errorf("hello: type %#x, %v", fr.Type, err)
+		}
+		if atHello != nil {
+			atHello()
+		}
+		_, err = conn.Write(AppendAcceptFrame(nil, Accept{Version: WireVersion, NumNodes: 2}))
+		return conn, br, err
+	}
+	type accepted struct {
+		conn *net.TCPConn
+		br   *bufio.Reader
+		err  error
+	}
+	first := make(chan accepted, 1)
+	go func() {
+		c, br, err := accept(nil)
+		first <- accepted{c, br, err}
+	}()
+	tr, err := DialTCP(ln.Addr().String(), TCPConfig{NumNodes: 2, LocalNodes: []int{1}, Recoverable: true})
+	if err != nil {
+		t.Fatalf("DialTCP: %v", err)
+	}
+	defer tr.Shutdown()
+	a := <-first
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	defer a.conn.Close()
+	p := tr.ports[1]
+	// Fixed socket buffers, a fraction of the batch: it cannot all be in
+	// flight, so its writev is still running when the connection dies.
+	if c, _ := p.current(); c != nil {
+		c.SetWriteBuffer(16 << 10)
+	}
+	a.conn.SetReadBuffer(64 << 10)
+
+	const frames, size = 16, 48 << 10
+	fill := func(seq, i int) byte { return byte(seq*31 + i*7) }
+	var slabs [][]byte
+	// Queue one ack, wait until the writer has taken it (it then waits for
+	// mu before writing), and queue the batch behind it: the writer takes
+	// all of it in one batch.
+	p.mu.Lock()
+	tr.Port(1).Send(0, &Message{Kind: MsgAck, Seq: -1})
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		p.q.mu.Lock()
+		n := len(p.q.items)
+		p.q.mu.Unlock()
+		if n == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			p.mu.Unlock()
+			t.Fatal("writer never took the first ack")
+		}
+	}
+	for seq := 0; seq < frames; seq++ {
+		b := GetSlab(size)[:size]
+		for i := range b {
+			b[i] = fill(seq, i)
+		}
+		slabs = append(slabs, b)
+		tr.Port(1).Send(0, &Message{Kind: MsgSubPicture, Seq: seq, Payload: b})
+	}
+	p.mu.Unlock()
+
+	// next is the first batch frame not yet delivered; read checks one
+	// frame: the ack at seq -1, a duplicate below next, or frame next.
+	next := 0
+	var rd frameReader
+	read := func(br *bufio.Reader, dupOK bool) (kind MsgKind, dup bool) {
+		t.Helper()
+		fr, err := rd.read(br)
+		if err != nil {
+			t.Fatalf("frame %d: %v", next, err)
+		}
+		m := fr.Msg
+		if m.Kind == MsgAck {
+			return MsgAck, false
+		}
+		if len(m.Payload) != size {
+			t.Fatalf("frame seq %d: %d payload bytes, want %d", m.Seq, len(m.Payload), size)
+		}
+		for i, v := range m.Payload {
+			if v != fill(m.Seq, i) {
+				t.Fatalf("frame seq %d: payload byte %d is %#x, want %#x", m.Seq, i, v, fill(m.Seq, i))
+			}
+		}
+		PutSlab(m.Payload)
+		switch {
+		case m.Seq == next:
+			next++
+			return m.Kind, false
+		case dupOK && m.Seq < next:
+			return m.Kind, true
+		}
+		t.Fatalf("frame seq %d arrived, want %d", m.Seq, next)
+		return
+	}
+	if k, _ := read(a.br, false); k != MsgAck {
+		t.Fatalf("first frame is %v, want the ack", k)
+	}
+	for next < 3 {
+		read(a.br, false)
+	}
+	if _, err := io.ReadFull(a.br, make([]byte, 10<<10)); err != nil {
+		t.Fatal(err)
+	}
+	a.conn.SetLinger(0)
+	a.conn.Close()
+
+	c2, br2, err := accept(func() {
+		for seq, b := range slabs {
+			if inFreeList(b) {
+				t.Errorf("frame %d's slab is in the free list before its batch was re-sent", seq)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatalf("redial: %v", err)
+	}
+	defer c2.Close()
+	for leading := true; next < frames; {
+		_, dup := read(br2, leading)
+		leading = leading && dup
+	}
+	// The flush ack rides a later batch: once it arrives, the batch's
+	// write has returned and its items were released.
+	tr.Port(1).Send(0, &Message{Kind: MsgAck, Seq: -2})
+	if k, _ := read(br2, false); k != MsgAck {
+		t.Fatalf("frame after the batch is %v, want the flush ack", k)
+	}
+	for seq, b := range slabs {
+		if n := slabFreeCount(b); n != 1 {
+			t.Errorf("frame %d's slab is in the free list %d times, want once", seq, n)
+		}
+	}
+	if err := tr.AbortCause(); err != nil {
+		t.Fatalf("transport aborted: %v", err)
 	}
 }

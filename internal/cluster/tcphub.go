@@ -49,7 +49,7 @@ func (h *hub) serve(c *net.TCPConn) {
 		c.Write(AppendAbortFrame(nil, cause))
 		c.Close()
 	}
-	br := bufio.NewReaderSize(c, 64<<10)
+	br := bufio.NewReaderSize(c, readBufferBytes)
 	var rd frameReader
 	fr, err := rd.read(br)
 	if err != nil {

@@ -45,6 +45,8 @@ const (
 	frameLenBytes = 4
 	// msgHeaderWireBytes is the fixed Message header on the wire.
 	msgHeaderWireBytes = 26
+	// msgFrameHeaderBytes is a message frame up to its payload.
+	msgFrameHeaderBytes = frameLenBytes + 1 + msgHeaderWireBytes
 	// helloBodyBytes: magic u32, version u8, node u16, numNodes u16,
 	// k/m/n/overlap u16 each.
 	helloBodyBytes = 4 + 1 + 2 + 2 + 8
@@ -236,6 +238,17 @@ func AppendAbortFrame(dst []byte, cause error) []byte {
 // MaxWirePayload — because a message that cannot round-trip must fail at the
 // sender, not corrupt the peer.
 func AppendMessageFrame(dst []byte, m *Message) ([]byte, error) {
+	dst, err := appendMessageHeader(dst, m)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, m.Payload...), nil
+}
+
+// appendMessageHeader appends m's frame up to its payload, the
+// msgFrameHeaderBytes the link writer sends ahead of the payload slab
+// itself; dst is unchanged when m fails AppendMessageFrame's range checks.
+func appendMessageHeader(dst []byte, m *Message) ([]byte, error) {
 	switch {
 	case m.Kind >= numKinds:
 		return dst, fmt.Errorf("%w: unknown kind %d", ErrFrameCorrupt, m.Kind)
@@ -257,8 +270,7 @@ func AppendMessageFrame(dst []byte, m *Message) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(m.Session))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(m.Seq)))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(m.Tag)))
-	dst = binary.BigEndian.AppendUint64(dst, 0) // reserved
-	return append(dst, m.Payload...), nil
+	return binary.BigEndian.AppendUint64(dst, 0), nil // reserved
 }
 
 // parseMessageBody decodes the fixed header and payload of a message frame.
@@ -390,7 +402,7 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 // io.ReadFull once per frame), so a message frame allocates nothing but its
 // payload's slab, and only the rare control frames allocate a body.
 type frameReader struct {
-	hdr [frameLenBytes + 1 + msgHeaderWireBytes]byte
+	hdr [msgFrameHeaderBytes]byte
 }
 
 // read reads one frame from r. Message payloads land in their own slab-pool

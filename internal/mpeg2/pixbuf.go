@@ -17,16 +17,20 @@ type PixelBuf struct {
 	Cb, Cr []uint8 // stride W/2
 }
 
-// NewPixelBuf allocates a window at (x0, y0) of size w×h.
+// NewPixelBuf allocates a window at (x0, y0) of size w×h. Its three planes
+// share one backing array, each capped at its own length so that no plane
+// can grow into the next.
 func NewPixelBuf(x0, y0, w, h int) *PixelBuf {
 	if x0&1 != 0 || y0&1 != 0 || w&1 != 0 || h&1 != 0 {
 		panic(fmt.Sprintf("mpeg2: odd PixelBuf geometry %d,%d %dx%d", x0, y0, w, h))
 	}
+	ny, nc := w*h, w*h/4
+	px := make([]uint8, ny+2*nc)
 	return &PixelBuf{
 		X0: x0, Y0: y0, W: w, H: h,
-		Y:  make([]uint8, w*h),
-		Cb: make([]uint8, w*h/4),
-		Cr: make([]uint8, w*h/4),
+		Y:  px[:ny:ny],
+		Cb: px[ny : ny+nc : ny+nc],
+		Cr: px[ny+nc:],
 	}
 }
 
