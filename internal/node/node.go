@@ -80,9 +80,10 @@ type Role interface {
 }
 
 // Open opens session on role from its header: parse the sequence header,
-// derive the session's geometry on the grid, report the open to the
-// recovery registry and create the role's state. An open of a session
-// already open is skipped. The error is the session's, not the node's.
+// look up the session's geometry on the grid (one per process, shared),
+// report the open to the recovery registry and create the role's state. An
+// open of a session already open is skipped. The error is the session's,
+// not the node's.
 func Open(cfg *Config, role Role, session int, header []byte) error {
 	if role.Breakdown(session) != nil {
 		return nil
@@ -90,7 +91,7 @@ func Open(cfg *Config, role Role, session int, header []byte) error {
 	seq, err := mpeg2.ParseSequenceHeaderBytes(header)
 	var geo *wall.Geometry
 	if err == nil {
-		geo, err = wall.NewGeometry(seq.MBWidth()*16, seq.MBHeight()*16, cfg.Grid.M, cfg.Grid.N, cfg.Grid.Overlap)
+		geo, err = wall.SharedGeometry(seq.MBWidth()*16, seq.MBHeight()*16, cfg.Grid.M, cfg.Grid.N, cfg.Grid.Overlap)
 	}
 	if err != nil {
 		return fmt.Errorf("%v: session %d open: %w", cfg, session, err)

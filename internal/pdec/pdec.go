@@ -60,14 +60,21 @@ type Decoder struct {
 	fwd, bwd, bpic *mpeg2.PixelBuf
 	// display is the freeze frame concealment emits: the last decoded tile
 	// pixels, kept under fault masking only (nil under fail-stop).
-	display          *mpeg2.PixelBuf
-	pendingAnchor    bool
-	pendingAnchorIdx int
-	// pendingAnchorEmit is false when the held anchor was decoded for
-	// reference exactness only (subscription NoEmit): it still gates the
-	// reorder window but is discarded instead of displayed.
+	display *mpeg2.PixelBuf
+	// The held anchor: decoded, not yet shown, because a picture decoded
+	// later may still be displayed before it (the display-order release
+	// rule: showsAtOnce, afterB). pendingAnchorEmit is false when it was
+	// decoded for reference exactness only (subscription NoEmit): it is
+	// then discarded instead of displayed.
+	pendingAnchor     bool
+	pendingAnchorIdx  int
+	pendingAnchorTR   int
 	pendingAnchorEmit bool
-	displayCount      int
+	// prevAnchorTR is the temporal reference of the last decoded anchor,
+	// trStart before the session's first one and trUnknown once a
+	// concealment or a resume has broken the chain of known anchors.
+	prevAnchorTR int
+	displayCount int
 
 	// Out-of-order stash for block bundles from peers that run ahead.
 	stash []*subpic.BlockBundle
@@ -111,7 +118,7 @@ func newDecoder(srv *server, session int, seq *mpeg2.SequenceHeader, geo *wall.G
 	// macroblock-aligned and the splitter routes a tile only the
 	// macroblocks that overlap it, so the B target holds every macroblock
 	// the tile decodes.
-	d := &Decoder{srv: srv, session: session, seq: seq, rect: rect, finalTotal: -1,
+	d := &Decoder{srv: srv, session: session, seq: seq, rect: rect, finalTotal: -1, prevAnchorTR: trStart,
 		fwd:  mpeg2.NewPixelBuf(x0, y0, x1-x0, y1-y0),
 		bwd:  mpeg2.NewPixelBuf(x0, y0, x1-x0, y1-y0),
 		bpic: mpeg2.NewPixelBuf(rect.X0, rect.Y0, rect.W(), rect.H()),
@@ -263,8 +270,19 @@ func (d *Decoder) decodePicture(sp *subpic.SubPicture) error {
 		// Subscription skip marker: the ack kept the go-ahead protocol whole
 		// and the sequence check kept ordering honest; there is nothing to
 		// decode, exchange, display or rotate (the splitter only skips
-		// pictures that feed no reference this tile will ever need).
+		// pictures that feed no reference this tile will ever need). The
+		// marker still carries the picture header, so display order still
+		// counts it; the marker of a picture that failed to split carries
+		// no type, and leaves the previous anchor unknown.
 		d.res.Skipped++
+		switch tr := int(sp.Pic.TemporalRef) & (trModulus - 1); mpeg2.PictureType(sp.Pic.PicType) {
+		case mpeg2.PictureB:
+			d.afterB(tr)
+		case mpeg2.PictureI, mpeg2.PictureP:
+			d.prevAnchorTR = tr
+		default:
+			d.prevAnchorTR = trUnknown
+		}
 		return nil
 	}
 	b := &d.res.Breakdown
@@ -316,22 +334,87 @@ func (d *Decoder) decodePicture(sp *subpic.SubPicture) error {
 		})
 	}
 
-	// Reordering and reference management, as in the serial decoder.
+	// Display reordering and reference management.
+	tr := ph.TemporalRef & (trModulus - 1)
 	if ph.PicType == mpeg2.PictureB {
 		if !sp.NoEmit {
 			d.emitFrame(idx, cur)
 		}
+		d.afterB(tr)
 		return nil
 	}
+	atOnce := d.showsAtOnce(ph.PicType, tr)
 	d.flushPending()
 	d.pendingAnchor = true
 	d.pendingAnchorEmit = !sp.NoEmit
 	d.pendingAnchorIdx = idx
+	d.pendingAnchorTR = tr
+	d.prevAnchorTR = tr
 	d.rotate()
 	if d.validAnchors < 2 {
 		d.validAnchors++
 	}
+	if atOnce {
+		d.flushPending()
+	}
 	return nil
+}
+
+// temporal_reference is a 10-bit counter; trStart and trUnknown are the
+// previous-anchor states that hold no value of it.
+const (
+	trModulus = 1024
+	trStart   = -1
+	trUnknown = -2
+)
+
+// trAfter returns how far temporal reference b lies after a, modulo the
+// counter's wrap.
+func trAfter(a, b int) int { return (b - a) & (trModulus - 1) }
+
+// The display-order release rule. The serial decoder holds every I and P
+// picture until the next one is decoded; a tile shows its anchor as soon as
+// temporal_reference proves that no picture decoded later is displayed
+// before it, and otherwise holds it as the serial decoder does, until the
+// next anchor, a concealment or Finish. Emission order is the serial
+// decoder's either way; only the time changes (DESIGN.md §11).
+//
+// showsAtOnce reports whether an anchor of type t with temporal reference
+// tr, about to be decoded after the previous anchor, is shown at once:
+//   - an I picture with tr 0 restarts display order: nothing of its GOP is
+//     shown before it. But a stream that does not restart
+//     temporal_reference at each GOP (this repository's encoder writes the
+//     display index mod 1024) reaches tr 0 by a wrap, and its B pictures
+//     numbered from the previous anchor's tr up to 1023 still follow. As in
+//     serial-number arithmetic, 0 is taken for a wrap when it lies at most
+//     half the counter after the previous anchor's tr, and then only an
+//     anchor at 1023 (or 0) leaves no value in between. The session's first
+//     anchor has none before it; after a concealment or a resume the
+//     previous anchor is unknown, and the I is held;
+//   - a P picture whose tr is one more than the previous anchor's has no B
+//     picture between them: its previous anchor is always in its own GOP.
+func (d *Decoder) showsAtOnce(t mpeg2.PictureType, tr int) bool {
+	switch prev := d.prevAnchorTR; t {
+	case mpeg2.PictureI:
+		if tr != 0 || prev == trUnknown {
+			return false
+		}
+		gap := trAfter(prev, 0)
+		return prev == trStart || gap <= 1 || gap > trModulus/2
+	case mpeg2.PictureP:
+		return prev >= 0 && trAfter(prev, tr) == 1
+	}
+	return false
+}
+
+// afterB applies the release rule to a handled B picture (decoded, decoded
+// NoEmit, or skip-marked with its picture header) with temporal reference
+// tr: the B pictures between two anchors come in display order, so the one
+// with the held anchor's tr − 1 is the last shown before it.
+func (d *Decoder) afterB(tr int) {
+	if d.pendingAnchor && trAfter(tr, d.pendingAnchorTR) == 1 {
+		d.flushPending()
+	}
 }
 
 // anchorsFor is how many trustworthy reference anchors a picture type needs.

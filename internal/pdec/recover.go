@@ -37,6 +37,7 @@ type stashedSubPic struct {
 func (d *Decoder) ResumeAt(next int, holes []int) {
 	d.nextPic = next
 	d.validAnchors = 0
+	d.prevAnchorTR = trUnknown
 	for _, b := range [...]*mpeg2.PixelBuf{d.fwd, d.bwd, d.bpic, d.display} {
 		b.Fill(128, 128, 128)
 	}
@@ -144,8 +145,10 @@ func (d *Decoder) SweepDeadline(deadline time.Duration) bool {
 
 // concealKnown freezes the last displayed frame in place of picture idx,
 // whose sub-picture arrived but could not be decoded (untrusted reference
-// chain after a respawn, or a decode failure).
+// chain after a respawn, or a decode failure). A concealed picture releases
+// no held anchor, and the previous anchor is no longer known.
 func (d *Decoder) concealKnown(idx int, picType mpeg2.PictureType) {
+	d.prevAnchorTR = trUnknown
 	if picType == mpeg2.PictureB {
 		d.concealEmit(idx) // anchors untouched; trust is unchanged
 		return
@@ -166,6 +169,7 @@ func (d *Decoder) concealUnknown(idx int) {
 	d.flushPending()
 	d.concealEmit(idx)
 	d.validAnchors = 0
+	d.prevAnchorTR = trUnknown
 	d.nextPic = idx + 1
 }
 

@@ -370,7 +370,7 @@ func (s *Session) onHeader(prefix []byte) error {
 	if err != nil {
 		return fmt.Errorf("service: session %q: %w", s.name, err)
 	}
-	geo, err := wall.NewGeometry(seq.MBWidth()*16, seq.MBHeight()*16, s.w.cfg.M, s.w.cfg.N, s.w.cfg.Overlap)
+	geo, err := wall.SharedGeometry(seq.MBWidth()*16, seq.MBHeight()*16, s.w.cfg.M, s.w.cfg.N, s.w.cfg.Overlap)
 	if err != nil {
 		return fmt.Errorf("service: session %q: %w", s.name, err)
 	}

@@ -271,6 +271,15 @@ func (st *Stage) Picture(msg *cluster.Message) error {
 	var ship []*subpic.SubPicture
 	var nSkipped int
 	if err == nil {
+		if ss.trick == TrickIOnly {
+			// The shipped pictures are self-contained I pictures shown in
+			// coded order: each ships as a GOP of its own, temporal
+			// reference 0, so a tile shows it as soon as it is decoded
+			// instead of holding it until the next one (DESIGN.md §15).
+			for _, sp := range sps {
+				sp.Pic.TemporalRef = 0
+			}
+		}
 		ship, nSkipped = ss.roi.Apply(sps, ss.live, ss.trick == TrickIOnly)
 	} else {
 		ship = ss.roi.skipAll(st.cfg.Grid.M*st.cfg.Grid.N, msg.Seq)

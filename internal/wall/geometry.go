@@ -7,6 +7,7 @@ package wall
 
 import (
 	"fmt"
+	"sync"
 
 	"tiledwall/internal/mpeg2"
 )
@@ -73,7 +74,7 @@ func NewGeometry(picW, picH, m, n, overlap int) (*Geometry, error) {
 		return nil, fmt.Errorf("wall: negative overlap")
 	}
 	g := &Geometry{M: m, N: n, PicW: picW, PicH: picH, Overlap: overlap,
-		mbW: picW / 16, mbH: picH / 16}
+		mbW: picW / 16, mbH: picH / 16, tiles: make([]Rect, 0, m*n)}
 
 	alignDown := func(v int) int { return v &^ 15 }
 	alignUp := func(v int) int { return (v + 15) &^ 15 }
@@ -124,6 +125,45 @@ func NewGeometry(picW, picH, m, n, overlap int) (*Geometry, error) {
 			g.owners[mby*g.mbW+mbx] = uint8(row*m + col)
 		}
 	}
+	return g, nil
+}
+
+// geoCacheSize bounds SharedGeometry's cache: a wall plays few picture
+// sizes at once, and an evicted geometry is only derived again.
+const geoCacheSize = 8
+
+type geoKey struct{ picW, picH, m, n, overlap int }
+
+// geoCache holds the geometries SharedGeometry has derived, replaced oldest
+// first.
+var geoCache struct {
+	sync.Mutex
+	keys [geoCacheSize]geoKey
+	geos [geoCacheSize]*Geometry
+	next int
+}
+
+// SharedGeometry returns the process's one Geometry for the tiling,
+// deriving it with NewGeometry on first use: a wall's root and every node
+// it hosts open each session on the same picture size and grid, so they
+// share one read-only value instead of deriving a copy each. No Geometry
+// method writes the value, and callers must not write its fields.
+func SharedGeometry(picW, picH, m, n, overlap int) (*Geometry, error) {
+	k := geoKey{picW, picH, m, n, overlap}
+	c := &geoCache
+	c.Lock()
+	defer c.Unlock()
+	for i, g := range c.geos {
+		if g != nil && c.keys[i] == k {
+			return g, nil
+		}
+	}
+	g, err := NewGeometry(picW, picH, m, n, overlap)
+	if err != nil {
+		return nil, err
+	}
+	c.keys[c.next], c.geos[c.next] = k, g
+	c.next = (c.next + 1) % geoCacheSize
 	return g, nil
 }
 

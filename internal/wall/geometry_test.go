@@ -2,6 +2,8 @@ package wall
 
 import (
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -163,5 +165,54 @@ func TestMBSpan(t *testing.T) {
 	x0, x1, y0, y1 = g.MBSpan(3)
 	if x0 != 4 || x1 != 7 || y0 != 2 || y1 != 3 {
 		t.Errorf("tile 3 span %d..%d, %d..%d", x0, x1, y0, y1)
+	}
+}
+
+// TestSharedGeometry: one value per tiling while it is cached, equal to a
+// fresh NewGeometry; errors are not cached; the cache holds at most
+// geoCacheSize tilings and a tiling pushed out is derived again.
+func TestSharedGeometry(t *testing.T) {
+	a, err := SharedGeometry(640, 352, 4, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := SharedGeometry(640, 352, 4, 4, 0); b != a {
+		t.Fatal("same tiling, two values")
+	}
+	fresh, _ := NewGeometry(640, 352, 4, 4, 0)
+	if !reflect.DeepEqual(a, fresh) {
+		t.Fatal("shared geometry differs from NewGeometry's")
+	}
+	if c, _ := SharedGeometry(640, 352, 4, 4, 16); c == a {
+		t.Fatal("another overlap, the same value")
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := SharedGeometry(100, 352, 4, 4, 0); err == nil {
+			t.Fatal("invalid tiling accepted")
+		}
+	}
+	for w := 1; w <= geoCacheSize; w++ {
+		if _, err := SharedGeometry(w*16*4, 352, 4, 4, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d, _ := SharedGeometry(640, 352, 4, 4, 0); d == a {
+		t.Fatalf("cache kept more than %d tilings", geoCacheSize)
+	}
+	// Every node of a wall opens a session at once.
+	var wg sync.WaitGroup
+	got := make([]*Geometry, 17)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _ = SharedGeometry(1280, 704, 4, 4, 0)
+		}()
+	}
+	wg.Wait()
+	for _, g := range got {
+		if g == nil || g != got[0] {
+			t.Fatal("concurrent opens got different geometries")
+		}
 	}
 }
