@@ -71,8 +71,9 @@ type Decoder struct {
 	pendingAnchorTR   int
 	pendingAnchorEmit bool
 	// prevAnchorTR is the temporal reference of the last decoded anchor,
-	// trStart before the session's first one and trUnknown once a
-	// concealment or a resume has broken the chain of known anchors.
+	// 1023 before the session's first one (so an I at tr 0 follows it at
+	// once), and trUnknown after an I-only picture or once a concealment or
+	// a resume has broken the chain of known anchors.
 	prevAnchorTR int
 	displayCount int
 
@@ -118,7 +119,7 @@ func newDecoder(srv *server, session int, seq *mpeg2.SequenceHeader, geo *wall.G
 	// macroblock-aligned and the splitter routes a tile only the
 	// macroblocks that overlap it, so the B target holds every macroblock
 	// the tile decodes.
-	d := &Decoder{srv: srv, session: session, seq: seq, rect: rect, finalTotal: -1, prevAnchorTR: trStart,
+	d := &Decoder{srv: srv, session: session, seq: seq, rect: rect, finalTotal: -1, prevAnchorTR: trModulus - 1,
 		fwd:  mpeg2.NewPixelBuf(x0, y0, x1-x0, y1-y0),
 		bwd:  mpeg2.NewPixelBuf(x0, y0, x1-x0, y1-y0),
 		bpic: mpeg2.NewPixelBuf(rect.X0, rect.Y0, rect.W(), rect.H()),
@@ -279,7 +280,7 @@ func (d *Decoder) decodePicture(sp *subpic.SubPicture) error {
 		case mpeg2.PictureB:
 			d.afterB(tr)
 		case mpeg2.PictureI, mpeg2.PictureP:
-			d.prevAnchorTR = tr
+			d.prevAnchorTR = anchorTR(&sp.Pic, tr)
 		default:
 			d.prevAnchorTR = trUnknown
 		}
@@ -343,13 +344,13 @@ func (d *Decoder) decodePicture(sp *subpic.SubPicture) error {
 		d.afterB(tr)
 		return nil
 	}
-	atOnce := d.showsAtOnce(ph.PicType, tr)
+	atOnce := sp.Pic.Flags&subpic.FlagIOnly != 0 || d.showsAtOnce(ph.PicType, tr)
 	d.flushPending()
 	d.pendingAnchor = true
 	d.pendingAnchorEmit = !sp.NoEmit
 	d.pendingAnchorIdx = idx
 	d.pendingAnchorTR = tr
-	d.prevAnchorTR = tr
+	d.prevAnchorTR = anchorTR(&sp.Pic, tr)
 	d.rotate()
 	if d.validAnchors < 2 {
 		d.validAnchors++
@@ -360,12 +361,11 @@ func (d *Decoder) decodePicture(sp *subpic.SubPicture) error {
 	return nil
 }
 
-// temporal_reference is a 10-bit counter; trStart and trUnknown are the
-// previous-anchor states that hold no value of it.
+// temporal_reference is a 10-bit counter; trUnknown is the previous-anchor
+// state that holds no value of it.
 const (
 	trModulus = 1024
-	trStart   = -1
-	trUnknown = -2
+	trUnknown = -1
 )
 
 // trAfter returns how far temporal reference b lies after a, modulo the
@@ -379,6 +379,11 @@ func trAfter(a, b int) int { return (b - a) & (trModulus - 1) }
 // next anchor, a concealment or Finish. Emission order is the serial
 // decoder's either way; only the time changes (DESIGN.md §11).
 //
+// An I picture shipped in I-only trick play (subpic.FlagIOnly) is shown at
+// once: the root drops the rest of its GOP. Its tr says nothing about the
+// first I after a switch back to another mode, whose leading B pictures
+// are still to come, so it leaves the previous anchor unknown (anchorTR).
+//
 // showsAtOnce reports whether an anchor of type t with temporal reference
 // tr, about to be decoded after the previous anchor, is shown at once:
 //   - an I picture with tr 0 restarts display order: nothing of its GOP is
@@ -388,23 +393,29 @@ func trAfter(a, b int) int { return (b - a) & (trModulus - 1) }
 //     numbered from the previous anchor's tr up to 1023 still follow. As in
 //     serial-number arithmetic, 0 is taken for a wrap when it lies at most
 //     half the counter after the previous anchor's tr, and then only an
-//     anchor at 1023 (or 0) leaves no value in between. The session's first
-//     anchor has none before it; after a concealment or a resume the
-//     previous anchor is unknown, and the I is held;
+//     anchor at 1023 (or 0) leaves no value in between. Before the
+//     session's first anchor the previous one reads 1023; after a
+//     concealment or a resume it is unknown, and the I is held;
 //   - a P picture whose tr is one more than the previous anchor's has no B
 //     picture between them: its previous anchor is always in its own GOP.
 func (d *Decoder) showsAtOnce(t mpeg2.PictureType, tr int) bool {
 	switch prev := d.prevAnchorTR; t {
 	case mpeg2.PictureI:
-		if tr != 0 || prev == trUnknown {
-			return false
-		}
 		gap := trAfter(prev, 0)
-		return prev == trStart || gap <= 1 || gap > trModulus/2
+		return prev != trUnknown && tr == 0 && (gap <= 1 || gap > trModulus/2)
 	case mpeg2.PictureP:
-		return prev >= 0 && trAfter(prev, tr) == 1
+		return prev != trUnknown && trAfter(prev, tr) == 1
 	}
 	return false
+}
+
+// anchorTR is the previous-anchor state an anchor with picture info p and
+// temporal reference tr leaves behind.
+func anchorTR(p *subpic.PicInfo, tr int) int {
+	if p.Flags&subpic.FlagIOnly != 0 {
+		return trUnknown
+	}
+	return tr
 }
 
 // afterB applies the release rule to a handled B picture (decoded, decoded

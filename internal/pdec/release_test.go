@@ -14,16 +14,19 @@ import (
 )
 
 // relStep is one picture handed to decodePicture, in decode order: its type
-// and temporal reference, and how it arrives.
+// and temporal reference, how it arrives, and whether it was shipped in
+// I-only trick play.
 type relStep struct {
-	t    mpeg2.PictureType
-	tr   int
-	how  byte // 0 decoded, 'n' decoded NoEmit, 's' skip-marked, 'x' failed-split marker, 'c' concealed
-	note string
+	t     mpeg2.PictureType
+	tr    int
+	how   byte // 0 decoded, 'n' decoded NoEmit, 's' skip-marked, 'x' failed-split marker, 'c' concealed
+	iOnly bool
+	note  string
 }
 
-// steps parses "I0 P3 B1 B2s X B4c P6n": type, temporal reference and an
-// optional arrival suffix; X is a failed-split marker with no picture header.
+// steps parses "I0 P3 B1 B2s X B4c P6n I12o I24os": type, temporal reference
+// and optional suffixes, 'o' for I-only play and one arrival letter; X is a
+// failed-split marker with no picture header.
 func steps(t *testing.T, spec string) []relStep {
 	var out []relStep
 	for _, f := range strings.Fields(spec) {
@@ -35,8 +38,13 @@ func steps(t *testing.T, spec string) []relStep {
 		}
 		st.t = map[byte]mpeg2.PictureType{'I': mpeg2.PictureI, 'P': mpeg2.PictureP, 'B': mpeg2.PictureB}[f[0]]
 		rest := f[1:]
-		if c := rest[len(rest)-1]; c < '0' || c > '9' {
-			st.how, rest = c, rest[:len(rest)-1]
+		for c := rest[len(rest)-1]; c < '0' || c > '9'; c = rest[len(rest)-1] {
+			if c == 'o' {
+				st.iOnly = true
+			} else {
+				st.how = c
+			}
+			rest = rest[:len(rest)-1]
 		}
 		if _, err := fmt.Sscan(rest, &st.tr); err != nil {
 			t.Fatalf("step %q: %v", f, err)
@@ -111,6 +119,9 @@ func runRelease(t *testing.T, ss []relStep, masking bool) (order []int, at map[i
 			if s.t != mpeg2.PictureI {
 				sp.Pic.FCode = [2][2]uint8{{3, 3}, {3, 3}}
 			}
+			if s.iOnly {
+				sp.Pic.Flags = subpic.FlagIOnly
+			}
 		}
 		switch s.how {
 		case 'n':
@@ -152,6 +163,19 @@ func TestReleaseRuleKeepsSerialOrder(t *testing.T) {
 		{"open GOP resets tr", "I0 P3 B1 B2 P6 B4 B5 I2 B0 B1 P5 B3 B4", []int{0, 1, 4, 7, 10}},
 		{"I-only, one GOP", "I0 I1 I2 I3", []int{0}},
 		{"I-only, a GOP per picture", "I0 I0 I0 I0", []int{0, 1, 2, 3}},
+		// I-only trick play shows each I at once whatever its tr. Back in
+		// normal play, the next I has wrapped to tr 0 and its open GOP's
+		// B1022 and B1023 are shown before it: the I-only pictures leave
+		// no previous anchor to read that 0 against, so R2 releases it.
+		{"I-only play, then a wrapped open GOP", "I1000o I1012o I0 B1022 B1023 P3 B1 B2",
+			[]int{0, 1, 2, 5}},
+		{"I-only play at tr 0, then a wrapped open GOP", "I0o I0o I0 B1022 B1023 P3",
+			[]int{0, 1, 2}},
+		// An unwatched tile gets the I-only pictures as skip markers; they
+		// too leave the previous anchor unknown (read against I500, the
+		// 0 would pass for a restart).
+		{"I-only skip markers, then a wrapped open GOP", "I1000 I500os I0 B1022 B1023 P3",
+			[]int{2}},
 		{"IP-only", "I0 P1 P2 P3", []int{0, 1, 2, 3}},
 		{"trailing P P", "I0 P3 B1 B2 P4 P5", []int{0, 1, 4, 5}},
 		// tr wraps from 1023 to 0 inside the anchor-to-anchor gaps.

@@ -272,12 +272,10 @@ func (st *Stage) Picture(msg *cluster.Message) error {
 	var nSkipped int
 	if err == nil {
 		if ss.trick == TrickIOnly {
-			// The shipped pictures are self-contained I pictures shown in
-			// coded order: each ships as a GOP of its own, temporal
-			// reference 0, so a tile shows it as soon as it is decoded
-			// instead of holding it until the next one (DESIGN.md §15).
+			// The root drops every P and B picture of this mode, so no
+			// picture of an I's GOP follows it to the tiles.
 			for _, sp := range sps {
-				sp.Pic.TemporalRef = 0
+				sp.Pic.Flags |= subpic.FlagIOnly
 			}
 		}
 		ship, nSkipped = ss.roi.Apply(sps, ss.live, ss.trick == TrickIOnly)

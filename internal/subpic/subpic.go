@@ -93,7 +93,7 @@ type PicInfo struct {
 	TemporalRef int32
 	PicType     uint8
 	FCode       [2][2]uint8
-	Flags       uint8 // bit0 QScaleType, bit1 IntraVLCFormat, bit2 AlternateScan
+	Flags       uint8 // bit0 QScaleType, bit1 IntraVLCFormat, bit2 AlternateScan, bit3 FlagIOnly
 	DCPrecision uint8
 }
 
@@ -101,6 +101,10 @@ const (
 	flagQScaleType = 1 << iota
 	flagIntraVLC
 	flagAltScan
+	// FlagIOnly marks a picture shipped in I-only trick play: the tile
+	// receives no other picture of its GOP, so every picture it decodes
+	// later is displayed after this one. Not part of the picture header.
+	FlagIOnly
 )
 
 // FromHeader flattens a picture header.
